@@ -3,10 +3,6 @@ GO ?= go
 # Coverage floor (percent of statements) for the engine package.
 CORE_COVER_FLOOR ?= 85
 
-# Fixed iteration count for the data-plane benchmarks, so BENCH_dataplane.json
-# is regenerated under comparable conditions across machines.
-BENCHTIME ?= 100x
-
 .PHONY: all build vet lint lint-selftest test race race-obs bench bench-tables bench-smoke decomp-smoke fuzz-smoke serve-smoke net-smoke render-smoke cover ci
 
 all: ci
@@ -47,48 +43,32 @@ race:
 # Focused race check over traced/profiled parallel runs and the
 # host-parallel width cross-product.
 race-obs:
-	$(GO) test -race ./internal/core/ -run 'Profile|Profiled|Figure2|HostParallel|FusedKernels|WorkerPool'
+	$(GO) test -race ./internal/core/ -run 'Profile|Profiled|Figure2|HostParallel|WorkerPool'
 
-# Benchmark harness: runs the AoS-vs-SoA kernel and wire codec
-# benchmarks into BENCH_dataplane.json, then the host-parallel suite
-# (worker scaling at widths 1/2/4/8, fused-vs-unfused kernels, pooled
-# wire encode) into BENCH_hostparallel.json. Both machine-readable
-# artifacts (ns/op + allocs/op) are committed with the repo.
+# The repository's benchmark: BENCHMARK.json's command. Builds
+# bench/psperf into .bench_build/ and runs all six workloads end to end
+# and layer by layer (bench/README.md, which also lists the flags
+# bench/run.sh takes for a single workload).
 bench:
-	$(GO) test -run '^$$' -bench 'KernelsAoSvsSoA|ExchangeEncode|ExchangeDecode|AblationColumnStore' \
-	  -benchtime $(BENCHTIME) -benchmem ./internal/actions/ ./internal/particle/ . | \
-	  tee /dev/stderr | $(GO) run ./cmd/psbench -benchjson BENCH_dataplane.json
-	$(GO) test -run '^$$' -bench 'WorkerScaling|FusedVsUnfused|PooledEncode' \
-	  -benchtime $(BENCHTIME) -benchmem ./internal/core/ ./internal/actions/ ./internal/particle/ | \
-	  tee /dev/stderr | $(GO) run ./cmd/psbench -benchjson BENCH_hostparallel.json
-	$(GO) test -run '^$$' -bench 'DecompImbalance' -benchtime 1x \
-	  ./internal/experiments/ | \
-	  tee /dev/stderr | $(GO) run ./cmd/psbench -benchjson BENCH_decomp.json
-	$(GO) test -run '^$$' -bench 'NetTransport' -benchtime $(BENCHTIME) -benchmem \
-	  ./internal/transport/ | \
-	  tee /dev/stderr | $(GO) run ./cmd/psbench -benchjson BENCH_nettransport.json
-	$(GO) test -run '^$$' -bench 'RenderTiled|RenderPipelined' -benchtime $(BENCHTIME) -benchmem \
-	  ./internal/render/ | \
-	  tee /dev/stderr | $(GO) run ./cmd/psbench -benchjson BENCH_render.json
+	bash bench/run.sh
 
 # Full paper-table benchmark suite (slow; regenerates every experiment).
 bench-tables:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# One-iteration sweep over every benchmark in the repo — the CI smoke
-# check that keeps the benchmarks compiling and running.
+# bench/ is a module of its own, invisible to build/vet/test above:
+# vet it and run its tests (generator, schema agreement with
+# BENCHMARK.json, a smoke pass of every workload, the verifier) so the
+# benchmark cannot rot against the engine.
 bench-smoke:
-	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Decomposition smoke: the slab bit-neutrality gate, the sequential
 # equivalence of the grid and Voronoi strategies, the clustered-scenario
-# imbalance regression, and a one-shot run of the imbalance suite into
-# BENCH_decomp.json.
+# imbalance regression, and a one-shot run of the imbalance suite.
 decomp-smoke:
 	$(GO) test -run 'TestDecomp|TestClustered' ./internal/core/ ./internal/domain/ ./internal/experiments/
-	$(GO) test -run '^$$' -bench 'DecompImbalance' -benchtime 1x \
-	  ./internal/experiments/ | \
-	  tee /dev/stderr | $(GO) run ./cmd/psbench -benchjson BENCH_decomp.json
+	$(GO) test -run '^$$' -bench 'DecompImbalance' -benchtime 1x ./internal/experiments/
 
 # Ten seconds of actual fuzzing per fuzz target, so the corpora in
 # testdata/fuzz keep growing and the fuzzers do more in CI than

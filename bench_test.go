@@ -181,15 +181,19 @@ func BenchmarkFigure1DomainDecomposition(b *testing.B) {
 		b.Fatal(err)
 	}
 	lo, hi := scn.SpaceInterval()
-	st := particle.NewStore(geom.AxisX, lo, hi, scn.Bins)
+	st := particle.NewColumnStore(geom.AxisX, lo, hi, scn.Bins)
 	r := geom.NewRNG(1)
 	for i := 0; i < 10000; i++ {
 		st.Add(particle.Particle{Pos: geom.V(r.Range(lo, hi), 0, 0)})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.ForEach(func(p *particle.Particle) { p.Pos.X += 0.01 })
-		st.Partition()
+		st.EachBatch(func(bin *particle.Batch) {
+			for i := range bin.Pos {
+				bin.Pos[i].X += 0.01
+			}
+		})
+		st.PartitionBatch()
 	}
 }
 
@@ -253,40 +257,16 @@ func BenchmarkAblationSubdomainStore(b *testing.B) {
 			name = "subdomain-bins"
 		}
 		b.Run(name, func(b *testing.B) {
-			st := particle.NewStore(geom.AxisX, 0, 100, bins)
+			st := particle.NewColumnStore(geom.AxisX, 0, 100, bins)
 			r := geom.NewRNG(3)
 			for i := 0; i < 50000; i++ {
 				st.Add(particle.Particle{Pos: geom.V(r.Range(0, 100), 0, 0)})
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				donated, _ := st.SelectDonation(500, particle.LowSide)
+				donated, _ := st.DonateBatch(500, particle.LowSide)
 				st.Resize(0, 100)
-				st.AddSlice(donated)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationColumnStore compares the two particle data planes on
-// a full engine run: the default columnar (SoA) store with batch
-// kernels and the columnar wire codec, against the AoSStore ablation
-// that swaps every store back to the record-based layout. Both produce
-// bit-identical results; the difference is host wall-clock per run.
-func BenchmarkAblationColumnStore(b *testing.B) {
-	cl := cluster.New(cluster.Myrinet, cluster.GCC, cluster.NodeSpec{Type: cluster.TypeB, Count: 8})
-	for _, aos := range []bool{false, true} {
-		name := "soa"
-		if aos {
-			name = "aos"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				scn := experiments.Snow(benchCfg, core.FiniteSpace, core.DynamicLB)
-				scn.AoSStore = aos
-				if _, err := core.RunParallel(scn, cl, 8); err != nil {
-					b.Fatal(err)
-				}
+				st.AddBatch(donated)
 			}
 		})
 	}

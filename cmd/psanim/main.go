@@ -8,8 +8,8 @@
 //	       [-net myrinet|fast-ethernet] [-lb static|dynamic]
 //	       [-space finite|infinite] [-decomp slab|grid|voronoi] [-frames N]
 //	       [-out DIR] [-seq] [-config scenario.json] [-dump scenario.json]
-//	       [-trace trace.json] [-metrics out.prom] [-timeline] [-aos]
-//	       [-workers N] [-render-workers N] [-unfused] [-serve :9090]
+//	       [-trace trace.json] [-metrics out.prom] [-timeline]
+//	       [-workers N] [-render-workers N] [-serve :9090]
 //
 // Scenarios can also be described declaratively: -dump writes the
 // selected built-in scenario as JSON, -config runs one from a file (see
@@ -61,14 +61,10 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
 	metricsOut := flag.String("metrics", "", "write run metrics in Prometheus text exposition format")
 	timeline := flag.Bool("timeline", false, "print the per-calculator compute/comm/idle timeline")
-	aos := flag.Bool("aos", false,
-		"data-plane ablation: use the record (AoS) particle store instead of the columnar one")
 	workers := flag.Int("workers", 0,
 		"host worker goroutines per compute pass (0 = scenario value, -1 = GOMAXPROCS); bit-identical at any width")
 	renderWorkers := flag.Int("render-workers", 0,
 		"image-generator splat workers over owned framebuffer tiles (0 = scenario value, -1 = GOMAXPROCS); bit-identical at any width")
-	unfused := flag.Bool("unfused", false,
-		"kernel ablation: run each action as its own column pass instead of the fused kernels")
 	serve := flag.String("serve", "",
 		"serve live telemetry on this address while running (/metrics /healthz /status /trace /debug/pprof); requires an explicit -frames, keeps serving after the run until interrupted")
 	checksums := flag.Bool("checksums", false,
@@ -145,15 +141,11 @@ func main() {
 		// is both the flag default and the zero value.
 		scn.Decomp = decomp
 	}
-	scn.AoSStore = *aos
 	if *workers != 0 {
 		scn.Workers = *workers
 	}
 	if *renderWorkers != 0 {
 		scn.Render.RenderWorkers = *renderWorkers
-	}
-	if *unfused {
-		scn.Unfused = true
 	}
 	if *dump != "" {
 		data, err := scenariojson.Encode(scn)

@@ -7,17 +7,14 @@
 //	psbench [-table all|1|2|3|X1|X2|X3|X4|X5|X6|A1|F1|F2] [-scale small|paper]
 //	psbench -list
 //	psbench -checkprom metrics.prom   (or - for stdin)
-//	go test -bench ... | psbench -benchjson FILE
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"pscluster/internal/cluster"
@@ -71,8 +68,6 @@ func main() {
 	scale := flag.String("scale", "paper", "experiment scale: small or paper")
 	format := flag.String("format", "text", "output format for tables: text, csv, or json")
 	list := flag.Bool("list", false, "print the table/figure index and exit")
-	benchJSON := flag.String("benchjson", "",
-		"parse `go test -bench` output from stdin into a machine-readable JSON file")
 	checkProm := flag.String("checkprom", "",
 		"validate a Prometheus text exposition file (or - for stdin) against the format grammar and exit")
 	flag.Parse()
@@ -87,13 +82,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("%s: valid Prometheus exposition\n", *checkProm)
-		return
-	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(os.Stdin, *benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "psbench: benchjson: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 
@@ -160,102 +148,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "psbench: unknown table %q\n", *table)
 		os.Exit(1)
 	}
-}
-
-// benchResult is one parsed `go test -bench` result line.
-type benchResult struct {
-	Name        string   `json:"name"`
-	Iterations  int      `json:"iterations"`
-	NsPerOp     float64  `json:"ns_per_op"`
-	MBPerSec    *float64 `json:"mb_per_s,omitempty"`
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// Extra holds custom units reported via b.ReportMetric (e.g. the
-	// decomposition suite's "imbalance"), keyed by unit name.
-	Extra map[string]float64 `json:"extra,omitempty"`
-}
-
-// writeBenchJSON converts `go test -bench` text output into the
-// machine-readable benchmark file `make bench` commits: one record per
-// benchmark with ns/op and, when -benchmem is on, allocs/op.
-func writeBenchJSON(in io.Reader, path string) error {
-	doc := struct {
-		Goos, Goarch, Pkg, CPU string        `json:",omitempty"`
-		Results                []benchResult `json:"results"`
-	}{}
-	sc := bufio.NewScanner(in)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			doc.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-			continue
-		case strings.HasPrefix(line, "goarch:"):
-			doc.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-			continue
-		case strings.HasPrefix(line, "pkg:"):
-			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-			continue
-		case strings.HasPrefix(line, "cpu:"):
-			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-			continue
-		case !strings.HasPrefix(line, "Benchmark"):
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
-			continue
-		}
-		iters, err := strconv.Atoi(fields[1])
-		if err != nil {
-			continue
-		}
-		r := benchResult{Name: fields[0], Iterations: iters}
-		// The remaining tokens come in (value, unit) pairs.
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return fmt.Errorf("line %q: bad value %q", line, fields[i])
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				r.NsPerOp = v
-			case "MB/s":
-				r.MBPerSec = &v
-			case "B/op":
-				r.BytesPerOp = &v
-			case "allocs/op":
-				r.AllocsPerOp = &v
-			default:
-				if r.Extra == nil {
-					r.Extra = make(map[string]float64)
-				}
-				r.Extra[fields[i+1]] = v
-			}
-		}
-		doc.Results = append(doc.Results, r)
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if len(doc.Results) == 0 {
-		return fmt.Errorf("no benchmark result lines on stdin")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "psbench: wrote %d results to %s\n", len(doc.Results), path)
-	return nil
 }
 
 // printFigure1 reproduces the paper's Figure 1: the initial equal-size

@@ -75,11 +75,13 @@ type CreateAction interface {
 }
 
 // StoreAction operates on the whole local store (inter-particle
-// effects). It returns the work units it performed, since its cost
-// depends on neighborhood density rather than a flat per-particle rate.
+// effects), handed to it as a flat record view in store order that it
+// mutates in place. It returns the work units it performed, since its
+// cost depends on neighborhood density rather than a flat per-particle
+// rate.
 type StoreAction interface {
 	Action
-	ApplyStore(ctx *Context, s *particle.Store) float64
+	ApplyStore(ctx *Context, ps []particle.Particle) float64
 }
 
 // ---------------------------------------------------------------------

@@ -107,34 +107,3 @@ func hotPipeline() []ParticleAction {
 		&Move{},
 	}
 }
-
-// BenchmarkKernelsAoSvsSoA compares the two data-plane layouts on the
-// same action program: "aos" is the record store's ForEach + Apply per
-// particle, "soa" the columnar EachBatch + kernels. The acceptance bar
-// for the columnar plane is ≥1.5× on ns/op.
-func BenchmarkKernelsAoSvsSoA(b *testing.B) {
-	const n = 10000
-	acts := hotPipeline()
-	b.Run("aos", func(b *testing.B) {
-		s := benchStore(n, 50)
-		c := ctx()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, a := range acts {
-				act := a
-				s.ForEach(func(p *particle.Particle) { act.Apply(c, p) })
-			}
-		}
-	})
-	b.Run("soa", func(b *testing.B) {
-		s := particle.NewColumnStore(geom.AxisX, -50, 50, 16)
-		s.AddSlice(benchStore(n, 50).All())
-		c := ctx()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, a := range acts {
-				s.EachBatch(func(batch *particle.Batch) { ApplyToBatch(c, a, batch) })
-			}
-		}
-	})
-}

@@ -7,8 +7,8 @@ import (
 	"pscluster/internal/particle"
 )
 
-func benchStore(n int, span float64) *particle.Store {
-	s := particle.NewStore(geom.AxisX, -span, span, 16)
+func benchStore(n int, span float64) *particle.ColumnStore {
+	s := particle.NewColumnStore(geom.AxisX, -span, span, 16)
 	r := geom.NewRNG(1)
 	for i := 0; i < n; i++ {
 		s.Add(particle.Particle{
@@ -62,20 +62,18 @@ func BenchmarkSourceGenerate(b *testing.B) {
 func BenchmarkCollideSparse(b *testing.B) {
 	a := &CollideParticles{Radius: 0.5, Elasticity: 0.8}
 	s := benchStore(10000, 200)
-	c := ctx()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.ApplyStore(c, s)
+		applyStore(a, s)
 	}
 }
 
 func BenchmarkCollideDense(b *testing.B) {
 	a := &CollideParticles{Radius: 2, Elasticity: 0.8}
 	s := benchStore(10000, 20)
-	c := ctx()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.ApplyStore(c, s)
+		applyStore(a, s)
 	}
 }
 
@@ -86,6 +84,6 @@ func BenchmarkCollideWithGhosts(b *testing.B) {
 	c := ctx()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.ApplyWithGhosts(c, s, ghosts)
+		s.WithParticles(func(ps []particle.Particle) { a.ApplyWithGhosts(c, ps, ghosts) })
 	}
 }

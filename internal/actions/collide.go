@@ -16,17 +16,16 @@ func gridIndex(p geom.Vec3, cell float64) [3]int {
 	}
 }
 
-// buildGrid indexes every particle of the store into cells of the given
-// size and returns the cell map plus a flat particle pointer list.
-func buildGrid(s *particle.Store, cell float64) (map[[3]int][]*particle.Particle, []*particle.Particle) {
+// buildGrid indexes every particle of ps into cells of the given size.
+// The cells hold pointers into ps, so ps must not move while the grid
+// is in use.
+func buildGrid(ps []particle.Particle, cell float64) map[[3]int][]*particle.Particle {
 	grid := make(map[[3]int][]*particle.Particle)
-	var flat []*particle.Particle
-	s.ForEach(func(p *particle.Particle) {
-		k := gridIndex(p.Pos, cell)
-		grid[k] = append(grid[k], p)
-		flat = append(flat, p)
-	})
-	return grid, flat
+	for i := range ps {
+		k := gridIndex(ps[i].Pos, cell)
+		grid[k] = append(grid[k], &ps[i])
+	}
+	return grid
 }
 
 // forNeighbors calls fn for every particle in the 27 cells around p's
@@ -70,11 +69,12 @@ func (a *CollideParticles) Cost() float64 { return 2.0 }
 // ApplyStore implements StoreAction. Overlapping pairs exchange the
 // normal components of their velocities scaled by Elasticity, and are
 // pushed apart to the contact distance.
-func (a *CollideParticles) ApplyStore(_ *Context, s *particle.Store) float64 {
-	grid, flat := buildGrid(s, a.Radius)
-	work := a.Cost() * float64(len(flat))
+func (a *CollideParticles) ApplyStore(_ *Context, ps []particle.Particle) float64 {
+	grid := buildGrid(ps, a.Radius)
+	work := a.Cost() * float64(len(ps))
 	r2 := a.Radius * a.Radius
-	for _, p := range flat {
+	for i := range ps {
+		p := &ps[i]
 		forNeighbors(grid, a.Radius, p, func(q *particle.Particle) {
 			work += 0.25 // pair test
 			// Handle each unordered pair once, from the lower pointer.
@@ -126,17 +126,17 @@ func pairOrdered(p, q *particle.Particle) bool {
 	}
 }
 
-// ApplyWithGhosts resolves collisions for the store's own particles
+// ApplyWithGhosts resolves collisions for the process's own particles
 // against read-only ghost copies owned by other processes, in addition
-// to the store's own pairs. Each owner applies its own side of a
+// to its own pairs. Each owner applies its own side of a
 // cross-process pair; the impulse formula is antisymmetric, so the two
 // owners' independent computations agree and momentum is conserved
 // globally. Used by the Sims-style baseline, whose round-robin particle
 // assignment has no locality and must broadcast ghosts to detect
 // collisions (the deficiency §3.1.4's domains exist to avoid).
-func (a *CollideParticles) ApplyWithGhosts(ctx *Context, s *particle.Store,
+func (a *CollideParticles) ApplyWithGhosts(ctx *Context, ps []particle.Particle,
 	ghosts []particle.Particle) float64 {
-	work := a.ApplyStore(ctx, s)
+	work := a.ApplyStore(ctx, ps)
 	if len(ghosts) == 0 {
 		return work
 	}
@@ -147,7 +147,8 @@ func (a *CollideParticles) ApplyWithGhosts(ctx *Context, s *particle.Store,
 		ggrid[k] = append(ggrid[k], i)
 	}
 	r2 := a.Radius * a.Radius
-	s.ForEach(func(p *particle.Particle) {
+	for i := range ps {
+		p := &ps[i]
 		k := gridIndex(p.Pos, a.Radius)
 		for dx := -1; dx <= 1; dx++ {
 			for dy := -1; dy <= 1; dy++ {
@@ -174,7 +175,7 @@ func (a *CollideParticles) ApplyWithGhosts(ctx *Context, s *particle.Store,
 				}
 			}
 		}
-	})
+	}
 	return work
 }
 
@@ -196,15 +197,16 @@ func (a *MatchVelocity) Kind() Kind { return KindStore }
 func (a *MatchVelocity) Cost() float64 { return 2.0 }
 
 // ApplyStore implements StoreAction.
-func (a *MatchVelocity) ApplyStore(ctx *Context, s *particle.Store) float64 {
-	grid, flat := buildGrid(s, a.Radius)
-	work := a.Cost() * float64(len(flat))
+func (a *MatchVelocity) ApplyStore(ctx *Context, ps []particle.Particle) float64 {
+	grid := buildGrid(ps, a.Radius)
+	work := a.Cost() * float64(len(ps))
 	r2 := a.Radius * a.Radius
 	// Two passes so the result does not depend on iteration order:
 	// compute all averages against the pre-update velocities first.
-	targets := make([]geom.Vec3, len(flat))
-	has := make([]bool, len(flat))
-	for i, p := range flat {
+	targets := make([]geom.Vec3, len(ps))
+	has := make([]bool, len(ps))
+	for i := range ps {
+		p := &ps[i]
 		var sum geom.Vec3
 		n := 0
 		forNeighbors(grid, a.Radius, p, func(q *particle.Particle) {
@@ -223,9 +225,9 @@ func (a *MatchVelocity) ApplyStore(ctx *Context, s *particle.Store) float64 {
 	if t > 1 {
 		t = 1
 	}
-	for i, p := range flat {
+	for i := range ps {
 		if has[i] {
-			p.Vel = p.Vel.Lerp(targets[i], t)
+			ps[i].Vel = ps[i].Vel.Lerp(targets[i], t)
 		}
 	}
 	return work

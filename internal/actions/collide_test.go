@@ -8,10 +8,17 @@ import (
 	"pscluster/internal/particle"
 )
 
-func storeWith(ps ...particle.Particle) *particle.Store {
-	s := particle.NewStore(geom.AxisX, -100, 100, 8)
+func storeWith(ps ...particle.Particle) *particle.ColumnStore {
+	s := particle.NewColumnStore(geom.AxisX, -100, 100, 8)
 	s.AddSlice(ps)
 	return s
+}
+
+// applyStore runs a store action the way the engines do: on the binned
+// store's flat record view, scattered back to the columns afterwards.
+func applyStore(a StoreAction, s *particle.ColumnStore) (work float64) {
+	s.WithParticles(func(ps []particle.Particle) { work = a.ApplyStore(ctx(), ps) })
+	return work
 }
 
 func TestCollideHeadOn(t *testing.T) {
@@ -20,7 +27,7 @@ func TestCollideHeadOn(t *testing.T) {
 		particle.Particle{Pos: geom.V(0, 0, 0), Vel: geom.V(1, 0, 0)},
 		particle.Particle{Pos: geom.V(0.5, 0, 0), Vel: geom.V(-1, 0, 0)},
 	)
-	a.ApplyStore(ctx(), s)
+	applyStore(a, s)
 	ps := s.All()
 	// Fully elastic head-on equal-mass collision swaps velocities.
 	var left, right particle.Particle
@@ -51,7 +58,7 @@ func TestCollideConservesMomentum(t *testing.T) {
 		before = before.Add(p.Vel)
 	}
 	s := storeWith(ps...)
-	a.ApplyStore(ctx(), s)
+	applyStore(a, s)
 	var after geom.Vec3
 	for _, p := range s.All() {
 		after = after.Add(p.Vel)
@@ -67,7 +74,7 @@ func TestCollideSeparatingPairUntouched(t *testing.T) {
 		particle.Particle{Pos: geom.V(0, 0, 0), Vel: geom.V(-1, 0, 0)},
 		particle.Particle{Pos: geom.V(0.5, 0, 0), Vel: geom.V(1, 0, 0)},
 	)
-	a.ApplyStore(ctx(), s)
+	applyStore(a, s)
 	for _, p := range s.All() {
 		if math.Abs(p.Vel.X) != 1 {
 			t.Errorf("separating pair modified: %v", p.Vel)
@@ -81,7 +88,7 @@ func TestCollideDistantPairsUntouched(t *testing.T) {
 		particle.Particle{Pos: geom.V(0, 0, 0), Vel: geom.V(1, 0, 0)},
 		particle.Particle{Pos: geom.V(50, 0, 0), Vel: geom.V(-1, 0, 0)},
 	)
-	a.ApplyStore(ctx(), s)
+	applyStore(a, s)
 	for _, p := range s.All() {
 		if p.Vel.Len() != 1 {
 			t.Errorf("distant pair modified: %v", p.Vel)
@@ -100,8 +107,8 @@ func TestCollideWorkGrowsWithDensity(t *testing.T) {
 	for i := range sparse {
 		sparse[i].Pos = geom.V(r.Range(-90, 90), r.Range(-90, 90), r.Range(-90, 90))
 	}
-	wDense := a.ApplyStore(ctx(), storeWith(dense...))
-	wSparse := a.ApplyStore(ctx(), storeWith(sparse...))
+	wDense := applyStore(a, storeWith(dense...))
+	wSparse := applyStore(a, storeWith(sparse...))
 	if wDense <= wSparse {
 		t.Errorf("dense work %v should exceed sparse work %v", wDense, wSparse)
 	}
@@ -113,7 +120,7 @@ func TestMatchVelocityBlends(t *testing.T) {
 		particle.Particle{Pos: geom.V(0, 0, 0), Vel: geom.V(1, 0, 0)},
 		particle.Particle{Pos: geom.V(1, 0, 0), Vel: geom.V(-1, 0, 0)},
 	)
-	a.ApplyStore(ctx(), s)
+	applyStore(a, s)
 	// Strength*DT = 1: each fully adopts the other's (pre-update)
 	// velocity.
 	var sum float64
@@ -128,14 +135,15 @@ func TestMatchVelocityBlends(t *testing.T) {
 func TestMatchVelocityLonelyParticleUnchanged(t *testing.T) {
 	a := &MatchVelocity{Radius: 1, Strength: 10}
 	s := storeWith(particle.Particle{Pos: geom.V(0, 0, 0), Vel: geom.V(3, 2, 1)})
-	a.ApplyStore(ctx(), s)
+	applyStore(a, s)
 	if got := s.All()[0].Vel; got != geom.V(3, 2, 1) {
 		t.Errorf("lonely particle vel = %v", got)
 	}
 }
 
 func TestCollideDeterministic(t *testing.T) {
-	run := func() []particle.Particle {
+	a := &CollideParticles{Radius: 1, Elasticity: 0.9}
+	fresh := func() *particle.ColumnStore {
 		r := geom.NewRNG(77)
 		var ps []particle.Particle
 		for i := 0; i < 300; i++ {
@@ -144,15 +152,23 @@ func TestCollideDeterministic(t *testing.T) {
 				Vel: r.UnitVec(),
 			})
 		}
-		s := storeWith(ps...)
-		a := &CollideParticles{Radius: 1, Elasticity: 0.9}
-		a.ApplyStore(ctx(), s)
+		return storeWith(ps...)
+	}
+	run := func() []particle.Particle {
+		s := fresh()
+		applyStore(a, s)
 		return s.All()
 	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("run diverged at particle %d", i)
+	// The store's flat view is one more input: the same sweep over the
+	// records in store order, with no store behind them, must agree.
+	direct := fresh().All()
+	a.ApplyStore(ctx(), direct)
+	first := run()
+	for name, other := range map[string][]particle.Particle{"second run": run(), "direct slice": direct} {
+		for i := range first {
+			if first[i] != other[i] {
+				t.Fatalf("%s diverged at particle %d", name, i)
+			}
 		}
 	}
 }

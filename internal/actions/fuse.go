@@ -12,9 +12,9 @@ import "pscluster/internal/particle"
 // per-particle operation sequence (gravity_i, damping_i, move_i) once
 // per particle performs exactly the float operations, in exactly the
 // per-particle order, of the sequential column passes (gravity over all
-// i, then damping over all i, then move over all i). The engines assert
-// this across the full schedule × balancing matrix, and scn.Unfused
-// ablates the fusion for A/B measurement.
+// i, then damping over all i, then move over all i). The engines always
+// run the fused program; TestFusedKernelsMatchSequentialPasses holds
+// every signature in fuseSigs to its sequential passes.
 
 // Kernel is a fused columnar kernel: one pass over a batch applying
 // several adjacent per-particle actions.
@@ -35,10 +35,12 @@ type Run struct {
 }
 
 // FusePlan compiles an action list into runs, greedily fusing maximal
-// known chains of adjacent per-particle actions when fuse is true. The
-// shape precedence (Create > Store > ParticleAction) matches the
-// engines' historical type switches, so a compiled program executes the
-// same shapes in the same order as the per-action loops it replaces.
+// known chains of adjacent per-particle actions when fuse is true
+// (fuse=false, one run per action, is the reference fused kernels are
+// tested and measured against). The shape precedence (Create > Store >
+// ParticleAction) matches the engines' historical type switches, so a
+// compiled program executes the same shapes in the same order as the
+// per-action loops it replaces.
 func FusePlan(acts []Action, fuse bool) []Run {
 	var runs []Run
 	i := 0

@@ -1,6 +1,7 @@
 package actions
 
 import (
+	"strings"
 	"testing"
 
 	"pscluster/internal/geom"
@@ -37,6 +38,17 @@ func chainName(acts []Action) string {
 // sequential column passes, per particle and in action order — the
 // bit-equality contract behind the engine's default-on fusion.
 func TestFusedKernelsMatchSequentialPasses(t *testing.T) {
+	// The engines cannot turn fusion off, so this is the only proof a
+	// fused kernel gets: every registered signature must have a chain.
+	covered := map[string]bool{}
+	for _, chain := range fusableChains() {
+		covered[chainName(chain)] = true
+	}
+	for _, sig := range fuseSigs {
+		if name := strings.Join(sig.names, "+"); !covered[name] {
+			t.Errorf("fuseSigs has %q but fusableChains has no chain for it", name)
+		}
+	}
 	for _, chain := range fusableChains() {
 		t.Run(chainName(chain), func(t *testing.T) {
 			runs := FusePlan(chain, true)
@@ -49,8 +61,8 @@ func TestFusedKernelsMatchSequentialPasses(t *testing.T) {
 			}
 			want := randBatch(500, 99)
 			got := randBatch(500, 99)
-			for _, a := range chain {
-				ApplyToBatch(ctx(), a.(ParticleAction), want)
+			for _, r := range FusePlan(chain, false) {
+				ApplyToBatch(ctx(), r.Acts[0], want)
 			}
 			runs[0].Fused(ctx(), got)
 			for i := 0; i < want.Len(); i++ {
@@ -87,7 +99,7 @@ func TestFusePlanTilesHotPipeline(t *testing.T) {
 	}
 }
 
-// The ablation path: fuse=false compiles one unfused run per action.
+// The reference path: fuse=false compiles one unfused run per action.
 func TestFusePlanUnfused(t *testing.T) {
 	acts := make([]Action, 0)
 	for _, a := range hotPipeline() {
@@ -153,9 +165,8 @@ func TestFusePlanForeignNameFallsBack(t *testing.T) {
 	}
 }
 
-// BenchmarkFusedVsUnfused is the fusion half of the hostparallel bench
-// artifact: the hotPipeline program over a binned columnar store, fused
-// versus one column pass per action.
+// BenchmarkFusedVsUnfused runs the hotPipeline program over a binned
+// store, fused versus one column pass per action.
 func BenchmarkFusedVsUnfused(b *testing.B) {
 	const n = 10000
 	acts := make([]Action, 0)
@@ -165,10 +176,9 @@ func BenchmarkFusedVsUnfused(b *testing.B) {
 	for _, mode := range []struct {
 		name string
 		fuse bool
-	}{{"fused", true}, {"unfused", false}} {
+	}{{"fused", true}, {"per-action", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			s := particle.NewColumnStore(geom.AxisX, -50, 50, 16)
-			s.AddSlice(benchStore(n, 50).All())
+			s := benchStore(n, 50)
 			runs := FusePlan(acts, mode.fuse)
 			c := ctx()
 			b.ResetTimer()

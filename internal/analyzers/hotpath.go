@@ -10,7 +10,7 @@ import (
 // Functions annotated //pslint:hotpath in their doc comment — the
 // ApplyBatch column kernels, the wire codecs (EncodeWire /
 // DecodeWireInto), the ghost exchange — run once per particle batch per
-// frame, and BENCH_dataplane.json tracks them at 0–1 allocs/op. Inside
+// frame, and bench/psperf tracks them at 0–1 allocs/op. Inside
 // such a function the analyzer flags the allocation shapes that have
 // historically crept in:
 //

@@ -259,25 +259,13 @@ type Scenario struct {
 	// paper's heterogeneity mechanism.
 	IgnorePower bool
 
-	// AoSStore makes both engines run on the array-of-structs Store
-	// instead of the default columnar ColumnStore — the data-plane
-	// ablation. The two layouts are bit-for-bit equivalent (checksums,
-	// clocks, traffic); only host wall-clock differs.
-	AoSStore bool
-
 	// Workers is the host-parallel compute width: each calculator (and
 	// the sequential engine) fans its per-bin kernel applications across
 	// this many goroutines. 0 or 1 runs sequentially; negative means
 	// GOMAXPROCS. Parallel runs are bit-identical to sequential —
 	// checksums, virtual clocks, traces and metrics do not change with
-	// the width — only host wall-clock differs. Requires the columnar
-	// store; under AoSStore the width is ignored.
+	// the width — only host wall-clock differs.
 	Workers int
-
-	// Unfused disables kernel fusion, running each per-particle action
-	// as its own column pass — the ablation for the fused single-pass
-	// kernels. Fused and unfused runs are bit-for-bit equivalent.
-	Unfused bool
 
 	// PipelineFrames lets calculators start frame f+1 before the image
 	// generator finishes frame f. The paper's frames are synchronous —
@@ -465,11 +453,7 @@ func (s *Scenario) newDecomposition(nCalc int) (domain.Decomposition, error) {
 	}
 }
 
-// newStore builds one (system, process) particle store over [lo, hi)
-// in the scenario's configured data-plane layout.
-func (s *Scenario) newStore(lo, hi float64) particle.Set {
-	if s.AoSStore {
-		return particle.NewStore(s.Axis, lo, hi, s.Bins)
-	}
+// newStore builds one (system, process) particle store over [lo, hi).
+func (s *Scenario) newStore(lo, hi float64) *particle.ColumnStore {
 	return particle.NewColumnStore(s.Axis, lo, hi, s.Bins)
 }

@@ -25,7 +25,7 @@ func (c *calcProc) applyStoreAction(si int, act actions.StoreAction,
 	col, ok := act.(*actions.CollideParticles)
 	if !c.scn.GhostCollisions || !ok {
 		var w float64
-		st.WithStore(func(s *particle.Store) { w = act.ApplyStore(ctx, s) })
+		st.WithParticles(func(ps []particle.Particle) { w = act.ApplyStore(ctx, ps) })
 		return w, nil
 	}
 	ghosts, err := c.exchangeGhostBand(si, col.Radius)
@@ -33,7 +33,7 @@ func (c *calcProc) applyStoreAction(si int, act actions.StoreAction,
 		return 0, err
 	}
 	var w float64
-	st.WithStore(func(s *particle.Store) { w = col.ApplyWithGhosts(ctx, s, ghosts) })
+	st.WithParticles(func(ps []particle.Particle) { w = col.ApplyWithGhosts(ctx, ps, ghosts) })
 	return w, nil
 }
 
@@ -63,11 +63,14 @@ func (c *calcProc) exchangeGhostBandMulti(si int, radius float64) ([]particle.Pa
 	for ni, n := range neighbors {
 		band := d.NeighborBand(c.idx, n, radius)
 		var ps []particle.Particle
-		st.ForEach(func(p *particle.Particle) {
-			if band.Contains(p.Pos) {
-				ps = append(ps, *p)
+		for bi, nb := 0, st.NumBins(); bi < nb; bi++ {
+			b := st.Bin(bi)
+			for i, pos := range b.Pos {
+				if band.Contains(pos) {
+					ps = append(ps, b.At(i))
+				}
 			}
-		})
+		}
 		bands[ni] = ps
 	}
 	for ni, n := range neighbors {
@@ -92,16 +95,34 @@ func (c *calcProc) exchangeGhostBandSlab(si int, radius float64) ([]particle.Par
 	st := c.stores[si]
 	lo, hi := st.Bounds()
 	axis := c.scn.Axis
-	var low, high []particle.Particle
-	st.ForEach(func(p *particle.Particle) { //pslint:alloc-ok one closure per exchange (not per particle); the store's ForEach API requires it
-		x := p.Pos.Component(axis)
-		if x < lo+radius {
-			low = append(low, *p)
+	// Two walks over the position column: size the bands, then
+	// materialize only their members, in store order.
+	var nLow, nHigh int
+	for bi, nb := 0, st.NumBins(); bi < nb; bi++ {
+		for _, pos := range st.Bin(bi).Pos {
+			x := pos.Component(axis)
+			if x < lo+radius {
+				nLow++
+			}
+			if x >= hi-radius {
+				nHigh++
+			}
 		}
-		if x >= hi-radius {
-			high = append(high, *p)
+	}
+	low := make([]particle.Particle, 0, nLow)
+	high := make([]particle.Particle, 0, nHigh)
+	for bi, nb := 0, st.NumBins(); bi < nb; bi++ {
+		b := st.Bin(bi)
+		for i := range b.Pos {
+			x := b.Pos[i].Component(axis)
+			if x < lo+radius {
+				low = append(low, b.At(i))
+			}
+			if x >= hi-radius {
+				high = append(high, b.At(i))
+			}
 		}
-	})
+	}
 	hasLeft := c.idx > 0
 	hasRight := c.idx < c.nCalc-1
 	if hasLeft {

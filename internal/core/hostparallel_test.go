@@ -110,51 +110,6 @@ func TestHostParallelBitNeutralSequential(t *testing.T) {
 	}
 }
 
-// Fusion is the other half of the compute plane: scn.Unfused must be a
-// pure ablation, bit-identical to the fused default, in both engines.
-func TestFusedKernelsBitNeutral(t *testing.T) {
-	for _, sched := range []Schedule{PerSystemSchedule, BatchedSchedule} {
-		t.Run(sched.String(), func(t *testing.T) {
-			fused := miniSnow(DynamicLB, InfiniteSpace)
-			fused.Schedule = sched
-			fused.Trace = true
-			unfused := fused
-			unfused.Unfused = true
-
-			rf, err := RunParallel(fused, testCluster(4), 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ru, err := RunParallel(unfused, testCluster(4), 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareResults(t, ru, rf)
-			if rf.Time != ru.Time {
-				t.Errorf("virtual time: fused %v vs unfused %v", rf.Time, ru.Time)
-			}
-			if !reflect.DeepEqual(rf.Events, ru.Events) {
-				t.Errorf("trace events diverge")
-			}
-		})
-	}
-
-	sf, err := RunSequential(miniSnow(StaticLB, FiniteSpace), cluster.TypeB, cluster.GCC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	un := miniSnow(StaticLB, FiniteSpace)
-	un.Unfused = true
-	su, err := RunSequential(un, cluster.TypeB, cluster.GCC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, su, sf)
-	if sf.Time != su.Time {
-		t.Errorf("sequential virtual time: fused %v vs unfused %v", sf.Time, su.Time)
-	}
-}
-
 // The worker pool itself: static striding must partition indices
 // deterministically and completely, at any width, including widths
 // above the index count.
@@ -221,8 +176,7 @@ func TestWorkerPoolTotalsWidthIndependent(t *testing.T) {
 }
 
 // BenchmarkWorkerScaling measures one Gravity+Damping+Move fused pass
-// over a binned store at several pool widths — the kernel-level scaling
-// figure make bench records in BENCH_hostparallel.json.
+// over a binned store at several pool widths.
 func BenchmarkWorkerScaling(b *testing.B) {
 	acts := []actions.Action{
 		&actions.Gravity{G: geom.V(0, -9.8, 0)},

@@ -342,7 +342,7 @@ func newCalcProc(scn *Scenario, place *cluster.Placement, nCalc, idx int, fab tr
 		power: calcPower(scn, place, nCalc),
 	}
 	lo, hi := scn.SpaceInterval()
-	c.stores = make([]particle.Set, len(scn.Systems))
+	c.stores = make([]*particle.ColumnStore, len(scn.Systems))
 	for si := range c.stores {
 		// The store's axis interval drives sub-domain binning. Slab
 		// domains are axis intervals, so the store covers exactly the
@@ -506,7 +506,7 @@ type calcProc struct {
 	ep      transport.Fabric
 	rate    float64
 	decomps []domain.Decomposition
-	stores  []particle.Set
+	stores  []*particle.ColumnStore
 	nCalc   int
 	power   []float64
 
@@ -514,7 +514,7 @@ type calcProc struct {
 	others []int // every calculator rank except this one, ascending
 
 	// pool fans per-bin kernel applications across host goroutines;
-	// plans is the compiled (and possibly fused) run program per system.
+	// plans is the compiled, fused run program per system.
 	pool  *workerPool
 	plans [][]actions.Run
 

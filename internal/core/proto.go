@@ -426,30 +426,15 @@ func encodeRenderBatch(ps []particle.Particle) []byte {
 //
 //pslint:hotpath
 //pslint:pooled
-func encodeRenderSet(st particle.Set) []byte {
+func encodeRenderSet(st *particle.ColumnStore) []byte {
 	b := bufpool.Get(4 + st.Len()*renderRecordSize)
 	binary.LittleEndian.PutUint32(b, uint32(st.Len()))
-	if cs, ok := st.(*particle.ColumnStore); ok {
-		// Index the bins directly: the closure-free walk keeps the
-		// steady-state render send at zero allocations. The AoS
-		// fallback lives in its own function so its closure capture
-		// cannot force this path's locals to the heap.
-		off := 4
-		for bi, nb := 0, cs.NumBins(); bi < nb; bi++ {
-			off = encodeRenderRecords(b, off, cs.Bin(bi))
-		}
-		return b
-	}
-	return encodeRenderSetSlow(b, st)
-}
-
-// encodeRenderSetSlow is encodeRenderSet's AoS-ablation fallback for
-// stores without indexable bin columns.
-func encodeRenderSetSlow(b []byte, st particle.Set) []byte {
+	// Index the bins directly: the closure-free walk keeps the
+	// steady-state render send at zero allocations.
 	off := 4
-	st.EachBatch(func(batch *particle.Batch) { //pslint:alloc-ok AoS ablation path, not the steady-state store
-		off = encodeRenderRecords(b, off, batch)
-	})
+	for bi, nb := 0, st.NumBins(); bi < nb; bi++ {
+		off = encodeRenderRecords(b, off, st.Bin(bi))
+	}
 	return b
 }
 

@@ -327,13 +327,12 @@ func (c *calcProc) runScripted(si int) {
 }
 
 // compilePlans compiles every system's action list into its run program
-// — shapes resolved, adjacent per-particle actions fused (unless the
-// scenario ablates fusion). Compiled once per run and reused every
-// frame.
+// — shapes resolved, adjacent per-particle actions fused. Compiled once
+// per run and reused every frame.
 func compilePlans(scn *Scenario) [][]actions.Run {
 	plans := make([][]actions.Run, len(scn.Systems))
 	for si := range scn.Systems {
-		plans[si] = actions.FusePlan(scn.Systems[si].Actions, !scn.Unfused)
+		plans[si] = actions.FusePlan(scn.Systems[si].Actions, true)
 	}
 	return plans
 }
@@ -657,12 +656,12 @@ func (g *imageGenProc) chargeBlob(blob []byte) {
 // migrated actions stream their columnar kernels, the rest go through
 // the AoS-compat adapter. Either way the per-particle operations and
 // their order match the historical ForEach+Apply loop exactly. With a
-// multi-slot pool and a columnar store the bins fan out across the
-// worker goroutines; bins are disjoint and the kernels touch only their
-// own bin, so the result is bit-identical to the sequential pass.
+// multi-slot pool the bins fan out across the worker goroutines; bins
+// are disjoint and the kernels touch only their own bin, so the result
+// is bit-identical to the sequential pass.
 //
 //pslint:clock-ok every caller (applyRun, runScripted) charges Cost×len×Ratio right after the kernel
-func applyToSet(st particle.Set, ctx *actions.Context, act actions.ParticleAction, pool *workerPool) {
+func applyToSet(st *particle.ColumnStore, ctx *actions.Context, act actions.ParticleAction, pool *workerPool) {
 	if bins := pool.parallelBins(st); bins != nil {
 		pool.runBins(bins, func(bi, slot int) {
 			b := bins[bi]
@@ -680,7 +679,7 @@ func applyToSet(st particle.Set, ctx *actions.Context, act actions.ParticleActio
 // applyKernelToSet is applyToSet for a fused kernel: one single-pass
 // kernel standing for a chain of adjacent per-particle actions. The
 // caller (applyRun) charges each fused action's cost after the pass.
-func applyKernelToSet(st particle.Set, ctx *actions.Context, k actions.Kernel, pool *workerPool) {
+func applyKernelToSet(st *particle.ColumnStore, ctx *actions.Context, k actions.Kernel, pool *workerPool) {
 	if bins := pool.parallelBins(st); bins != nil {
 		pool.runBins(bins, func(bi, slot int) {
 			b := bins[bi]

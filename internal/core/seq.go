@@ -28,7 +28,7 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 	var clock cluster.Clock
 	lo, hi := scn.SpaceInterval()
 
-	stores := make([]particle.Set, len(scn.Systems))
+	stores := make([]*particle.ColumnStore, len(scn.Systems))
 	ctxs := make([]*actions.Context, len(scn.Systems))
 	for i := range scn.Systems {
 		stores[i] = scn.newStore(lo, hi)
@@ -47,7 +47,7 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 	}
 
 	// The sequential engine shares the parallel engine's compute plane:
-	// compiled (and possibly fused) run programs, and a worker pool
+	// compiled, fused run programs, and a worker pool
 	// fanning per-bin kernels across host goroutines. Both are
 	// bit-neutral, so the baseline's virtual time is unchanged.
 	width := scn.Workers
@@ -88,7 +88,7 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 					emit(frame, si, "create")
 				case r.Store != nil:
 					var work float64
-					st.WithStore(func(s *particle.Store) { work = r.Store.ApplyStore(ctx, s) })
+					st.WithParticles(func(ps []particle.Particle) { work = r.Store.ApplyStore(ctx, ps) })
 					clock.AdvanceWork(work*scn.Ratio, rate)
 				case r.Fused != nil:
 					applyKernelToSet(st, ctx, r.Fused, pool)

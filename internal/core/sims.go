@@ -210,9 +210,6 @@ func (c *simsCalc) run() error {
 			DT:  scn.DT,
 		}
 	}
-	// A throwaway store over all space backs the store actions.
-	lo, hi := scn.SpaceInterval()
-
 	for frame := 0; frame < scn.Frames; frame++ {
 		for si := range scn.Systems {
 			sys := &scn.Systems[si]
@@ -230,11 +227,8 @@ func (c *simsCalc) run() error {
 					if err != nil {
 						return err
 					}
-					st := particle.NewStore(scn.Axis, lo, hi, 1)
-					st.AddSlice(c.sets[si])
-					w := act.ApplyWithGhosts(ctxs[si], st, ghosts) * scn.Ratio
+					w := act.ApplyWithGhosts(ctxs[si], c.sets[si], ghosts) * scn.Ratio
 					c.ep.Clock().AdvanceWork(w, c.rate)
-					c.sets[si] = st.All()
 				case actions.ParticleAction:
 					for i := range c.sets[si] {
 						act.Apply(ctxs[si], &c.sets[si][i])

@@ -146,14 +146,18 @@ func TestGhostCollisionsConserveMomentumAcrossOwners(t *testing.T) {
 	own := particle.Particle{Pos: geom.V(0, 0, 0), Vel: geom.V(1, 0, 0)}
 	ghost := particle.Particle{Pos: geom.V(0.5, 0, 0), Vel: geom.V(-1, 0, 0)}
 
-	stA := particle.NewStore(geom.AxisX, -10, 10, 4)
-	stA.Add(own)
-	a.ApplyWithGhosts(ctx, stA, []particle.Particle{ghost})
-	gotA := stA.All()[0]
+	// Side A holds its particle the way the Sims baseline does, as a
+	// plain slice; side B the way the model's calculators do, behind a
+	// store's flat view.
+	setA := []particle.Particle{own}
+	a.ApplyWithGhosts(ctx, setA, []particle.Particle{ghost})
+	gotA := setA[0]
 
-	stB := particle.NewStore(geom.AxisX, -10, 10, 4)
+	stB := particle.NewColumnStore(geom.AxisX, -10, 10, 4)
 	stB.Add(ghost)
-	a.ApplyWithGhosts(ctx, stB, []particle.Particle{own})
+	stB.WithParticles(func(ps []particle.Particle) {
+		a.ApplyWithGhosts(ctx, ps, []particle.Particle{own})
+	})
 	gotB := stB.All()[0]
 
 	// Elastic head-on swap: own ends at -1, ghost-owner's copy at +1.

@@ -208,20 +208,14 @@ func (p *workerPool) totals() (bins, particles int) {
 	return bins, particles
 }
 
-// parallelBins returns the store's bins as an indexable slice when the
-// store can be fanned out, and nil when the caller must fall back to
-// sequential EachBatch. Only ColumnStore qualifies: the AoS Store's
-// EachBatch stages bins through one shared scratch batch, which cannot
-// be mutated from two goroutines.
-func (p *workerPool) parallelBins(st particle.Set) []*particle.Batch {
+// parallelBins returns the store's non-empty bins as an indexable slice
+// for a fan-out, or nil when the pool has one slot and the caller
+// should walk the store with EachBatch instead.
+func (p *workerPool) parallelBins(st *particle.ColumnStore) []*particle.Batch {
 	if p == nil || p.width <= 1 {
 		return nil
 	}
-	cs, ok := st.(*particle.ColumnStore)
-	if !ok {
-		return nil
-	}
-	p.bins = cs.AppendBins(p.bins[:0])
+	p.bins = st.AppendBins(p.bins[:0])
 	return p.bins
 }
 

@@ -108,8 +108,7 @@ func TestClusteredDecompImbalance(t *testing.T) {
 
 // BenchmarkDecompImbalance measures the steady-state imbalance of each
 // decomposition strategy on the clustered workloads and reports it as a
-// custom benchmark unit, which `make bench` collects into
-// BENCH_decomp.json. Lower is better; 1.0 is a perfectly even split
+// custom benchmark unit. Lower is better; 1.0 is a perfectly even split
 // and nCalc (6 here) is total collapse onto one calculator.
 func BenchmarkDecompImbalance(b *testing.B) {
 	for _, w := range clusteredWorkloads {

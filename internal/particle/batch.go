@@ -127,10 +127,3 @@ func (b *Batch) copyElem(dst, src int) {
 	b.Age[dst], b.Alpha[dst], b.Size[dst] = b.Age[src], b.Alpha[src], b.Size[src]
 	b.Rand[dst], b.Dead[dst] = b.Rand[src], b.Dead[src]
 }
-
-// BatchOf builds a batch from a particle slice.
-func BatchOf(ps []Particle) *Batch {
-	b := &Batch{}
-	b.AppendSlice(ps)
-	return b
-}

@@ -42,19 +42,22 @@ func BenchmarkStoreAdd(b *testing.B) {
 	ps := benchParticles(1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewStore(geom.AxisX, 0, 100, 16)
+		s := NewColumnStore(geom.AxisX, 0, 100, 16)
 		s.AddSlice(ps)
 	}
 }
 
 func BenchmarkStorePartition(b *testing.B) {
-	s := NewStore(geom.AxisX, 0, 100, 16)
+	s := NewColumnStore(geom.AxisX, 0, 100, 16)
 	s.AddSlice(benchParticles(10000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.ForEach(func(p *Particle) { p.Pos.X += 0.05 })
-		out := s.Partition()
-		s.AddSlice(out) // keep the population stable
+		s.EachBatch(func(b *Batch) {
+			for i := range b.Pos {
+				b.Pos[i].X += 0.05
+			}
+		})
+		s.AddBatch(s.PartitionBatch()) // keep the population stable
 	}
 }
 
@@ -64,7 +67,8 @@ func BenchmarkStorePartition(b *testing.B) {
 // preallocated buffer — exactly one allocation per batch.
 func BenchmarkExchangeEncode(b *testing.B) {
 	ps := benchParticles(1000)
-	cols := BatchOf(ps)
+	var cols Batch
+	cols.AppendSlice(ps)
 	b.Run("aos", func(b *testing.B) {
 		b.SetBytes(int64(BatchBytes(len(ps))))
 		b.ReportAllocs()
@@ -109,12 +113,12 @@ func BenchmarkExchangeDecode(b *testing.B) {
 }
 
 func BenchmarkSelectDonation(b *testing.B) {
-	s := NewStore(geom.AxisX, 0, 100, 16)
+	s := NewColumnStore(geom.AxisX, 0, 100, 16)
 	s.AddSlice(benchParticles(10000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		donated, _ := s.SelectDonation(500, LowSide)
+		donated, _ := s.DonateBatch(500, LowSide)
 		s.Resize(0, 100)
-		s.AddSlice(donated)
+		s.AddBatch(donated)
 	}
 }

@@ -7,19 +7,31 @@ import (
 	"pscluster/internal/geom"
 )
 
-// ColumnStore is the columnar (struct-of-arrays) twin of Store: the
-// same sub-domain binned container of the paper's §4, but each bin
-// keeps its particles as a Batch of per-field columns instead of a
-// slice of records. Every operation — binning, partition, resize,
-// donation — reproduces Store's iteration orders, float operations and
-// sort permutations exactly, so the two stores are bit-for-bit
-// interchangeable; ColumnStore is simply the layout the batch kernels
-// and the columnar wire codec stream over without per-particle copies.
+// ColumnStore holds the particles of one (system, calculator) pair: the
+// slice of the system's particles whose coordinate along the split axis
+// falls in the process's domain interval [Lo, Hi).
+//
+// Instead of one flat vector, the domain is broken into sub-domain bins,
+// each stored separately (paper §4): exchange detection only touches the
+// particles that actually moved out of the interval, and load-balancing
+// donation only needs to sort the edge bins rather than the whole
+// domain. Each bin keeps its particles as a Batch of per-field columns,
+// the layout the batch kernels and the columnar wire codec stream over
+// without per-particle copies.
+//
+// The store's order is part of the engine's bit-identity: particles are
+// always visited bins in ascending order, insertion order within a bin,
+// and every structural operation below documents the order of what it
+// returns and re-adds.
 type ColumnStore struct {
 	axis   geom.Axis
 	lo, hi float64
 	bins   []Batch
 	count  int
+
+	// flat is WithParticles' record view, kept across frames so the
+	// steady-state bridge allocates nothing.
+	flat []Particle
 }
 
 // NewColumnStore returns an empty columnar store for the interval
@@ -33,6 +45,20 @@ func NewColumnStore(axis geom.Axis, lo, hi float64, nbins int) *ColumnStore {
 	}
 	lo, hi = widenDegenerate(lo, hi)
 	return &ColumnStore{axis: axis, lo: lo, hi: hi, bins: make([]Batch, nbins)}
+}
+
+// minWidth is the smallest domain extent a store represents. Load
+// balancing can donate a process's entire domain, collapsing its
+// interval to a point; the store keeps a sliver so binning stays
+// well-defined (no particle can fall in it, since ownership is decided
+// by the global domain table).
+const minWidth = 1e-9
+
+func widenDegenerate(lo, hi float64) (float64, float64) {
+	if hi-lo < minWidth {
+		hi = lo + minWidth
+	}
+	return lo, hi
 }
 
 // Axis returns the split axis.
@@ -56,10 +82,18 @@ func (s *ColumnStore) BinCounts() []int {
 	return c
 }
 
-// binIndex maps an axis coordinate to a bin with the same clamped
-// arithmetic as Store.binIndex.
+// binIndex maps an axis coordinate to a bin, clamping coordinates at the
+// domain edges into the edge bins so that Add never loses a particle.
 func (s *ColumnStore) binIndex(c float64) int {
-	return binIndexIn(s.lo, s.hi, len(s.bins), c)
+	f := (c - s.lo) / (s.hi - s.lo)
+	i := int(f * float64(len(s.bins)))
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(s.bins) {
+		i = len(s.bins) - 1
+	}
+	return i
 }
 
 // Add stores one particle, binning it by its axis coordinate.
@@ -86,10 +120,9 @@ func (s *ColumnStore) AddBatch(b *Batch) {
 }
 
 // ForEach calls fn for every stored particle; fn may mutate the
-// particle. Iteration order matches Store.ForEach: bins in order,
-// insertion order within a bin. Each particle is materialized from the
-// columns and scattered back — per-particle callers should prefer
-// EachBatch.
+// particle. Iteration order is deterministic: bins in order, insertion
+// order within a bin. Each particle is materialized from the columns
+// and scattered back — per-particle callers should prefer EachBatch.
 func (s *ColumnStore) ForEach(fn func(*Particle)) {
 	for bi := range s.bins {
 		b := &s.bins[bi]
@@ -154,8 +187,7 @@ func (s *ColumnStore) Clear() {
 }
 
 // RemoveDead drops every particle whose Dead flag is set and returns
-// how many were removed. Compaction preserves order within each bin,
-// exactly as Store.RemoveDead does.
+// how many were removed. Compaction preserves order within each bin.
 func (s *ColumnStore) RemoveDead() int {
 	removed := 0
 	for bi := range s.bins {
@@ -178,9 +210,12 @@ func (s *ColumnStore) RemoveDead() int {
 }
 
 // PartitionBatch removes and returns every particle whose axis
-// coordinate has left the domain interval, re-binning the particles
-// that moved between sub-domains — Store.Partition in columnar form,
-// with the same output and re-add orders.
+// coordinate has left the domain interval, and re-bins the particles
+// that moved between sub-domains. This is the end-of-frame step of the
+// model (§3.1.5): the returned particles must be sent to their new owner
+// processes. Leavers are returned in store order; survivors keep their
+// relative order within a bin, and the re-binned ones are appended to
+// their new bins after the scan, again in store order.
 func (s *ColumnStore) PartitionBatch() *Batch {
 	out := &Batch{}
 	var moved Batch
@@ -193,8 +228,8 @@ func (s *ColumnStore) PartitionBatch() *Batch {
 			case c < s.lo || c >= s.hi:
 				out.AppendIndex(b, i)
 			case s.binIndex(c) != bi:
-				// Moved to another sub-domain: re-add after the scan, as
-				// Store.Partition does.
+				// Moved to another sub-domain: re-add after the scan to
+				// avoid disturbing the bins being compacted.
 				moved.AppendIndex(b, i)
 			default:
 				if kept != i {
@@ -214,8 +249,11 @@ func (s *ColumnStore) PartitionBatch() *Batch {
 }
 
 // PartitionOwnedBatch removes and returns every particle for which
-// keep reports false — Store.PartitionOwned in columnar form, with the
-// same output and re-add orders.
+// keep reports false, re-binning survivors that moved between
+// sub-domains — PartitionBatch generalized from the axis-interval test
+// to an arbitrary ownership predicate (non-slab decompositions own
+// regions no single interval describes). Scan, output and re-add orders
+// are PartitionBatch's.
 func (s *ColumnStore) PartitionOwnedBatch(keep func(geom.Vec3) bool) *Batch {
 	out := &Batch{}
 	var moved Batch
@@ -246,7 +284,9 @@ func (s *ColumnStore) PartitionOwnedBatch(keep func(geom.Vec3) bool) *Batch {
 }
 
 // Resize changes the domain interval to [lo, hi) and re-bins every
-// stored particle, in the same order Store.Resize re-adds them.
+// stored particle, re-adding them in store order. Particles now outside
+// the interval are clamped into the edge bins; callers exchange them
+// explicitly via PartitionBatch or DonateBatch before or after resizing.
 func (s *ColumnStore) Resize(lo, hi float64) {
 	if hi < lo {
 		panic(fmt.Sprintf("particle: Resize with reversed interval [%g, %g)", lo, hi))
@@ -261,12 +301,38 @@ func (s *ColumnStore) Resize(lo, hi float64) {
 	s.AddBatch(&all)
 }
 
-// DonateBatch removes the n particles nearest the given edge and
-// returns them with the new boundary — Store.SelectDonation in
-// columnar form. Whole edge bins are consumed unsorted; the single bin
-// the cut lands in is sorted with the identical sort.Slice comparator
-// Store uses, so the donated order and the derived boundary are
-// bit-identical between the two stores.
+// Side selects the edge of the domain a donation leaves from.
+type Side int
+
+// The two donation directions.
+const (
+	LowSide  Side = iota // toward the left (lower-rank) neighbor
+	HighSide             // toward the right (higher-rank) neighbor
+)
+
+// String returns "low" or "high".
+func (sd Side) String() string {
+	if sd == LowSide {
+		return "low"
+	}
+	return "high"
+}
+
+// DonateBatch removes the n particles nearest the given edge of the
+// domain and returns them together with the new domain boundary that
+// separates the donated span from the kept span (paper §3.2.5: "the
+// particles must be ordered in accordance to the axis chosen for the
+// division of the domains ... based on the ordering and selection of the
+// particles, it is possible to define the new dimensions of the
+// domains").
+//
+// The new boundary lies halfway between the last donated particle and
+// the first kept one. If n >= Len, everything is donated and the
+// boundary collapses to the opposite edge. Bins are walked from the
+// donating edge: whole bins are consumed unsorted, in insertion order,
+// and only the bin the cut lands in is sorted along the axis — the
+// reason the store is binned at all. The kept remainder of that bin
+// stays in sorted order.
 func (s *ColumnStore) DonateBatch(n int, side Side) (*Batch, float64) {
 	donated := &Batch{}
 	if n <= 0 {
@@ -306,15 +372,15 @@ func (s *ColumnStore) DonateBatch(n int, side Side) (*Batch, float64) {
 			remaining -= b.Len()
 			b.Clear()
 			if remaining == 0 {
-				lastDonatedC = extremeColC(donated, s.axis, side)
+				// Cut falls exactly on a bin edge; find the extreme
+				// donated coordinate and the next kept coordinate.
+				lastDonatedC = extremeC(donated, s.axis, side)
 				firstKeptC = s.nearestKeptC(side)
 				break
 			}
 			continue
 		}
-		// Partial bin: materialize, run the same unstable sort Store
-		// runs (same comparator over the same initial order gives the
-		// same permutation), and split.
+		// Partial bin: materialize, sort along the axis and split.
 		ps := make([]Particle, b.Len())
 		for i := range ps {
 			ps[i] = b.At(i)
@@ -337,6 +403,7 @@ func (s *ColumnStore) DonateBatch(n int, side Side) (*Batch, float64) {
 	}
 	s.count -= donated.Len()
 	newBoundary := (lastDonatedC + firstKeptC) / 2
+	// Keep the boundary inside the old interval even with numeric ties.
 	if newBoundary <= s.lo {
 		newBoundary = s.lo
 	}
@@ -351,9 +418,9 @@ func (s *ColumnStore) DonateBatch(n int, side Side) (*Batch, float64) {
 	return donated, newBoundary
 }
 
-// extremeColC is extremeC over a batch: the donated coordinate closest
-// to the cut.
-func extremeColC(b *Batch, axis geom.Axis, side Side) float64 {
+// extremeC returns the donated coordinate closest to the cut: the
+// maximum for a low-side donation, the minimum for a high-side one.
+func extremeC(b *Batch, axis geom.Axis, side Side) float64 {
 	c := b.Pos[0].Component(axis)
 	for i := 1; i < b.Len(); i++ {
 		ci := b.Pos[i].Component(axis)
@@ -379,6 +446,8 @@ func (s *ColumnStore) nearestKeptC(side Side) float64 {
 		}
 	}
 	if first {
+		// No kept particles; DonateBatch handles n >= count before
+		// reaching here, but stay safe.
 		if side == LowSide {
 			return s.hi
 		}
@@ -387,31 +456,27 @@ func (s *ColumnStore) nearestKeptC(side Side) float64 {
 	return c
 }
 
-// WithStore runs fn against an array-of-structs view of the store —
-// the compatibility bridge for StoreActions, whose neighborhood grids
-// capture *Particle pointers across the whole sweep. The view is built
-// with the store's exact bin layout (not by re-binning, which would
-// reorder particles whose positions the action mutates) and the
-// columns are refreshed from it afterwards.
-func (s *ColumnStore) WithStore(fn func(*Store)) {
-	aos := &Store{axis: s.axis, lo: s.lo, hi: s.hi,
-		bins: make([][]Particle, len(s.bins)), count: s.count}
+// WithParticles runs fn on a flat record view of the store — the
+// bridge for StoreActions, whose neighborhood grids hold *Particle
+// pointers for the whole sweep. The view lists every particle in store
+// order (not re-binned, which would reorder particles whose positions
+// the action mutates); fn may mutate the records in place, and they are
+// scattered back to the same bin slots afterwards.
+func (s *ColumnStore) WithParticles(fn func([]Particle)) {
+	flat := s.flat[:0]
 	for bi := range s.bins {
 		b := &s.bins[bi]
-		bin := make([]Particle, b.Len())
-		for i := range bin {
-			bin[i] = b.At(i)
+		for i := 0; i < b.Len(); i++ {
+			flat = append(flat, b.At(i))
 		}
-		aos.bins[bi] = bin
 	}
-	fn(aos)
-	s.lo, s.hi = aos.lo, aos.hi
-	s.count = 0
-	for bi := range aos.bins {
-		bin := aos.bins[bi]
+	s.flat = flat
+	fn(flat)
+	for bi := range s.bins {
 		b := &s.bins[bi]
-		b.Clear()
-		b.AppendSlice(bin)
-		s.count += len(bin)
+		for i := 0; i < b.Len(); i++ {
+			b.Set(i, flat[i])
+		}
+		flat = flat[b.Len():]
 	}
 }

@@ -2,49 +2,49 @@ package particle
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"sort"
 	"testing"
 
 	"pscluster/internal/geom"
 )
 
-// mkPair returns a Store and a ColumnStore over the same interval.
-func mkPair(nbins int) (*Store, *ColumnStore) {
-	return NewStore(geom.AxisX, 0, 100, nbins), NewColumnStore(geom.AxisX, 0, 100, nbins)
-}
-
-// checkEqual asserts the two stores are observably identical: bounds,
-// length, per-bin counts and the full particle sequence.
-func checkEqual(t *testing.T, aos *Store, soa *ColumnStore) {
-	t.Helper()
-	alo, ahi := aos.Bounds()
-	slo, shi := soa.Bounds()
-	if alo != slo || ahi != shi {
-		t.Fatalf("bounds diverge: aos [%v, %v) vs soa [%v, %v)", alo, ahi, slo, shi)
-	}
-	if aos.Len() != soa.Len() {
-		t.Fatalf("len diverges: aos %d vs soa %d", aos.Len(), soa.Len())
-	}
-	ac, sc := aos.BinCounts(), soa.BinCounts()
-	for i := range ac {
-		if ac[i] != sc[i] {
-			t.Fatalf("bin %d count diverges: aos %d vs soa %d", i, ac[i], sc[i])
-		}
-	}
-	aall, sall := aos.All(), soa.All()
-	for i := range aall {
-		if aall[i] != sall[i] {
-			t.Fatalf("particle %d diverges:\naos %+v\nsoa %+v", i, aall[i], sall[i])
-		}
+func foldFloats(h hash.Hash, fs ...float64) {
+	var b [8]byte
+	for _, f := range fs {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
 	}
 }
 
-// The equivalence property behind the whole data plane: any operation
-// sequence leaves a Store and a ColumnStore in observably identical
-// states — same particle order, bins, bounds and donation results.
+func foldInts(h hash.Hash, ns ...int) {
+	var b [8]byte
+	for _, n := range ns {
+		binary.LittleEndian.PutUint64(b[:], uint64(n))
+		h.Write(b[:])
+	}
+}
+
+// randomOpsDigest is the SHA-256 the array-of-structs Store produced for
+// the op sequence below at commit 31af470, the last one that had it:
+// every partition and donation output and, after each of the 400 steps,
+// the store's bounds, bin counts and full particle sequence, all fields
+// bit-exact. ColumnStore matched it step for step there.
+const randomOpsDigest = "723f6f9715560188f4b7c79dd77c11b578eb4b02b1779051153c5f8b2c352940"
+
+// The ordering contract behind the engine's bit-identity, frozen: any
+// operation sequence leaves the store in the state — particle order,
+// bins, bounds, donation results — the reference layout reached. A
+// change that reorders anything the store returns or keeps fails here
+// before it moves a frame checksum.
 func TestColumnStoreMatchesStoreUnderRandomOps(t *testing.T) {
 	r := geom.NewRNG(42)
-	aos, soa := mkPair(8)
+	s := mkStore(8)
+	h := sha256.New()
 	randP := func() Particle {
 		return Particle{
 			Pos:  geom.V(r.Range(-20, 120), r.Range(-5, 5), r.Range(-5, 5)),
@@ -56,252 +56,282 @@ func TestColumnStoreMatchesStoreUnderRandomOps(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		switch r.Intn(8) {
 		case 0, 1:
-			p := randP()
-			aos.Add(p)
-			soa.Add(p)
+			s.Add(randP())
 		case 2:
 			ps := make([]Particle, r.Intn(20))
 			for i := range ps {
 				ps[i] = randP()
 			}
-			aos.AddSlice(ps)
-			soa.AddSlice(ps)
+			s.AddSlice(ps)
 		case 3:
 			drift := r.Range(-3, 3)
 			kill := r.Float64() < 0.3
-			mut := func(p *Particle) {
+			s.ForEach(func(p *Particle) {
 				p.Pos.X += drift
 				if kill && p.Rand%7 == 0 {
 					p.Dead = true
 				}
-			}
-			aos.ForEach(mut)
-			soa.ForEach(mut)
-			if aos.RemoveDead() != soa.RemoveDead() {
-				t.Fatal("RemoveDead counts diverge")
-			}
+			})
+			foldInts(h, s.RemoveDead())
 		case 4:
-			out := aos.Partition()
-			cols := soa.PartitionBatch()
-			if len(out) != cols.Len() {
-				t.Fatalf("partition sizes diverge: %d vs %d", len(out), cols.Len())
-			}
-			for i := range out {
-				if out[i] != cols.At(i) {
-					t.Fatalf("partition order diverges at %d", i)
-				}
-			}
+			h.Write(s.PartitionBatch().EncodeWire())
 		case 5:
 			lo := r.Range(-10, 40)
 			hi := lo + r.Range(0, 80)
-			aos.Resize(lo, hi)
-			soa.Resize(lo, hi)
+			s.Resize(lo, hi)
 		case 6:
-			n := r.Intn(aos.Len() + 2)
+			n := r.Intn(s.Len() + 2)
 			side := LowSide
 			if r.Intn(2) == 1 {
 				side = HighSide
 			}
-			dps, ab := aos.SelectDonation(n, side)
-			dcols, sb := soa.DonateBatch(n, side)
-			if ab != sb {
-				t.Fatalf("donation boundary diverges: %v vs %v", ab, sb)
-			}
-			if len(dps) != dcols.Len() {
-				t.Fatalf("donation sizes diverge: %d vs %d", len(dps), dcols.Len())
-			}
-			for i := range dps {
-				if dps[i] != dcols.At(i) {
-					t.Fatalf("donation order diverges at %d", i)
-				}
-			}
+			donated, boundary := s.DonateBatch(n, side)
+			h.Write(donated.EncodeWire())
+			foldFloats(h, boundary)
 		case 7:
 			var b Batch
 			for i := 0; i < r.Intn(15); i++ {
 				b.Append(randP())
 			}
-			aos.AddBatch(&b)
-			soa.AddBatch(&b)
+			s.AddBatch(&b)
 		}
-		checkEqual(t, aos, soa)
+		lo, hi := s.Bounds()
+		foldFloats(h, lo, hi)
+		foldInts(h, s.BinCounts()...)
+		h.Write(EncodeBatch(s.All()))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != randomOpsDigest {
+		t.Fatalf("store states diverge from the frozen reference:\n got %s\nwant %s", got, randomOpsDigest)
 	}
 }
 
-// EachBatch visits the same particles in the same order on both stores,
-// and mutations through the columns land exactly like ForEach mutations.
+// EachBatch visits the particles in store order — bins ascending,
+// insertion order within a bin — and mutations through the columns land
+// exactly like ForEach mutations.
 func TestEachBatchOrderAndMutation(t *testing.T) {
-	aos, soa := mkPair(6)
+	s := mkStore(6)
 	r := geom.NewRNG(7)
 	for i := 0; i < 200; i++ {
-		p := Particle{Pos: geom.V(r.Range(0, 100), 0, 0), Rand: uint64(i)}
-		aos.Add(p)
-		soa.Add(p)
+		s.Add(Particle{Pos: geom.V(r.Range(0, 100), 0, 0), Rand: uint64(i)})
 	}
-	var aorder, sorder []uint64
-	aos.EachBatch(func(b *Batch) {
+	want := s.All()
+	var order []uint64
+	s.EachBatch(func(b *Batch) {
 		for i := range b.Rand {
-			aorder = append(aorder, b.Rand[i])
+			order = append(order, b.Rand[i])
 			b.Age[i] += 1.5
 		}
 	})
-	soa.EachBatch(func(b *Batch) {
-		for i := range b.Rand {
-			sorder = append(sorder, b.Rand[i])
-			b.Age[i] += 1.5
-		}
-	})
-	if len(aorder) != len(sorder) {
-		t.Fatalf("visit counts diverge: %d vs %d", len(aorder), len(sorder))
+	if len(order) != len(want) {
+		t.Fatalf("visited %d particles, want %d", len(order), len(want))
 	}
-	for i := range aorder {
-		if aorder[i] != sorder[i] {
-			t.Fatalf("visit order diverges at %d: %d vs %d", i, aorder[i], sorder[i])
+	for i := range want {
+		if order[i] != want[i].Rand {
+			t.Fatalf("visit order diverges at %d: %d vs %d", i, order[i], want[i].Rand)
+		}
+		want[i].Age += 1.5
+	}
+	for i, p := range s.All() {
+		if p != want[i] {
+			t.Fatalf("particle %d after column mutation:\n got %+v\nwant %+v", i, p, want[i])
 		}
 	}
-	checkEqual(t, aos, soa)
 }
 
 // ---------------------------------------------------------------------
-// Donation edge cases (mirrored on both stores)
+// Donation edge cases
 // ---------------------------------------------------------------------
 
 // Donating the whole domain leaves a degenerate interval: the boundary
 // lands on the far edge, the store empties, and a subsequent Resize to
 // the resulting zero-width interval widens it to the minimal sliver
-// [lo, lo+minWidth) on both stores identically.
+// [lo, lo+minWidth).
 func TestDonateWholeDomainDegenerateSliver(t *testing.T) {
 	for _, side := range []Side{LowSide, HighSide} {
-		aos, soa := mkPair(4)
-		ps := benchParticles(50)
-		aos.AddSlice(ps)
-		soa.AddSlice(ps)
+		s := mkStore(4)
+		s.AddSlice(benchParticles(50))
+		want := s.All()
 
-		dps, ab := aos.SelectDonation(50, side)
-		dcols, sb := soa.DonateBatch(50, side)
-		if ab != sb {
-			t.Fatalf("%v: boundary diverges: %v vs %v", side, ab, sb)
-		}
-		want := 100.0
+		donated, boundary := s.DonateBatch(50, side)
+		far := 100.0
 		if side == HighSide {
-			want = 0.0
+			far = 0.0
 		}
-		if ab != want {
-			t.Fatalf("%v: whole-domain boundary = %v, want far edge %v", side, ab, want)
+		if boundary != far {
+			t.Fatalf("%v: whole-domain boundary = %v, want far edge %v", side, boundary, far)
 		}
-		if len(dps) != 50 || dcols.Len() != 50 {
-			t.Fatalf("%v: donated %d/%d, want 50", side, len(dps), dcols.Len())
+		// Everything goes, unsorted: the donation is the store order.
+		if donated.Len() != 50 || s.Len() != 0 {
+			t.Fatalf("%v: donated %d, kept %d, want 50 and 0", side, donated.Len(), s.Len())
 		}
-		for i := range dps {
-			if dps[i] != dcols.At(i) {
+		for i, p := range donated.All() {
+			if p != want[i] {
 				t.Fatalf("%v: donation order diverges at %d", side, i)
 			}
 		}
-		if aos.Len() != 0 || soa.Len() != 0 {
-			t.Fatalf("%v: stores not emptied", side)
-		}
-		checkEqual(t, aos, soa)
 
-		// The donor's domain collapses to the boundary on both sides —
-		// a zero-width interval that Resize must widen to the minimal
-		// sliver rather than reject.
-		aos.Resize(ab, ab)
-		soa.Resize(sb, sb)
-		alo, ahi := aos.Bounds()
-		if ahi <= alo {
-			t.Fatalf("%v: sliver not widened: [%v, %v)", side, alo, ahi)
+		// The donor's domain collapses to the boundary — a zero-width
+		// interval that Resize must widen to the minimal sliver rather
+		// than reject.
+		s.Resize(boundary, boundary)
+		if lo, hi := s.Bounds(); lo != boundary || hi != boundary+minWidth {
+			t.Fatalf("%v: sliver = [%v, %v), want [%v, %v)", side, lo, hi, boundary, boundary+minWidth)
 		}
-		checkEqual(t, aos, soa)
 		// The sliver still accepts and clamps particles.
-		p := Particle{Pos: geom.V(ab+10, 0, 0)}
-		aos.Add(p)
-		soa.Add(p)
-		checkEqual(t, aos, soa)
+		s.Add(Particle{Pos: geom.V(boundary+10, 0, 0)})
+		if c := s.BinCounts(); s.Len() != 1 || c[len(c)-1] != 1 {
+			t.Fatalf("%v: sliver bin counts = %v, want the particle clamped into the last bin", side, c)
+		}
 	}
+}
+
+// wantDonation states DonateBatch's order directly for distinct
+// coordinates: bins walked from the donating edge, whole bins in
+// insertion order, the bin the cut lands in sorted from the edge inward.
+func wantDonation(s *ColumnStore, n int, side Side) []Particle {
+	all := s.All()
+	bins := make([][]Particle, s.NumBins())
+	for bi, c := range s.BinCounts() {
+		bins[bi], all = all[:c], all[c:]
+	}
+	var out []Particle
+	for k := range bins {
+		b := bins[k]
+		if side == HighSide {
+			b = bins[len(bins)-1-k]
+		}
+		if len(out)+len(b) > n {
+			sort.Slice(b, func(i, j int) bool {
+				if side == LowSide {
+					return b[i].Pos.X < b[j].Pos.X
+				}
+				return b[i].Pos.X > b[j].Pos.X
+			})
+			b = b[:n-len(out)]
+		}
+		out = append(out, b...)
+	}
+	return out
 }
 
 // A donation larger than any edge bin straddles several bins: whole
-// bins are consumed unsorted, the cut bin is sorted, and both stores
-// agree on every donated particle and the derived boundary.
+// bins are consumed unsorted and only the cut bin is sorted.
 func TestDonateStraddlesMultipleEdgeBins(t *testing.T) {
 	for _, side := range []Side{LowSide, HighSide} {
-		aos, soa := mkPair(10) // bins of width 10
+		s := mkStore(10) // bins of width 10
 		r := geom.NewRNG(3)
-		var ps []Particle
 		for i := 0; i < 300; i++ {
-			ps = append(ps, Particle{Pos: geom.V(r.Range(0, 100), 0, 0), Rand: uint64(i)})
+			s.Add(Particle{Pos: geom.V(r.Range(0, 100), 0, 0), Rand: uint64(i)})
 		}
-		aos.AddSlice(ps)
-		soa.AddSlice(ps)
 
 		// ~30 particles per bin; donate 100 → consumes 3+ whole edge
 		// bins and cuts inside the next.
-		dps, ab := aos.SelectDonation(100, side)
-		dcols, sb := soa.DonateBatch(100, side)
-		if ab != sb {
-			t.Fatalf("%v: boundary diverges: %v vs %v", side, ab, sb)
+		want := wantDonation(s, 100, side)
+		donated, boundary := s.DonateBatch(100, side)
+		if donated.Len() != 100 || s.Len() != 200 {
+			t.Fatalf("%v: donated %d, kept %d, want 100 and 200", side, donated.Len(), s.Len())
 		}
-		if len(dps) != 100 || dcols.Len() != 100 {
-			t.Fatalf("%v: donated %d/%d, want 100", side, len(dps), dcols.Len())
-		}
-		for i := range dps {
-			if dps[i] != dcols.At(i) {
-				t.Fatalf("%v: donation order diverges at %d:\naos %+v\nsoa %+v",
-					side, i, dps[i], dcols.At(i))
+		for i, p := range donated.All() {
+			if p != want[i] {
+				t.Fatalf("%v: donation order diverges at %d:\n got %+v\nwant %+v", side, i, p, want[i])
 			}
 		}
-		checkEqual(t, aos, soa)
+		// The cut bin's kept remainder stays sorted, so its first
+		// particle is the nearest kept one.
+		last := want[len(want)-1].Pos.X
+		for _, p := range s.All() {
+			if (side == LowSide && p.Pos.X < last) || (side == HighSide && p.Pos.X > last) {
+				t.Fatalf("%v: kept particle at %v inside the donated span (cut at %v)", side, p.Pos.X, last)
+			}
+		}
+		if lo, hi := s.Bounds(); (side == LowSide && lo != boundary) || (side == HighSide && hi != boundary) {
+			t.Fatalf("%v: bounds [%v, %v) do not end at the boundary %v", side, lo, hi, boundary)
+		}
 	}
 }
 
-// Duplicate coordinates around empty edge bins exercise the unstable
-// sort: both stores must produce the identical permutation (same
-// comparator over the same initial order), even when the sort keys tie.
+// Duplicate coordinates around empty edge bins: the walk skips the
+// empty bins, consumes the nearer pile whole and in insertion order,
+// and cuts the farther pile of tied sort keys without losing or
+// duplicating a record.
 func TestDonateEmptyBinsAndTiedSortKeys(t *testing.T) {
 	for _, side := range []Side{LowSide, HighSide} {
-		aos, soa := mkPair(10)
+		s := mkStore(10)
 		// Leave the edge bins empty and pile tied coordinates into two
 		// middle bins; Rand distinguishes the records.
-		var ps []Particle
 		for i := 0; i < 40; i++ {
-			ps = append(ps, Particle{Pos: geom.V(45, 0, 0), Rand: uint64(i)})
-			ps = append(ps, Particle{Pos: geom.V(55, 0, 0), Rand: uint64(1000 + i)})
+			s.Add(Particle{Pos: geom.V(45, 0, 0), Rand: uint64(i)})
+			s.Add(Particle{Pos: geom.V(55, 0, 0), Rand: uint64(1000 + i)})
 		}
-		aos.AddSlice(ps)
-		soa.AddSlice(ps)
+		near, far, nearRand := 45.0, 55.0, uint64(0)
+		if side == HighSide {
+			near, far, nearRand = 55.0, 45.0, 1000
+		}
 
-		dps, ab := aos.SelectDonation(60, side)
-		dcols, sb := soa.DonateBatch(60, side)
-		if ab != sb {
-			t.Fatalf("%v: boundary diverges: %v vs %v", side, ab, sb)
+		donated, boundary := s.DonateBatch(60, side)
+		if donated.Len() != 60 || s.Len() != 20 {
+			t.Fatalf("%v: donated %d, kept %d, want 60 and 20", side, donated.Len(), s.Len())
 		}
-		if len(dps) != 60 || dcols.Len() != 60 {
-			t.Fatalf("%v: donated %d/%d, want 60", side, len(dps), dcols.Len())
+		if boundary != far {
+			t.Fatalf("%v: boundary = %v, want the tied coordinate %v", side, boundary, far)
 		}
-		for i := range dps {
-			if dps[i] != dcols.At(i) {
-				t.Fatalf("%v: tied-key donation permutation diverges at %d: aos Rand=%d soa Rand=%d",
-					side, i, dps[i].Rand, dcols.At(i).Rand)
+		seen := map[uint64]bool{}
+		for i, p := range donated.All() {
+			switch {
+			case i < 40 && (p.Pos.X != near || p.Rand != nearRand+uint64(i)):
+				t.Fatalf("%v: donated[%d] = x %v Rand %d, want the near pile in insertion order", side, i, p.Pos.X, p.Rand)
+			case i >= 40 && p.Pos.X != far:
+				t.Fatalf("%v: donated[%d] at x %v, want the far pile", side, i, p.Pos.X)
 			}
+			seen[p.Rand] = true
 		}
-		checkEqual(t, aos, soa)
+		for _, p := range s.All() {
+			if p.Pos.X != far {
+				t.Fatalf("%v: kept particle at x %v, want only the far pile's remainder", side, p.Pos.X)
+			}
+			seen[p.Rand] = true
+		}
+		if len(seen) != 80 {
+			t.Fatalf("%v: %d distinct records after the cut, want 80", side, len(seen))
+		}
 	}
 }
 
-// WithStore exposes an AoS view whose mutations — including boundary
-// changes from Resize — are reflected back into the columns.
-func TestWithStoreBridge(t *testing.T) {
-	soa := NewColumnStore(geom.AxisX, 0, 100, 5)
-	soa.AddSlice(benchParticles(80))
-	ref := NewStore(geom.AxisX, 0, 100, 5)
-	ref.AddSlice(benchParticles(80))
+// WithParticles exposes a flat record view in store order whose
+// mutations — including position changes that would re-bin — land back
+// in the same bin slots.
+func TestWithParticlesBridge(t *testing.T) {
+	s := NewColumnStore(geom.AxisX, 0, 100, 5)
+	s.AddSlice(benchParticles(80))
+	want := s.All()
+	counts := s.BinCounts()
 
-	mut := func(s *Store) {
-		s.ForEach(func(p *Particle) { p.Vel = p.Vel.Scale(0.5); p.Age += 1 })
-		s.Resize(10, 90)
+	for round := 0; round < 2; round++ { // the second round reuses the scratch view
+		s.WithParticles(func(ps []Particle) {
+			if len(ps) != len(want) {
+				t.Fatalf("view holds %d particles, want %d", len(ps), len(want))
+			}
+			for i := range ps {
+				if ps[i] != want[i] {
+					t.Fatalf("view particle %d not in store order", i)
+				}
+				ps[i].Vel = ps[i].Vel.Scale(0.5)
+				ps[i].Age++
+				ps[i].Pos.X = 100 - ps[i].Pos.X
+				want[i] = ps[i]
+			}
+		})
+		for i, p := range s.All() {
+			if p != want[i] {
+				t.Fatalf("round %d: particle %d not scattered back to its slot", round, i)
+			}
+		}
+		for i, c := range s.BinCounts() {
+			if c != counts[i] {
+				t.Fatalf("round %d: bin %d count changed %d -> %d", round, i, counts[i], c)
+			}
+		}
 	}
-	soa.WithStore(mut)
-	mut(ref)
-	checkEqual(t, ref, soa)
 }
 
 // ---------------------------------------------------------------------
@@ -318,7 +348,9 @@ func TestEncodeWireMatchesEncodeBatch(t *testing.T) {
 			ps[i].Rand = uint64(i) * 0x9e3779b97f4a7c15
 		}
 		want := EncodeBatch(ps)
-		got := BatchOf(ps).EncodeWire()
+		var cols Batch
+		cols.AppendSlice(ps)
+		got := cols.EncodeWire()
 		if !bytes.Equal(want, got) {
 			t.Fatalf("n=%d: EncodeWire bytes differ from EncodeBatch", n)
 		}

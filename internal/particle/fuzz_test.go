@@ -107,7 +107,7 @@ func FuzzStoreOperations(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, donateRaw uint16, high bool) {
 		n := int(nRaw)%1000 + 1
 		donate := int(donateRaw) % (n + 10)
-		s := NewStore(geom.AxisX, -50, 50, 8)
+		s := NewColumnStore(geom.AxisX, -50, 50, 8)
 		r := geom.NewRNG(uint64(seed))
 		for i := 0; i < n; i++ {
 			s.Add(Particle{Pos: geom.V(r.Range(-200, 200), r.Range(-5, 5), 0)})
@@ -119,22 +119,15 @@ func FuzzStoreOperations(f *testing.F) {
 		if high {
 			side = HighSide
 		}
-		donated, boundary := s.SelectDonation(donate, side)
-		if len(donated)+s.Len() != n {
-			t.Fatalf("donation lost particles: %d + %d != %d", len(donated), s.Len(), n)
+		donated, _ := s.DonateBatch(donate, side)
+		if donated.Len()+s.Len() != n {
+			t.Fatalf("donation lost particles: %d + %d != %d", donated.Len(), s.Len(), n)
 		}
-		lo, hi := s.Bounds()
-		if boundary < -50-1e-9 && donate > 0 && donate < n {
-			// Boundary may sit outside the original interval only when
-			// particles were out-of-range to begin with; Bounds must
-			// stay ordered regardless.
-			_ = boundary
-		}
-		if hi < lo {
+		if lo, hi := s.Bounds(); hi < lo {
 			t.Fatalf("store bounds inverted: [%g, %g)", lo, hi)
 		}
-		out := s.Partition()
-		if len(out)+s.Len()+len(donated) != n {
+		out := s.PartitionBatch()
+		if out.Len()+s.Len()+donated.Len() != n {
 			t.Fatal("partition lost particles")
 		}
 	})

@@ -21,11 +21,11 @@ func byPos(ps []Particle) {
 	})
 }
 
-// With the predicate "inside the store interval", PartitionOwned must
-// extract exactly what Partition extracts — the interval test is the
-// slab special case of ownership.
+// With the predicate "inside the store interval", PartitionOwnedBatch
+// must extract exactly what PartitionBatch extracts — the interval test
+// is the slab special case of ownership.
 func TestPartitionOwnedMatchesIntervalPartition(t *testing.T) {
-	mk := func(seed uint64) *Store {
+	mk := func(seed uint64) *ColumnStore {
 		s := mkStore(6)
 		fillUniform(s, 300, seed)
 		i := 0
@@ -41,9 +41,9 @@ func TestPartitionOwnedMatchesIntervalPartition(t *testing.T) {
 		return s
 	}
 	a, b := mk(42), mk(42)
-	outA := a.Partition()
+	outA := partition(a)
 	lo, hi := b.Bounds()
-	outB := b.PartitionOwned(func(p geom.Vec3) bool { return p.X >= lo && p.X < hi })
+	outB := b.PartitionOwnedBatch(func(p geom.Vec3) bool { return p.X >= lo && p.X < hi }).All()
 
 	if len(outA) != len(outB) {
 		t.Fatalf("extracted %d vs %d", len(outA), len(outB))
@@ -74,7 +74,7 @@ func TestPartitionOwnedArbitraryPredicate(t *testing.T) {
 	s := mkStore(8)
 	fillUniform(s, 400, 9)
 	keep := func(p geom.Vec3) bool { return p.Y >= 0 } // cross-axis test
-	out := s.PartitionOwned(keep)
+	out := s.PartitionOwnedBatch(keep).All()
 	if len(out)+s.Len() != 400 {
 		t.Fatalf("conservation broken: %d out + %d kept", len(out), s.Len())
 	}
@@ -102,57 +102,15 @@ func TestPartitionOwnedArbitraryPredicate(t *testing.T) {
 	}
 }
 
-// The columnar store must agree with the AoS store exactly.
-func TestPartitionOwnedBatchColumnMatchesStore(t *testing.T) {
-	aos := mkStore(6)
-	fillUniform(aos, 300, 11)
-	col := NewColumnStore(geom.AxisX, 0, 100, 6)
-	col.AddSlice(aos.All())
-
-	keep := func(p geom.Vec3) bool { return p.X < 40 || p.Y > 2 }
-	outA := aos.PartitionOwnedBatch(keep)
-	outC := col.PartitionOwnedBatch(keep)
-
-	a, c := outA.All(), outC.All()
-	if len(a) != len(c) {
-		t.Fatalf("extracted %d vs %d", len(a), len(c))
-	}
-	byPos(a)
-	byPos(c)
-	for i := range a {
-		if a[i] != c[i] {
-			t.Fatalf("moved particle %d differs:\naos %+v\ncol %+v", i, a[i], c[i])
-		}
-	}
-	if aos.Len() != col.Len() {
-		t.Fatalf("kept %d vs %d", aos.Len(), col.Len())
-	}
-	ra, rc := aos.All(), col.All()
-	byPos(ra)
-	byPos(rc)
-	for i := range ra {
-		if ra[i] != rc[i] {
-			t.Fatalf("kept particle %d differs", i)
-		}
-	}
-}
-
 func TestPartitionOwnedKeepAllKeepNone(t *testing.T) {
-	for name, set := range map[string]Set{
-		"store":  NewStore(geom.AxisX, 0, 100, 4),
-		"column": NewColumnStore(geom.AxisX, 0, 100, 4),
-	} {
-		r := geom.NewRNG(13)
-		for i := 0; i < 50; i++ {
-			set.Add(Particle{Pos: geom.V(r.Range(0, 100), 0, 0)})
-		}
-		all := set.PartitionOwnedBatch(func(geom.Vec3) bool { return true })
-		if all.Len() != 0 || set.Len() != 50 {
-			t.Errorf("%s: keep-all moved %d, kept %d", name, all.Len(), set.Len())
-		}
-		none := set.PartitionOwnedBatch(func(geom.Vec3) bool { return false })
-		if none.Len() != 50 || set.Len() != 0 {
-			t.Errorf("%s: keep-none moved %d, kept %d", name, none.Len(), set.Len())
-		}
+	s := mkStore(4)
+	fillUniform(s, 50, 13)
+	all := s.PartitionOwnedBatch(func(geom.Vec3) bool { return true })
+	if all.Len() != 0 || s.Len() != 50 {
+		t.Errorf("keep-all moved %d, kept %d", all.Len(), s.Len())
+	}
+	none := s.PartitionOwnedBatch(func(geom.Vec3) bool { return false })
+	if none.Len() != 50 || s.Len() != 0 {
+		t.Errorf("keep-none moved %d, kept %d", none.Len(), s.Len())
 	}
 }

