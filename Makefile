@@ -3,7 +3,7 @@ GO ?= go
 # Coverage floor (percent of statements) for the engine package.
 CORE_COVER_FLOOR ?= 85
 
-.PHONY: all build vet lint lint-selftest test race race-obs bench bench-tables bench-smoke decomp-smoke fuzz-smoke serve-smoke net-smoke render-smoke cover ci
+.PHONY: all build vet lint lint-selftest test race race-obs bench bench-check bench-tables bench-smoke decomp-smoke fuzz-smoke serve-smoke net-smoke render-smoke cover ci
 
 all: ci
 
@@ -51,6 +51,14 @@ race-obs:
 # bench/run.sh takes for a single workload).
 bench:
 	bash bench/run.sh
+
+# The benchmark against the parent commit: every workload once on a
+# temporary checkout of the base (HEAD if the tree is dirty, else HEAD^;
+# BASE=<rev> overrides) and on this tree. Fails on a wrong golden
+# digest, on any move in virtual_s / imbalance_mean, or on
+# allocs_per_frame rising > 2 %; timing is printed as advisory. ~3 min.
+bench-check:
+	sh scripts/bench_check.sh
 
 # Full paper-table benchmark suite (slow; regenerates every experiment).
 bench-tables:

@@ -1,6 +1,9 @@
 package actions
 
-import "pscluster/internal/particle"
+import (
+	"pscluster/internal/geom"
+	"pscluster/internal/particle"
+)
 
 // BatchAction is a ParticleAction with a columnar kernel: ApplyBatch
 // runs the action over a whole particle.Batch, streaming the columns it
@@ -15,10 +18,14 @@ type BatchAction interface {
 }
 
 // ApplyToBatch runs a over every particle of b: through the columnar
-// kernel when a implements BatchAction, otherwise through the
-// AoS-compat adapter that materializes each particle, applies the
-// per-particle Apply, and scatters it back. The adapter is what lets
-// the 18+ actions migrate to kernels incrementally.
+// kernel when a implements BatchAction, otherwise through the record
+// adapter, which materializes each particle, applies the per-particle
+// Apply, and scatters it back. The adapter's one Particle record is
+// hoisted out of the loop (it escapes through the interface call), so a
+// kernel-less action costs one heap object per call — per bin pass —
+// not one per particle. Every action a benchmark workload runs has a
+// kernel; the adapter serves the rest (Vortex, OrbitPoint, Jet, Grow,
+// TargetColor, …) and foreign ParticleActions.
 //
 //pslint:hotpath
 func ApplyToBatch(ctx *Context, a ParticleAction, b *particle.Batch) {
@@ -26,9 +33,10 @@ func ApplyToBatch(ctx *Context, a ParticleAction, b *particle.Batch) {
 		ba.ApplyBatch(ctx, b)
 		return
 	}
+	var p particle.Particle
 	n := b.Len()
 	for i := 0; i < n; i++ {
-		p := b.At(i)
+		p = b.At(i)
 		a.Apply(ctx, &p)
 		b.Set(i, p)
 	}
@@ -48,6 +56,22 @@ func (a *Gravity) ApplyBatch(ctx *Context, b *particle.Batch) {
 	g := a.G.Scale(ctx.DT)
 	for i := range b.Vel {
 		b.Vel[i] = b.Vel[i].Add(g)
+	}
+}
+
+// ApplyBatch implements BatchAction. One RNG value is hoisted out of
+// the loop and re-seeded from each particle's saved stream — the draws
+// and float operations are Apply's, without its per-particle NewRNG.
+// The value escapes through the Domain interface call, so the kernel
+// costs one heap object per batch.
+//
+//pslint:hotpath
+func (a *RandomAccel) ApplyBatch(ctx *Context, b *particle.Batch) {
+	var r geom.RNG
+	for i := range b.Vel {
+		r.Seed(b.Rand[i])
+		b.Vel[i] = b.Vel[i].Add(a.Domain.Generate(&r).Scale(ctx.DT))
+		b.Rand[i] = r.Save()
 	}
 }
 
@@ -111,6 +135,22 @@ func (a *KillOld) ApplyBatch(_ *Context, b *particle.Batch) {
 		if b.Age[i] > a.MaxAge {
 			b.Dead[i] = true
 		}
+	}
+}
+
+// ApplyBatch implements BatchAction. Speed·DT is loop invariant; the
+// falloff division stays per particle, as in Apply.
+//
+//pslint:hotpath
+func (a *Explosion) ApplyBatch(ctx *Context, b *particle.Batch) {
+	base := a.Speed * ctx.DT
+	for i := range b.Vel {
+		d := b.Pos[i].Sub(a.Center)
+		scale := base
+		if a.Falloff > 0 {
+			scale /= 1 + a.Falloff*d.Len()
+		}
+		b.Vel[i] = b.Vel[i].Add(d.Norm().Scale(scale))
 	}
 }
 

@@ -7,8 +7,13 @@ import (
 	"pscluster/internal/particle"
 )
 
+// explosionCenter is where TestKernelsMatchApply pins particle 0 for
+// the Explosion rows: a particle exactly at the center (zero offset).
+var explosionCenter = geom.V(1, -2, 3)
+
 // kernelActions is the set of hot actions with columnar kernels, with
-// parameters that exercise every branch (bouncing, clamping, killing).
+// parameters that exercise every branch (bouncing, clamping, killing,
+// each RandomAccel domain's draw pattern, explosion falloff on and off).
 func kernelActions() []ParticleAction {
 	return []ParticleAction{
 		&Gravity{G: geom.V(0, -9.8, 0)},
@@ -21,6 +26,11 @@ func kernelActions() []ParticleAction {
 		&KillOld{MaxAge: 0.5},
 		&Fade{Rate: 4},
 		&Move{},
+		&RandomAccel{Domain: geom.SphereDomain{InnerR: 0.5, OuterR: 2}},
+		&RandomAccel{Domain: geom.BoxDomain{B: geom.Box(geom.V(-1, -2, -3), geom.V(3, 2, 1))}},
+		&RandomAccel{Domain: geom.PointDomain{P: geom.V(0.5, 0, -0.25)}}, // draws nothing
+		&Explosion{Center: explosionCenter, Speed: 12},
+		&Explosion{Center: explosionCenter, Speed: 12, Falloff: 0.7},
 	}
 }
 
@@ -41,9 +51,33 @@ func randBatch(n int, seed uint64) *particle.Batch {
 	return b
 }
 
+// requireMatchesApplyLoop runs act over want with a hand-written Apply
+// loop and over got (an identical copy) with ApplyToBatch, requires
+// every column to come out bit-equal, and returns the two contexts so
+// the caller can check what each path drew from the system stream.
+func requireMatchesApplyLoop(t *testing.T, act ParticleAction, want, got *particle.Batch) (loop, batch *Context) {
+	t.Helper()
+	loop, batch = ctx(), ctx()
+	for i := 0; i < want.Len(); i++ {
+		p := want.At(i)
+		act.Apply(loop, &p)
+		want.Set(i, p)
+	}
+	ApplyToBatch(batch, act, got)
+	for i := 0; i < want.Len(); i++ {
+		if want.At(i) != got.At(i) {
+			t.Fatalf("%T: particle %d diverges:\napply loop   %+v\nApplyToBatch %+v",
+				act, i, want.At(i), got.At(i))
+		}
+	}
+	return loop, batch
+}
+
 // Every columnar kernel must perform the exact float operations of its
 // per-particle Apply, in index order — the bit-equality contract the
-// engines rely on.
+// engines rely on. All columns are compared, so a stochastic kernel
+// must also leave each particle's saved stream (Rand) where Apply does,
+// and none may draw from the system stream.
 func TestKernelsMatchApply(t *testing.T) {
 	for _, act := range kernelActions() {
 		t.Run(act.Name(), func(t *testing.T) {
@@ -52,47 +86,61 @@ func TestKernelsMatchApply(t *testing.T) {
 			}
 			want := randBatch(500, 77)
 			got := randBatch(500, 77)
-			c := ctx()
-			for i := 0; i < want.Len(); i++ {
-				p := want.At(i)
-				act.Apply(c, &p)
-				want.Set(i, p)
+			if e, ok := act.(*Explosion); ok {
+				want.Pos[0], got.Pos[0] = e.Center, e.Center
 			}
-			ApplyToBatch(ctx(), act, got)
-			for i := 0; i < want.Len(); i++ {
-				if want.At(i) != got.At(i) {
-					t.Fatalf("particle %d diverges:\napply  %+v\nkernel %+v",
-						i, want.At(i), got.At(i))
-				}
+			c, ck := requireMatchesApplyLoop(t, act, want, got)
+			if system := ctx().RNG.Save(); c.RNG.Save() != system || ck.RNG.Save() != system {
+				t.Fatal("a per-particle action drew from the system stream")
 			}
 		})
 	}
 }
 
-// Actions without a kernel run through the AoS-compat adapter, which
-// must behave exactly like a hand-written Apply loop — including RNG
-// consumption order for stochastic actions.
+// systemJitter is a kernel-less action that draws from the system
+// stream, so the adapter's RNG consumption order is observable.
+type systemJitter struct{ Vortex }
+
+func (a *systemJitter) Apply(ctx *Context, p *particle.Particle) {
+	a.Vortex.Apply(ctx, p)
+	p.Vel = p.Vel.Add(ctx.RNG.UnitVec().Scale(ctx.DT))
+}
+
+// Actions without a kernel run through the record adapter, which must
+// behave exactly like a hand-written Apply loop — including RNG
+// consumption order for actions that draw from the system stream.
 func TestApplyToBatchAdapterFallback(t *testing.T) {
-	act := &RandomAccel{Domain: geom.SphereDomain{OuterR: 2}}
-	if _, ok := ParticleAction(act).(BatchAction); ok {
-		t.Fatal("RandomAccel unexpectedly has a kernel; pick a kernel-less action for this test")
-	}
-	want := randBatch(200, 5)
-	got := randBatch(200, 5)
-	c1, c2 := ctx(), ctx()
-	for i := 0; i < want.Len(); i++ {
-		p := want.At(i)
-		act.Apply(c1, &p)
-		want.Set(i, p)
-	}
-	ApplyToBatch(c2, act, got)
-	for i := 0; i < want.Len(); i++ {
-		if want.At(i) != got.At(i) {
-			t.Fatalf("particle %d diverges", i)
+	vortex := Vortex{Center: geom.V(1, 0, -1), Axis: geom.V(0, 2, 0), Strength: 3}
+	for _, act := range []ParticleAction{&vortex, &systemJitter{vortex}} {
+		if _, ok := act.(BatchAction); ok {
+			t.Fatalf("%T unexpectedly has a kernel; pick a kernel-less action for this test", act)
+		}
+		c1, c2 := requireMatchesApplyLoop(t, act, randBatch(200, 5), randBatch(200, 5))
+		if c1.RNG.Save() != c2.RNG.Save() {
+			t.Fatalf("%T: adapter consumed RNG differently from the Apply loop", act)
 		}
 	}
-	if c1.RNG.Save() != c2.RNG.Save() {
-		t.Fatal("adapter consumed RNG differently from the Apply loop")
+}
+
+// The allocation budget per ApplyToBatch call — per bin pass, whatever
+// the particle count: the adapter's one hoisted record, RandomAccel's
+// one hoisted RNG value (both escape through an interface call), and
+// nothing for a kernel that calls no interface.
+func TestApplyToBatchAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		act ParticleAction
+		max float64
+	}{
+		{&Vortex{Axis: geom.V(0, 1, 0), Strength: 3}, 1},
+		{&RandomAccel{Domain: geom.SphereDomain{OuterR: 2}}, 1},
+		{&Explosion{Center: explosionCenter, Speed: 12, Falloff: 0.7}, 0},
+	} {
+		b := randBatch(1000, 9)
+		c := ctx()
+		if got := testing.AllocsPerRun(20, func() { ApplyToBatch(c, tc.act, b) }); got > tc.max {
+			t.Errorf("%s: %v allocations per 1000-particle ApplyToBatch, want at most %v",
+				tc.act.Name(), got, tc.max)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ func benchApply(b *testing.B, a ParticleAction) {
 	c := ctx()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.ForEach(func(p *particle.Particle) { a.Apply(c, p) })
+		s.EachBatch(func(pb *particle.Batch) { ApplyToBatch(c, a, pb) })
 	}
 }
 

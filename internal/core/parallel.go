@@ -372,11 +372,25 @@ func billed(payloadLen int, ratio float64) int {
 	return transport.Billed(payloadLen, ratio)
 }
 
-// groupByOwner splits particles by their owning calculator.
+// groupByOwner splits particles by their owning calculator, keeping
+// their order within each group. Owners are resolved once and counted
+// first, so the groups are exact-capacity windows of one backing array
+// instead of nCalc slices grown by append.
 func groupByOwner(ps []particle.Particle, d domain.Decomposition, nCalc int) [][]particle.Particle {
-	groups := make([][]particle.Particle, nCalc)
+	owners := make([]int, len(ps))
+	counts := make([]int, nCalc)
 	for i := range ps {
-		o := d.OwnerOf(ps[i].Pos)
+		owners[i] = d.OwnerOf(ps[i].Pos)
+		counts[owners[i]]++
+	}
+	backing := make([]particle.Particle, len(ps))
+	groups := make([][]particle.Particle, nCalc)
+	off := 0
+	for c, n := range counts {
+		groups[c] = backing[off : off : off+n]
+		off += n
+	}
+	for i, o := range owners {
 		groups[o] = append(groups[o], ps[i])
 	}
 	return groups

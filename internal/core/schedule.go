@@ -653,9 +653,9 @@ func (g *imageGenProc) chargeBlob(blob []byte) {
 }
 
 // applyToSet runs one per-particle action over every bin batch of st:
-// migrated actions stream their columnar kernels, the rest go through
-// the AoS-compat adapter. Either way the per-particle operations and
-// their order match the historical ForEach+Apply loop exactly. With a
+// actions with a columnar kernel stream it, the rest go through
+// ApplyToBatch's record adapter. Either way the per-particle operations
+// and their order are those of an Apply loop in store order. With a
 // multi-slot pool the bins fan out across the worker goroutines; bins
 // are disjoint and the kernels touch only their own bin, so the result
 // is bit-identical to the sequential pass.

@@ -123,6 +123,36 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// Seed on a used generator value restarts exactly the stream NewRNG
+// starts, and a saved state resumes mid-stream — what lets a batch
+// kernel thread every particle's private stream through one value.
+func TestRNGSeedMatchesNewRNGAndSaveRoundTrips(t *testing.T) {
+	var r RNG
+	for _, seed := range []uint64{0, 1, 99, 1 << 63, ^uint64(0)} {
+		r.Uint64() // leave state behind from the previous seed
+		r.Seed(seed)
+		fresh := NewRNG(seed)
+		for i := 0; i < 50; i++ {
+			if r.Uint64() != fresh.Uint64() {
+				t.Fatalf("seed %d: Seed stream diverges from NewRNG at draw %d", seed, i)
+			}
+		}
+		if r.UnitVec() != fresh.UnitVec() || r.Range(-3, 7) != fresh.Range(-3, 7) {
+			t.Fatalf("seed %d: derived draws diverge", seed)
+		}
+		var resumed RNG
+		resumed.Seed(r.Save())
+		if resumed.Save() != r.Save() {
+			t.Fatalf("seed %d: Save did not round-trip", seed)
+		}
+		for i := 0; i < 10; i++ {
+			if resumed.Uint64() != r.Uint64() {
+				t.Fatalf("seed %d: resumed stream diverges at draw %d", seed, i)
+			}
+		}
+	}
+}
+
 func TestRNGFloat64Range(t *testing.T) {
 	r := NewRNG(5)
 	for i := 0; i < 10000; i++ {

@@ -15,7 +15,12 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
-// Save returns the generator state, which NewRNG restores exactly. The
+// Seed resets the generator to the stream NewRNG(seed) starts: the
+// allocation-free way for a batch kernel to walk many saved
+// per-particle streams through one hoisted RNG value.
+func (r *RNG) Seed(seed uint64) { r.state = seed }
+
+// Save returns the generator state, which NewRNG and Seed restore exactly. The
 // engine threads per-particle streams through this: stochastic actions
 // draw from a particle's own saved state, so results are identical no
 // matter which process applies the action.

@@ -29,9 +29,18 @@ type ColumnStore struct {
 	bins   []Batch
 	count  int
 
-	// flat is WithParticles' record view, kept across frames so the
-	// steady-state bridge allocates nothing.
-	flat []Particle
+	// binned reports that the bins were built for exactly [lo, hi):
+	// set by NewColumnStore and Resize, cleared by DonateBatch, which
+	// moves an edge without re-binning.
+	binned bool
+
+	// Scratch kept across frames so the steady-state frame allocates
+	// nothing proportional to the particle count: spare is the bin set
+	// Resize re-bins into and swaps with bins, moved holds the
+	// partitions' bin-to-bin movers, flat is WithParticles' record view.
+	spare []Batch
+	moved Batch
+	flat  []Particle
 }
 
 // NewColumnStore returns an empty columnar store for the interval
@@ -44,7 +53,7 @@ func NewColumnStore(axis geom.Axis, lo, hi float64, nbins int) *ColumnStore {
 		panic(fmt.Sprintf("particle: NewColumnStore with reversed interval [%g, %g)", lo, hi))
 	}
 	lo, hi = widenDegenerate(lo, hi)
-	return &ColumnStore{axis: axis, lo: lo, hi: hi, bins: make([]Batch, nbins)}
+	return &ColumnStore{axis: axis, lo: lo, hi: hi, bins: make([]Batch, nbins), binned: true}
 }
 
 // minWidth is the smallest domain extent a store represents. Load
@@ -117,21 +126,6 @@ func (s *ColumnStore) AddBatch(b *Batch) {
 		s.bins[bi].AppendIndex(b, i)
 	}
 	s.count += b.Len()
-}
-
-// ForEach calls fn for every stored particle; fn may mutate the
-// particle. Iteration order is deterministic: bins in order, insertion
-// order within a bin. Each particle is materialized from the columns
-// and scattered back — per-particle callers should prefer EachBatch.
-func (s *ColumnStore) ForEach(fn func(*Particle)) {
-	for bi := range s.bins {
-		b := &s.bins[bi]
-		for i := 0; i < b.Len(); i++ {
-			p := b.At(i)
-			fn(&p)
-			b.Set(i, p)
-		}
-	}
 }
 
 // EachBatch calls fn once per non-empty bin with the bin's live
@@ -218,7 +212,8 @@ func (s *ColumnStore) RemoveDead() int {
 // their new bins after the scan, again in store order.
 func (s *ColumnStore) PartitionBatch() *Batch {
 	out := &Batch{}
-	var moved Batch
+	moved := &s.moved
+	moved.Clear()
 	for bi := range s.bins {
 		b := &s.bins[bi]
 		kept := 0
@@ -244,7 +239,7 @@ func (s *ColumnStore) PartitionBatch() *Batch {
 	for i := range s.bins {
 		s.count += s.bins[i].Len()
 	}
-	s.AddBatch(&moved)
+	s.AddBatch(moved)
 	return out
 }
 
@@ -256,7 +251,8 @@ func (s *ColumnStore) PartitionBatch() *Batch {
 // are PartitionBatch's.
 func (s *ColumnStore) PartitionOwnedBatch(keep func(geom.Vec3) bool) *Batch {
 	out := &Batch{}
-	var moved Batch
+	moved := &s.moved
+	moved.Clear()
 	for bi := range s.bins {
 		b := &s.bins[bi]
 		kept := 0
@@ -279,26 +275,42 @@ func (s *ColumnStore) PartitionOwnedBatch(keep func(geom.Vec3) bool) *Batch {
 	for i := range s.bins {
 		s.count += s.bins[i].Len()
 	}
-	s.AddBatch(&moved)
+	s.AddBatch(moved)
 	return out
 }
 
-// Resize changes the domain interval to [lo, hi) and re-bins every
-// stored particle, re-adding them in store order. Particles now outside
-// the interval are clamped into the edge bins; callers exchange them
-// explicitly via PartitionBatch or DonateBatch before or after resizing.
+// Resize changes the domain interval to [lo, hi). When the bins were
+// already built for that interval — the steady state of dynamic load
+// balancing, which installs its domain table every frame whether or not
+// an edge moved — it returns without touching a particle: particles
+// whose positions changed since the last binning are re-binned by
+// PartitionBatch, as they are in a frame without a Resize. Otherwise
+// every stored particle is re-binned in store order, into a spare bin
+// set kept across calls and swapped in, so a boundary move copies each
+// particle once and allocates nothing once the spare has grown.
+// Particles now outside the interval are clamped into the edge bins;
+// callers exchange them explicitly via PartitionBatch or DonateBatch
+// before or after resizing.
 func (s *ColumnStore) Resize(lo, hi float64) {
 	if hi < lo {
 		panic(fmt.Sprintf("particle: Resize with reversed interval [%g, %g)", lo, hi))
 	}
 	lo, hi = widenDegenerate(lo, hi)
-	var all Batch
-	for bi := range s.bins {
-		all.AppendBatch(&s.bins[bi])
+	if s.binned && lo == s.lo && hi == s.hi {
+		return
 	}
-	s.lo, s.hi = lo, hi
-	s.Clear()
-	s.AddBatch(&all)
+	s.lo, s.hi, s.binned = lo, hi, true
+	if s.spare == nil {
+		s.spare = make([]Batch, len(s.bins))
+	}
+	for bi := range s.bins {
+		b := &s.bins[bi]
+		for i := range b.Pos {
+			s.spare[s.binIndex(b.Pos[i].Component(s.axis))].AppendIndex(b, i)
+		}
+		b.Clear()
+	}
+	s.bins, s.spare = s.spare, s.bins
 }
 
 // Side selects the edge of the domain a donation leaves from.
@@ -410,11 +422,15 @@ func (s *ColumnStore) DonateBatch(n int, side Side) (*Batch, float64) {
 	if newBoundary >= s.hi {
 		newBoundary = s.hi
 	}
+	// The edge moves but the kept particles stay in the bins built for
+	// the old interval: the next Resize must re-bin even if it is handed
+	// these very bounds.
 	if side == LowSide {
 		s.lo = newBoundary
 	} else {
 		s.hi = newBoundary
 	}
+	s.binned = false
 	return donated, newBoundary
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math"
 	"sort"
@@ -66,7 +67,7 @@ func TestColumnStoreMatchesStoreUnderRandomOps(t *testing.T) {
 		case 3:
 			drift := r.Range(-3, 3)
 			kill := r.Float64() < 0.3
-			s.ForEach(func(p *Particle) {
+			forEach(s, func(p *Particle) {
 				p.Pos.X += drift
 				if kill && p.Rand%7 == 0 {
 					p.Dead = true
@@ -107,7 +108,7 @@ func TestColumnStoreMatchesStoreUnderRandomOps(t *testing.T) {
 
 // EachBatch visits the particles in store order — bins ascending,
 // insertion order within a bin — and mutations through the columns land
-// exactly like ForEach mutations.
+// exactly like record-wise At/Set mutations.
 func TestEachBatchOrderAndMutation(t *testing.T) {
 	s := mkStore(6)
 	r := geom.NewRNG(7)
@@ -135,6 +136,155 @@ func TestEachBatchOrderAndMutation(t *testing.T) {
 		if p != want[i] {
 			t.Fatalf("particle %d after column mutation:\n got %+v\nwant %+v", i, p, want[i])
 		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// Resize against its oracle
+// ---------------------------------------------------------------------
+
+// gatherResize is the historical Resize, kept as the oracle: gather
+// every particle in store order, install the interval, clear, re-add.
+func gatherResize(s *ColumnStore, lo, hi float64) *ColumnStore {
+	ref := NewColumnStore(s.Axis(), lo, hi, s.NumBins())
+	ref.AddSlice(s.All())
+	return ref
+}
+
+func requireSameStore(t *testing.T, ctx string, got, want *ColumnStore) {
+	t.Helper()
+	gl, gh := got.Bounds()
+	wl, wh := want.Bounds()
+	if gl != wl || gh != wh {
+		t.Fatalf("%s: bounds [%v, %v), want [%v, %v)", ctx, gl, gh, wl, wh)
+	}
+	gc, wc := got.BinCounts(), want.BinCounts()
+	for i := range wc {
+		if gc[i] != wc[i] {
+			t.Fatalf("%s: bin counts %v, want %v", ctx, gc, wc)
+		}
+	}
+	ga, wa := got.All(), want.All()
+	if len(ga) != len(wa) || got.Len() != want.Len() {
+		t.Fatalf("%s: %d particles (Len %d), want %d", ctx, len(ga), got.Len(), len(wa))
+	}
+	for i := range wa {
+		if ga[i] != wa[i] {
+			t.Fatalf("%s: particle %d diverges:\n got %+v\nwant %+v", ctx, i, ga[i], wa[i])
+		}
+	}
+}
+
+// Property: whatever sequence of structural operations precedes it, a
+// Resize — to the bounds the store already reports, to moved bounds, to
+// a collapsed interval — leaves the store exactly where the
+// gather-all/clear/re-add oracle leaves it. The sequences include the
+// two cases the in-place Resize must not skip or mis-order: a donation
+// that moved an edge without re-binning (then a Resize to those very
+// bounds), and particles added under the moved edge before the Resize.
+func TestResizeMatchesGatherOracleUnderRandomOps(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		r := geom.NewRNG(seed)
+		s := mkStore(8)
+		randP := func() Particle {
+			lo, hi := s.Bounds()
+			return Particle{
+				Pos:  geom.V(r.Range(lo-5, hi+5), r.Range(-5, 5), r.Range(-5, 5)),
+				Vel:  r.UnitVec(),
+				Age:  r.Float64(),
+				Rand: r.Uint64(),
+			}
+		}
+		resizes := [3]int{}
+		for step := 0; step < 300; step++ {
+			switch op := r.Intn(10); op {
+			case 0:
+				s.Add(randP())
+			case 1, 2:
+				var b Batch
+				for i, n := 0, r.Intn(30); i < n; i++ {
+					b.Append(randP())
+				}
+				s.AddBatch(&b)
+			case 3:
+				// Positions only change between binnings inside a frame:
+				// the exchange re-bins them before any Resize.
+				drift := r.Range(-6, 6)
+				forEach(s, func(p *Particle) { p.Pos.X += drift })
+				s.PartitionBatch()
+			case 4:
+				forEach(s, func(p *Particle) { p.Dead = p.Rand%5 == 0 })
+				s.RemoveDead()
+			case 5:
+				// Mostly lands inside a bin: the sorted partial-bin path.
+				s.DonateBatch(r.Intn(s.Len()/2+1), Side(r.Intn(2)))
+			case 6:
+				if r.Intn(4) == 0 {
+					s.DonateBatch(s.Len(), Side(r.Intn(2))) // donate everything
+				}
+			default:
+				lo, hi := s.Bounds()
+				switch op {
+				case 8:
+					lo = r.Range(-10, 40)
+					hi = lo + r.Range(20, 100)
+				case 9:
+					if r.Intn(3) > 0 {
+						continue
+					}
+					lo = r.Range(lo, hi)
+					hi = lo
+				}
+				resizes[op-7]++
+				want := gatherResize(s, lo, hi)
+				s.Resize(lo, hi)
+				requireSameStore(t, fmt.Sprintf("seed %d step %d: Resize(%v, %v)", seed, step, lo, hi), s, want)
+			}
+		}
+		if resizes[0] == 0 || resizes[1] == 0 || resizes[2] == 0 {
+			t.Fatalf("seed %d: resize kinds exercised %v, want every kind", seed, resizes)
+		}
+	}
+}
+
+// The trap spelled out: DonateBatch moves the store's edge without
+// re-binning, so a Resize to the bounds the store now reports is not a
+// no-op — the kept particles still sit in the bins of the old interval.
+func TestResizeAfterDonationRebinsAtReportedBounds(t *testing.T) {
+	for _, side := range []Side{LowSide, HighSide} {
+		s := mkStore(8)
+		fillUniform(s, 400, 11)
+		s.DonateBatch(150, side)
+		lo, hi := s.Bounds()
+		want := gatherResize(s, lo, hi)
+		s.Resize(lo, hi)
+		requireSameStore(t, side.String(), s, want)
+	}
+}
+
+// Steady state allocates nothing: a Resize to the interval the bins
+// were built for touches no particle, and a boundary that keeps moving
+// re-bins between the two bin sets once both have grown.
+func TestResizeSteadyStateZeroAlloc(t *testing.T) {
+	s := mkStore(8)
+	fillUniform(s, 2000, 13)
+	s.Resize(10, 90)
+	before := s.All()
+	if got := testing.AllocsPerRun(50, func() { s.Resize(10, 90) }); got != 0 {
+		t.Errorf("Resize to the unchanged interval: %v allocations, want 0", got)
+	}
+	for i, p := range s.All() {
+		if p != before[i] {
+			t.Fatalf("Resize to the unchanged interval moved particle %d", i)
+		}
+	}
+	move := func() {
+		s.Resize(0, 100)
+		s.Resize(10, 90)
+	}
+	move() // both bin sets reach their working capacity
+	if got := testing.AllocsPerRun(20, move); got != 0 {
+		t.Errorf("Resize between two intervals: %v allocations per round trip, want 0", got)
 	}
 }
 

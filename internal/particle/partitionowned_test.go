@@ -29,7 +29,7 @@ func TestPartitionOwnedMatchesIntervalPartition(t *testing.T) {
 		s := mkStore(6)
 		fillUniform(s, 300, seed)
 		i := 0
-		s.ForEach(func(p *Particle) {
+		forEach(s, func(p *Particle) {
 			switch i % 7 {
 			case 0:
 				p.Pos.X = -4
