@@ -103,6 +103,39 @@ func TestPipelinedRenderSameChecksums(t *testing.T) {
 	}
 }
 
+// The framebuffer's Clear erases only the spans the previous frame in
+// that buffer dirtied. Synchronous runs reuse one buffer (anything left
+// behind would come from frame f-1), pipelined runs alternate two (from
+// frame f-2), and the picture changes every frame — so equal checksums
+// over enough frames for each buffer to be reused several times mean
+// neither path carries stale pixels or spans forward.
+func TestPipelinedBuffersCarryNoStalePixels(t *testing.T) {
+	base := rasterSnow(DynamicLB, FiniteSpace)
+	base.Frames = 7
+	want, err := RunParallel(base, testCluster(2), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := 1; f < len(want.FrameChecksums); f++ {
+		if want.FrameChecksums[f] == want.FrameChecksums[f-1] {
+			t.Fatalf("frames %d and %d hash alike: the scenario cannot expose stale pixels", f-1, f)
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		scn := base
+		scn.Render.RenderWorkers = workers
+		scn.PipelineFrames = true
+		got, err := RunParallel(scn, testCluster(2), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.FrameChecksums, got.FrameChecksums) {
+			t.Errorf("render-workers=%d pipelined checksums diverge from the one-buffer run:\n%v\n%v",
+				workers, want.FrameChecksums, got.FrameChecksums)
+		}
+	}
+}
+
 // Written PPM bytes are identical at every render width, with and
 // without the overlapped double-buffer.
 func TestTiledRenderPPMBytesIdentical(t *testing.T) {

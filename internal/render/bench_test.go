@@ -22,14 +22,43 @@ func benchBatch(n int) []particle.Particle {
 	return ps
 }
 
+// benchCam views benchBatch's cube at 256x256.
+func benchCam() OrthoCamera {
+	return OrthoCamera{Region: geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10)), W: 256, H: 256}
+}
+
+// sparseBatch is benchBatch squeezed into the middle tenth of the view:
+// about a tenth of the rows end up dirty, each over a tenth of its
+// width. benchBatch itself is the dense case — its discs dirty every
+// row edge to edge — so a change that buys sparse frames at the price
+// of dense ones shows up in the pair.
+func sparseBatch(n int) []particle.Particle {
+	ps := benchBatch(n)
+	for i := range ps {
+		ps[i].Pos = ps[i].Pos.Scale(0.1)
+	}
+	return ps
+}
+
+// benchDensities names the two populations the splat and checksum
+// benchmarks run over.
+var benchDensities = []struct {
+	name  string
+	batch func(int) []particle.Particle
+}{{"dense", benchBatch}, {"sparse", sparseBatch}}
+
 func BenchmarkSplatBatch(b *testing.B) {
-	fb := NewFramebuffer(256, 256)
-	cam := OrthoCamera{Region: geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10)), W: 256, H: 256}
-	ps := benchBatch(5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fb.Clear()
-		fb.SplatBatch(cam, ps)
+	for _, d := range benchDensities {
+		b.Run(d.name, func(b *testing.B) {
+			fb := NewFramebuffer(256, 256)
+			cam := benchCam()
+			ps := d.batch(5000)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fb.Clear()
+				fb.SplatBatch(cam, ps)
+			}
+		})
 	}
 }
 
@@ -45,19 +74,52 @@ func BenchmarkPerspectiveSplat(b *testing.B) {
 	}
 }
 
+// benchSink keeps the compiler from discarding a benchmarked result.
+var benchSink uint64
+
 func BenchmarkChecksum(b *testing.B) {
-	fb := NewFramebuffer(256, 256)
-	cam := OrthoCamera{Region: geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10)), W: 256, H: 256}
-	fb.SplatBatch(cam, benchBatch(1000))
+	for _, d := range benchDensities {
+		b.Run(d.name, func(b *testing.B) {
+			fb := NewFramebuffer(256, 256)
+			fb.SplatBatch(benchCam(), d.batch(1000))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += fb.Checksum()
+			}
+		})
+	}
+}
+
+// BenchmarkFrameSparse is the render-bound frame in tier-1 reach: the
+// fountain workload's shape (16 000 small splats in a low horizontal
+// band of a 1280x960 view that is otherwise black), one op = the image
+// generator's whole frame — Clear, SplatColumns, Checksum.
+func BenchmarkFrameSparse(b *testing.B) {
+	const w, h, n = 1280, 960, 16000
+	cam := OrthoCamera{Region: geom.Box(geom.V(0, -3, -12), geom.V(122, 12, 12)), W: w, H: h}
+	r := geom.NewRNG(1)
+	cols := &particle.Batch{}
+	for i := 0; i < n; i++ {
+		cols.Pos = append(cols.Pos, geom.V(r.Range(0, 122), r.Range(0, 3), r.Range(-2, 2)))
+		cols.Color = append(cols.Color, geom.V(0.5, 0.7, 1.0))
+		cols.Alpha = append(cols.Alpha, 0.6)
+		cols.Size = append(cols.Size, 0.25)
+	}
+	fb := NewFramebuffer(w, h)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fb.Checksum()
+		fb.Clear()
+		fb.SplatColumns(cam, cols)
+		benchSink += fb.Checksum()
 	}
+	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(perOp/(w*h), "ns/px")
+	b.ReportMetric(perOp/n, "ns/particle")
 }
 
 func BenchmarkWritePPM(b *testing.B) {
 	fb := NewFramebuffer(256, 256)
-	cam := OrthoCamera{Region: geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10)), W: 256, H: 256}
+	cam := benchCam()
 	fb.SplatBatch(cam, benchBatch(1000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -101,7 +163,7 @@ func benchDecode(src *particle.Batch) func(*particle.Batch, []byte) error {
 // are expected flat.
 func BenchmarkRenderTiled(b *testing.B) {
 	const nBatches, perBatch = 8, 2000
-	cam := OrthoCamera{Region: geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10)), W: 256, H: 256}
+	cam := benchCam()
 	decode := benchDecode(benchColumns(perBatch))
 	b.Run("serial", func(b *testing.B) {
 		fb := NewFramebuffer(256, 256)
@@ -142,7 +204,7 @@ func BenchmarkRenderTiled(b *testing.B) {
 // ingests — the PipelineFrames shape.
 func BenchmarkRenderPipelined(b *testing.B) {
 	const frames, nBatches, perBatch = 4, 4, 2000
-	cam := OrthoCamera{Region: geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10)), W: 256, H: 256}
+	cam := benchCam()
 	decode := benchDecode(benchColumns(perBatch))
 	finish := func(fb *Framebuffer) error {
 		_ = fb.Checksum()

@@ -9,7 +9,6 @@ package render
 import (
 	"bufio"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"runtime"
@@ -70,37 +69,48 @@ func (c PerspectiveCamera) Project(p geom.Vec3) (float64, float64, float64, bool
 	return float64(c.W)/2 + x, float64(c.H)/2 - y, f / z, true
 }
 
-// Framebuffer accumulates additive splats in linear RGB.
+// Framebuffer accumulates additive splats in linear RGB. It remembers,
+// per row, the column interval splats have written since the last
+// Clear, so that Clear, Checksum and the tone-map cost what the frame
+// touched rather than what the resolution is.
 type Framebuffer struct {
 	W, H int
 	pix  []geom.Vec3
+	// dirty[y] is row y's span. A row is written only by the plane
+	// worker that owns it, so the spans need no more synchronisation
+	// than the pixels do.
+	dirty []span
 }
+
+// span is the column interval [lo, hi) of one row that splats have
+// written since the last Clear; 0 <= lo <= hi <= W, and lo == hi (the
+// zero value) means the row is untouched: every pixel in it is zero.
+type span struct{ lo, hi int32 }
 
 // NewFramebuffer returns a cleared framebuffer.
 func NewFramebuffer(w, h int) *Framebuffer {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("render: invalid framebuffer %dx%d", w, h))
 	}
-	return &Framebuffer{W: w, H: h, pix: make([]geom.Vec3, w*h)}
+	return &Framebuffer{W: w, H: h, pix: make([]geom.Vec3, w*h), dirty: make([]span, h)}
 }
 
-// Clear zeroes every pixel.
+// Clear zeroes every pixel a splat may have written and forgets the
+// spans; its cost follows the frame being erased, not the resolution.
+//
+//pslint:hotpath
 func (f *Framebuffer) Clear() {
-	for i := range f.pix {
-		f.pix[i] = geom.Vec3{}
+	for y, d := range f.dirty {
+		if d.lo < d.hi {
+			row := y * f.W
+			clear(f.pix[row+int(d.lo) : row+int(d.hi)])
+			f.dirty[y] = span{}
+		}
 	}
 }
 
 // At returns the accumulated RGB at (x, y).
 func (f *Framebuffer) At(x, y int) geom.Vec3 { return f.pix[y*f.W+x] }
-
-// add blends color into (x, y) with weight w, clipping to the image.
-func (f *Framebuffer) add(x, y int, color geom.Vec3, w float64) {
-	if x < 0 || x >= f.W || y < 0 || y >= f.H || w <= 0 {
-		return
-	}
-	f.pix[y*f.W+x] = f.pix[y*f.W+x].Add(color.Scale(w))
-}
 
 // Splat renders one particle as a Gaussian-ish additive disc.
 func (f *Framebuffer) Splat(cam Camera, p *particle.Particle) {
@@ -114,6 +124,13 @@ func (f *Framebuffer) Splat(cam Camera, p *particle.Particle) {
 func (f *Framebuffer) splatPoint(cam Camera, pos, color geom.Vec3, alpha, size float64) {
 	f.splatPointOwned(cam, pos, color, alpha, size, 0, 1)
 }
+
+// maxSplatRadius clamps pathological splats; no splat reaches farther
+// than splatReach pixels from the pixel its centre truncates to.
+const (
+	maxSplatRadius = 64
+	splatReach     = maxSplatRadius + 1
+)
 
 // splatPointOwned splats one particle into only the pixel rows owned by
 // worker `owner` of `stride` total (rows y with y % stride == owner).
@@ -129,36 +146,58 @@ func (f *Framebuffer) splatPointOwned(cam Camera, pos, color geom.Vec3, alpha, s
 		return
 	}
 	r := size * scale
+	// Reject before any integer conversion (int of a NaN, an infinity or
+	// an out-of-range float is implementation-defined): a non-finite
+	// radius, or a centre that is non-finite or farther outside the image
+	// than any splat reaches, cannot change an in-image pixel. The
+	// comparisons are written so that a NaN coordinate fails them.
+	if math.IsNaN(r) || math.IsInf(r, 0) ||
+		!(x >= -splatReach && x <= float64(f.W+splatReach) &&
+			y >= -splatReach && y <= float64(f.H+splatReach)) {
+		return
+	}
 	if r < 0.5 {
 		r = 0.5
 	}
-	if r > 64 {
-		r = 64 // clamp pathological splats
+	if r > maxSplatRadius {
+		r = maxSplatRadius
 	}
 	cx, cy := int(x), int(y)
 	ir := int(r) + 1
 	inv := 1 / (r * r)
-	// Clip the disc to the image rows, then advance to the first row the
-	// owner holds; stepping by stride keeps y0 % stride == owner without
-	// a per-row modulus (and sidesteps negative-y remainders entirely).
-	y0, y1 := cy-ir, cy+ir
-	if y0 < 0 {
-		y0 = 0
+	// Clip the disc's bounding box to the image once, then advance to the
+	// first row the owner holds; stepping by stride keeps y0 % stride ==
+	// owner without a per-row modulus (and sidesteps negative-y
+	// remainders entirely).
+	x0, x1 := max(cx-ir, 0), min(cx+ir, f.W-1)
+	if x0 > x1 {
+		return
 	}
-	if y1 > f.H-1 {
-		y1 = f.H - 1
-	}
+	y0, y1 := max(cy-ir, 0), min(cy+ir, f.H-1)
 	if off := (owner - y0%stride + stride) % stride; off != 0 {
 		y0 += off
 	}
+	box := span{int32(x0), int32(x1 + 1)}
 	for py := y0; py <= y1; py += stride {
 		dy := py - cy
-		for dx := -ir; dx <= ir; dx++ {
+		row := f.pix[py*f.W+x0 : py*f.W+x1+1]
+		dx := x0 - cx
+		for i := range row {
 			d2 := float64(dx*dx + dy*dy)
 			w := (1 - d2*inv) * alpha
 			if w > 0 {
-				f.add(cx+dx, py, color, w)
+				p := &row[i]
+				p.X += color.X * w
+				p.Y += color.Y * w
+				p.Z += color.Z * w
 			}
+			dx++
+		}
+		// Widen the row's span by the clipped box, once per row.
+		if d := &f.dirty[py]; d.lo == d.hi {
+			*d = box
+		} else {
+			d.lo, d.hi = min(d.lo, box.lo), max(d.hi, box.hi)
 		}
 	}
 }
@@ -191,29 +230,80 @@ func (f *Framebuffer) SplatColumnsOwned(cam Camera, b *particle.Batch, owner, st
 	}
 }
 
-// Checksum returns a deterministic hash of the frame contents,
-// quantized to 12 bits per channel so that the different floating-point
-// accumulation orders of sequential and parallel runs agree.
-func (f *Framebuffer) Checksum() uint64 {
-	h := fnv.New64a()
-	var buf [6]byte
-	for _, p := range f.pix {
-		q := func(v float64) uint16 {
-			if v < 0 {
-				v = 0
-			}
-			if v > 8 {
-				v = 8
-			}
-			return uint16(v * 512)
-		}
-		r, g, b := q(p.X), q(p.Y), q(p.Z)
-		buf[0], buf[1] = byte(r>>8), byte(r)
-		buf[2], buf[3] = byte(g>>8), byte(g)
-		buf[4], buf[5] = byte(b>>8), byte(b)
-		h.Write(buf[:])
+// FNV-1a, 64 bit. Hashing a zero byte is h = (h ^ 0) * fnvPrime, so a
+// run of k zero pixels (six zero bytes each) multiplies the state by
+// fnvPrime^(6k) mod 2^64 — which is how Checksum steps over everything
+// outside the dirty spans without reading it.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// zeroPow[i] is fnvPrime^(6·2^i) mod 2^64: the multiplier for a run of
+// 2^i zero pixels. 40 entries cover any framebuffer that fits in memory.
+var zeroPow = func() (t [40]uint64) {
+	t[0] = 1
+	for range 6 {
+		t[0] *= fnvPrime
 	}
-	return h.Sum64()
+	for i := 1; i < len(t); i++ {
+		t[i] = t[i-1] * t[i-1]
+	}
+	return t
+}()
+
+// zeroRun returns the FNV-1a multiplier for a run of k zero pixels,
+// by binary exponentiation over zeroPow.
+func zeroRun(k int) uint64 {
+	m := uint64(1)
+	for i := 0; k != 0; i, k = i+1, k>>1 {
+		if k&1 != 0 {
+			m *= zeroPow[i]
+		}
+	}
+	return m
+}
+
+// quantize maps an accumulated channel to the value Checksum hashes.
+func quantize(v float64) uint16 {
+	if v < 0 {
+		v = 0
+	}
+	if v > 8 {
+		v = 8
+	}
+	return uint16(v * 512)
+}
+
+// Checksum returns a deterministic hash of the frame contents — FNV-1a
+// over every pixel's channels, clamped to [0, 8] and quantized to 13
+// bits each (big-endian uint16) so that the different floating-point
+// accumulation orders of sequential and parallel runs agree. Pixels
+// outside the dirty spans are known zero and are folded in as runs.
+//
+//pslint:hotpath
+func (f *Framebuffer) Checksum() uint64 {
+	h := fnvOffset
+	zeros := 0 // untouched pixels not yet folded into h
+	for y, d := range f.dirty {
+		if d.lo == d.hi {
+			zeros += f.W
+			continue
+		}
+		h *= zeroRun(zeros + int(d.lo))
+		row := y * f.W
+		for _, p := range f.pix[row+int(d.lo) : row+int(d.hi)] {
+			r, g, b := quantize(p.X), quantize(p.Y), quantize(p.Z)
+			h = (h ^ uint64(r>>8)) * fnvPrime
+			h = (h ^ uint64(r&0xff)) * fnvPrime
+			h = (h ^ uint64(g>>8)) * fnvPrime
+			h = (h ^ uint64(g&0xff)) * fnvPrime
+			h = (h ^ uint64(b>>8)) * fnvPrime
+			h = (h ^ uint64(b&0xff)) * fnvPrime
+		}
+		zeros = f.W - int(d.hi)
+	}
+	return h * zeroRun(zeros)
 }
 
 // WritePPM writes the frame as a binary PPM (P6), tone-mapping the
@@ -258,18 +348,30 @@ func (f *Framebuffer) writePPM(w io.Writer, workers int) error {
 	return bw.Flush()
 }
 
-// toneRows tone-maps rows [y0, y1) into their slots of buf.
-func (f *Framebuffer) toneRows(buf []byte, y0, y1 int) {
-	tone := func(v float64) byte {
-		if v < 0 {
-			v = 0
-		}
-		return byte(255 * v / (1 + v))
+// tone is the x/(1+x) tone curve; tone(0) == 0.
+func tone(v float64) byte {
+	if v < 0 {
+		v = 0
 	}
-	for i := y0 * f.W; i < y1*f.W; i++ {
-		p := f.pix[i]
-		buf[3*i] = tone(p.X)
-		buf[3*i+1] = tone(p.Y)
-		buf[3*i+2] = tone(p.Z)
+	return byte(255 * v / (1 + v))
+}
+
+// toneRows tone-maps rows [y0, y1) into their slots of buf. Only the
+// dirty span of a row is mapped; the rest is tone(0) == 0, written
+// explicitly because the pooled buf arrives with old contents.
+//
+//pslint:hotpath
+func (f *Framebuffer) toneRows(buf []byte, y0, y1 int) {
+	for y := y0; y < y1; y++ {
+		row := y * f.W
+		lo, hi := row+int(f.dirty[y].lo), row+int(f.dirty[y].hi)
+		clear(buf[3*row : 3*lo])
+		for i := lo; i < hi; i++ {
+			p := f.pix[i]
+			buf[3*i] = tone(p.X)
+			buf[3*i+1] = tone(p.Y)
+			buf[3*i+2] = tone(p.Z)
+		}
+		clear(buf[3*hi : 3*(row+f.W)])
 	}
 }

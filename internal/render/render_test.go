@@ -2,7 +2,11 @@ package render
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"pscluster/internal/geom"
@@ -72,11 +76,46 @@ func TestSplatDepositsEnergy(t *testing.T) {
 	}
 }
 
+// Splats that cannot reach the image — off-screen, or with a NaN, an
+// infinite or an astronomically large projected centre or radius — are
+// rejected before any float-to-int conversion: no panic, no pixel, no
+// dirty span. Edge-straddling splats still land.
 func TestSplatOffscreenIsSafe(t *testing.T) {
-	f := NewFramebuffer(16, 16)
-	for _, pos := range []geom.Vec3{geom.V(-1000, 0, 0), geom.V(9.99, 9.99, 0)} {
-		p := particle.Particle{Pos: pos, Color: geom.V(1, 1, 1), Alpha: 1, Size: 5}
-		f.Splat(testCam(), &p) // must not panic at image edges
+	nan, inf := math.NaN(), math.Inf(1)
+	type splat struct {
+		pos  geom.Vec3
+		size float64
+	}
+	var rejected []splat
+	for _, v := range []float64{nan, inf, -inf, 1e300, -1e300, 1000, -1000} {
+		rejected = append(rejected,
+			splat{geom.V(v, 0, 0), 5}, splat{geom.V(0, v, 0), 5}, splat{geom.V(v, v, v), 5},
+			// A huge finite radius clamps to 64 px, which still cannot
+			// reach back from this far out.
+			splat{geom.V(v, 0, 0), 1e300})
+	}
+	for _, size := range []float64{nan, inf, -inf} {
+		rejected = append(rejected, splat{geom.V(0, 0, 0), size})
+	}
+	for _, cam := range []Camera{
+		squareCam(16, 16),
+		PerspectiveCamera{Eye: geom.V(0, 0, 25), Look: geom.V(0, 0, 0),
+			Up: geom.V(0, 1, 0), FOV: 1, W: 16, H: 16},
+	} {
+		f := NewFramebuffer(16, 16)
+		empty := f.Checksum()
+		for _, s := range rejected {
+			p := particle.Particle{Pos: s.pos, Color: geom.V(1, 1, 1), Alpha: 1, Size: s.size}
+			f.Splat(cam, &p)
+			if f.Checksum() != empty || !spansEmpty(f) || !allZero(f) {
+				t.Fatalf("%T: splat at %v size %v left a mark", cam, s.pos, s.size)
+			}
+		}
+		edge := particle.Particle{Pos: geom.V(9.99, 9.99, 0), Color: geom.V(1, 1, 1), Alpha: 1, Size: 5}
+		f.Splat(cam, &edge) // must not panic at image edges
+		if f.Checksum() == empty {
+			t.Errorf("%T: edge-straddling splat left no mark", cam)
+		}
 	}
 }
 
@@ -151,4 +190,272 @@ func TestNewFramebufferPanics(t *testing.T) {
 		}
 	}()
 	NewFramebuffer(0, 10)
+}
+
+// spansEmpty reports whether no row of f carries a dirty span.
+func spansEmpty(f *Framebuffer) bool {
+	for _, d := range f.dirty {
+		if d != (span{}) {
+			return false
+		}
+	}
+	return true
+}
+
+// allZero scans every pixel of f, spans or not.
+func allZero(f *Framebuffer) bool {
+	for _, p := range f.pix {
+		if p != (geom.Vec3{}) {
+			return false
+		}
+	}
+	return true
+}
+
+// referenceChecksum is the plain definition of Checksum, kept as the
+// test oracle: every pixel of pix, quantized, through hash/fnv.
+func referenceChecksum(f *Framebuffer) uint64 {
+	h := fnv.New64a()
+	var buf [6]byte
+	for _, p := range f.pix {
+		q := func(v float64) uint16 {
+			if v < 0 {
+				v = 0
+			}
+			if v > 8 {
+				v = 8
+			}
+			return uint16(v * 512)
+		}
+		r, g, b := q(p.X), q(p.Y), q(p.Z)
+		buf[0], buf[1] = byte(r>>8), byte(r)
+		buf[2], buf[3] = byte(g>>8), byte(g)
+		buf[4], buf[5] = byte(b>>8), byte(b)
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// referencePPM is the plain definition of WritePPM, kept as the test
+// oracle: header, then every pixel of pix through the tone curve.
+func referencePPM(f *Framebuffer) []byte {
+	out := []byte(fmt.Sprintf("P6\n%d %d\n255\n", f.W, f.H))
+	for _, p := range f.pix {
+		out = append(out, tone(p.X), tone(p.Y), tone(p.Z))
+	}
+	return out
+}
+
+// squareCam views the [-10, 10] square at w x h pixels.
+func squareCam(w, h int) OrthoCamera {
+	return OrthoCamera{Region: geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10)), W: w, H: h}
+}
+
+// onePixel is a splat that lights exactly pixel (px, py) of cam: its
+// radius clamps up to 0.5, so only the centre pixel gets weight.
+func onePixel(b *particle.Batch, cam OrthoCamera, px, py int) {
+	b.Pos = append(b.Pos, geom.V(
+		-10+(float64(px)+0.5)/float64(cam.W)*20,
+		10-(float64(py)+0.5)/float64(cam.H)*20, 0))
+	b.Color = append(b.Color, geom.V(1, 0.5, 0.25))
+	b.Alpha = append(b.Alpha, 1)
+	b.Size = append(b.Size, 1e-6)
+}
+
+// randomColumns draws n splats from r: centres a little beyond the
+// view on every side, radii from sub-pixel to many rows, colours from
+// negative to saturating, alphas of both signs.
+func randomColumns(r *geom.RNG, n int) *particle.Batch {
+	b := &particle.Batch{}
+	for i := 0; i < n; i++ {
+		b.Pos = append(b.Pos, geom.V(r.Range(-12, 12), r.Range(-12, 12), r.Range(-5, 5)))
+		b.Color = append(b.Color, geom.V(r.Range(-1, 30), r.Range(-1, 30), r.Range(-1, 30)))
+		b.Alpha = append(b.Alpha, r.Range(-0.5, 1))
+		b.Size = append(b.Size, r.Range(0.001, 6))
+	}
+	return b
+}
+
+// uniformColumns is n splats of one colour, alpha and size scattered
+// over the view.
+func uniformColumns(r *geom.RNG, n int, color geom.Vec3, alpha, size float64) *particle.Batch {
+	b := &particle.Batch{}
+	for i := 0; i < n; i++ {
+		b.Pos = append(b.Pos, geom.V(r.Range(-10, 10), r.Range(-10, 10), 0))
+		b.Color = append(b.Color, color)
+		b.Alpha = append(b.Alpha, alpha)
+		b.Size = append(b.Size, size)
+	}
+	return b
+}
+
+// The span-skipping Checksum is the plain full-scan hash on every kind
+// of frame, at every plane width (owners splat concurrently, as the
+// plane's workers do, so -race also sees the span arrays).
+func TestChecksumMatchesReference(t *testing.T) {
+	type frame struct {
+		name string
+		w, h int
+		b    *particle.Batch
+	}
+	r := geom.NewRNG(21)
+	corners := &particle.Batch{}
+	for _, c := range [][2]int{{0, 0}, {63, 0}, {0, 40}, {63, 40}} {
+		onePixel(corners, squareCam(64, 41), c[0], c[1])
+	}
+	cluster := uniformColumns(r, 6, geom.V(0.4, 0.6, 0.9), 0.6, 0.4)
+	for i := range cluster.Pos {
+		cluster.Pos[i] = cluster.Pos[i].Scale(0.1).Add(geom.V(4, -3, 0))
+	}
+	frames := []frame{
+		{"empty", 64, 41, &particle.Batch{}},
+		{"corners", 64, 41, corners},
+		{"sparse", 64, 41, cluster},
+		{"dense", 64, 41, uniformColumns(r, 300, geom.V(0.3, 0.2, 0.1), 0.5, 2)},
+		{"clipped", 64, 41, edgeBatch()},
+		{"saturated", 64, 41, uniformColumns(r, 40, geom.V(40, 40, 40), 1, 3)},
+		{"negative-color", 64, 41, uniformColumns(r, 40, geom.V(-2, 0.5, -0.1), 1, 3)},
+		{"negative-alpha", 64, 41, uniformColumns(r, 40, geom.V(1, 1, 1), -0.7, 3)},
+		{"1x1", 1, 1, randomColumns(r, 5)},
+		{"1x17", 1, 17, randomColumns(r, 9)},
+		{"17x1", 17, 1, randomColumns(r, 9)},
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rs := geom.NewRNG(seed)
+		w, h := 1+int(rs.Range(0, 70)), 1+int(rs.Range(0, 70))
+		frames = append(frames, frame{fmt.Sprintf("random-%d", seed), w, h,
+			randomColumns(rs, int(rs.Range(0, 60)))})
+	}
+	for _, fr := range frames {
+		cam := squareCam(fr.w, fr.h)
+		var serial uint64
+		for _, width := range []int{1, 2, 3, 8} {
+			f := NewFramebuffer(fr.w, fr.h)
+			var wg sync.WaitGroup
+			for owner := 0; owner < width; owner++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					f.SplatColumnsOwned(cam, fr.b, owner, width)
+				}()
+			}
+			wg.Wait()
+			got, want := f.Checksum(), referenceChecksum(f)
+			if got != want {
+				t.Errorf("%s width %d: Checksum %x, full scan %x", fr.name, width, got, want)
+			}
+			if width == 1 {
+				serial = want
+			} else if want != serial {
+				t.Errorf("%s width %d: frame differs from serial", fr.name, width)
+			}
+			switch fr.name {
+			case "empty":
+				if !spansEmpty(f) {
+					t.Errorf("empty frame has dirty spans")
+				}
+			case "dense":
+				for y, d := range f.dirty {
+					if d.lo >= d.hi {
+						t.Fatalf("dense frame left row %d clean", y)
+					}
+				}
+			}
+		}
+	}
+}
+
+// zeroRun(k) is 6k multiplications by the FNV prime, folded.
+func TestZeroRun(t *testing.T) {
+	const w, h = 1280, 960
+	for _, k := range []int{0, 1, 2, w, w * h} {
+		want := uint64(1)
+		for i := 0; i < 6*k; i++ {
+			want *= fnvPrime
+		}
+		if got := zeroRun(k); got != want {
+			t.Errorf("zeroRun(%d) = %x, want %x", k, got, want)
+		}
+	}
+}
+
+// Clear leaves nothing behind: not in the pixels a full scan sees, not
+// in the spans, and not in what the next frame hashes or writes.
+func TestClearLeavesNoStaleState(t *testing.T) {
+	cam := squareCam(64, 41)
+	r := geom.NewRNG(5)
+	a, b := randomColumns(r, 50), randomColumns(r, 20)
+	ppm := func(f *Framebuffer) []byte {
+		var buf bytes.Buffer
+		if err := f.WritePPM(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	f := NewFramebuffer(64, 41)
+	f.SplatColumns(cam, a)
+	f.Clear()
+	if !allZero(f) || !spansEmpty(f) {
+		t.Fatal("Clear left pixels or spans behind")
+	}
+	if f.Checksum() != NewFramebuffer(64, 41).Checksum() {
+		t.Error("cleared frame hashes differently from a fresh one")
+	}
+
+	f.SplatColumns(cam, b)
+	fresh := NewFramebuffer(64, 41)
+	fresh.SplatColumns(cam, b)
+	if f.Checksum() != fresh.Checksum() || f.Checksum() != referenceChecksum(fresh) {
+		t.Error("splat A, Clear, splat B hashes differently from fresh splat B")
+	}
+	if !bytes.Equal(ppm(f), ppm(fresh)) {
+		t.Error("splat A, Clear, splat B writes a different PPM from fresh splat B")
+	}
+}
+
+// Checksum and Clear are plain loops over the framebuffer's own memory.
+func TestChecksumClearZeroAlloc(t *testing.T) {
+	f := NewFramebuffer(64, 41)
+	b := edgeBatch()
+	var cam Camera = squareCam(64, 41) // boxed once, outside the measured frame
+	if n := testing.AllocsPerRun(20, func() {
+		f.SplatColumns(cam, b)
+		benchSink += f.Checksum()
+		f.Clear()
+	}); n != 0 {
+		t.Errorf("splat + Checksum + Clear allocate %v objects per frame, want 0", n)
+	}
+}
+
+// The tone-map skips what no splat touched, yet writes the bytes of the
+// full-scan tone-map — into a scratch buffer that arrives dirty.
+func TestWritePPMSparseMatchesFullScan(t *testing.T) {
+	cam := squareCam(48, 41)
+	corners := &particle.Batch{}
+	for _, c := range [][2]int{{0, 0}, {47, 0}, {0, 40}, {47, 40}, {20, 17}} {
+		onePixel(corners, cam, c[0], c[1])
+	}
+	for name, b := range map[string]*particle.Batch{
+		"empty": {}, "corners": corners, "clipped": edgeBatch(),
+		"random": randomColumns(geom.NewRNG(9), 12),
+	} {
+		f := NewFramebuffer(48, 41)
+		f.SplatColumns(cam, b)
+		want := referencePPM(f)
+		for _, workers := range []int{1, 3} {
+			var got bytes.Buffer
+			if err := f.writePPM(&got, workers); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s workers=%d: PPM differs from the full-scan tone-map", name, workers)
+			}
+		}
+		dirty := bytes.Repeat([]byte{0xAA}, 3*48*41)
+		f.toneRows(dirty, 0, 41)
+		if !bytes.Equal(dirty, want[len(want)-len(dirty):]) {
+			t.Errorf("%s: toneRows left scratch bytes outside the spans", name)
+		}
+	}
 }
