@@ -10,26 +10,23 @@ import (
 )
 
 // This file holds the LBPolicy strategies: which load-balancing steps
-// each LBMode contributes to the schedule's frame program. StaticLB
-// contributes nothing; DynamicLB adds the paper's centralized
-// report → evaluate → new-dims → transfer round (§3.2.4–§3.2.5);
-// DecentralizedLB adds the manager-free neighbor-trading variant of
-// the paper's future work. The per-system hooks slot one system's
-// steps between that system's phases; the batch hooks emit one
-// combined round for all systems (§3.3).
+// each LBMode contributes to a system group's pass through the frame
+// program (schedule.go). StaticLB contributes nothing; DynamicLB adds
+// the paper's centralized report → evaluate → new-dims → transfer round
+// (§3.2.4–§3.2.5); DecentralizedLB adds the manager-free
+// neighbor-trading variant of the paper's future work. Every policy is
+// written once, over the group: a single-system group runs one
+// system's round between that system's phases, a framed group one
+// combined round for all its systems (§3.3) — the reports, orders and
+// edge tables of n systems are fixed-width sequences that degenerate
+// to the single record at n = 1.
 
-// lbPolicy contributes balancing steps to a schedule's compiled frame.
+// lbPolicy contributes a group's balancing steps to the compiled frame.
 // Hooks may return nil when the policy has nothing to do at that point.
 type lbPolicy interface {
-	// Per-system schedule hooks, called once per system.
-	managerSystemSteps(m *managerProc, si int) []step // after creation
-	calcReportSteps(c *calcProc, si int) []step       // between exchange and render-send
-	calcBalanceSteps(c *calcProc, si int) []step      // after render-send
-
-	// Batched schedule hooks, called once per frame.
-	managerBatchSteps(m *managerProc) []step
-	calcBatchReportSteps(c *calcProc) []step
-	calcBatchBalanceSteps(c *calcProc) []step
+	managerSteps(m *managerProc, g sysGroup) []step  // after creation
+	calcReportSteps(c *calcProc, g sysGroup) []step  // between exchange and render-send
+	calcBalanceSteps(c *calcProc, g sysGroup) []step // after render-send
 }
 
 // policy returns the strategy implementing this balancing mode.
@@ -62,12 +59,9 @@ func (s *Scenario) lbPolicy() lbPolicy {
 // the hooks they participate in.
 type noSteps struct{}
 
-func (noSteps) managerSystemSteps(*managerProc, int) []step { return nil }
-func (noSteps) calcReportSteps(*calcProc, int) []step       { return nil }
-func (noSteps) calcBalanceSteps(*calcProc, int) []step      { return nil }
-func (noSteps) managerBatchSteps(*managerProc) []step       { return nil }
-func (noSteps) calcBatchReportSteps(*calcProc) []step       { return nil }
-func (noSteps) calcBatchBalanceSteps(*calcProc) []step      { return nil }
+func (noSteps) managerSteps(*managerProc, sysGroup) []step  { return nil }
+func (noSteps) calcReportSteps(*calcProc, sysGroup) []step  { return nil }
+func (noSteps) calcBalanceSteps(*calcProc, sysGroup) []step { return nil }
 
 // staticLB is the SLB mode: equal domains, no balancing traffic.
 type staticLB struct{ noSteps }
@@ -78,186 +72,80 @@ type staticLB struct{ noSteps }
 
 type dynamicLB struct{}
 
-func (dynamicLB) managerSystemSteps(m *managerProc, si int) []step {
-	return []step{
-		// Load balancing evaluation (§3.2.5).
-		{phase: "lb-evaluation", sys: si, traced: true, run: always(func() error {
-			msgs := m.ep.RecvFromEach(m.calcRanks, transport.TagLoadReport)
-			reports := make([]loadbalance.Report, m.nCalc)
-			for i, msg := range msgs {
-				r, err := decodeLoadReport(msg.Payload)
-				if err != nil {
-					return err
-				}
-				reports[i] = r
-				m.addFrameLoad(i, float64(r.Load))
-			}
-			m.ep.Clock().AdvanceWork(evalWorkPerCalc*float64(m.nCalc), m.rate)
-			m.fs.orders = m.balancers[si].Evaluate(reports, m.power)
-			if len(m.fs.orders) > 0 {
-				m.lbRounds++
-			}
-			return nil
-		})},
-		// Collect the donors' new dimensions in ascending order and
-		// update the authoritative table (§3.2.5: "the calculator
-		// processes send the new values to the manager, which will
-		// update its local information and send the dimensions back to
-		// all the calculators").
-		{phase: "dims-broadcast", sys: si, traced: true, run: always(func() error {
-			orders := m.fs.orders
-			perCalc := make([]*loadbalance.Order, m.nCalc)
+// gatherReports receives every calculator's load reports for the
+// group's systems into the manager's [system][calculator] table,
+// accumulates the frame's imbalance record and charges the evaluation.
+func (m *managerProc) gatherReports(g sysGroup) error {
+	for ci, msg := range m.ep.RecvFromEach(m.calcRanks, transport.TagLoadReport) {
+		rs, err := decodeMultiReports(m.reportScratch, msg.Payload, g.n())
+		if err != nil {
+			return err
+		}
+		m.reportScratch = rs
+		for i, r := range rs {
+			m.reports[g.lo+i][ci] = r
+			m.addFrameLoad(ci, float64(r.Load))
+		}
+	}
+	m.ep.Clock().AdvanceWork(evalWorkPerCalc*float64(m.nCalc*g.n()), m.rate)
+	return nil
+}
+
+func (dynamicLB) managerSteps(m *managerProc, g sysGroup) []step {
+	// Every calculator gets one message with its order (or a no-op) for
+	// each system of the group.
+	sendOrders := func() {
+		for c := 0; c < m.nCalc; c++ {
+			clear(m.calcOrders[c][:g.n()])
+		}
+		for si := g.lo; si < g.hi; si++ {
+			orders := m.fs.orders[si]
 			for i := range orders {
-				perCalc[orders[i].Proc] = &orders[i]
+				m.calcOrders[orders[i].Proc][si-g.lo] = &orders[i]
 			}
-			for c := 0; c < m.nCalc; c++ {
-				m.ep.Send(rankCalc0+c, transport.TagLBOrder, encodeOrder(perCalc[c]))
-			}
-			for _, o := range orders {
-				if o.Op != loadbalance.Send {
-					continue
-				}
-				msg := m.ep.Recv(rankCalc0+o.Proc, transport.TagNewDims)
-				edge, val, err := decodeBoundary(msg.Payload)
-				if err != nil {
-					return err
-				}
-				if err := m.slab(si).SetBoundary(edge, val); err != nil {
-					return err
-				}
-				m.lbMovedStored += o.Count
-			}
-			// Sends consume buffer ownership: encode per destination.
-			for c := 0; c < m.nCalc; c++ {
-				m.ep.Send(rankCalc0+c, transport.TagNewDims, encodeEdges(m.slab(si).Edges()))
-			}
-			return nil
-		})},
+		}
+		for c := 0; c < m.nCalc; c++ {
+			m.ep.Send(rankCalc0+c, transport.TagLBOrder, encodeMultiOrders(m.calcOrders[c][:g.n()]))
+		}
 	}
-}
-
-func (dynamicLB) calcReportSteps(c *calcProc, si int) []step {
-	// Load information (§3.2.4): the measured time, rescaled to the
-	// post-exchange particle count.
-	return []step{{phase: "load-information", sys: si, traced: true, run: always(func() error {
-		c.ep.Send(rankManager, transport.TagLoadReport, encodeLoadReport(c.frameReport(si)))
-		return nil
-	})}}
-}
-
-func (dynamicLB) calcBalanceSteps(c *calcProc, si int) []step {
 	return []step{
-		// Donors select the particles nearest the departing edge and
-		// derive the new boundary before anything moves; then everyone
-		// installs the new dimensions ("only after receiving the new
-		// domains the calculators effectively start the donation and
-		// reception of particles", §3.2.5).
-		{phase: "new-dims", sys: si, traced: true, run: always(func() error {
-			msg := c.ep.Recv(rankManager, transport.TagLBOrder)
-			order, err := decodeOrder(msg.Payload)
-			if err != nil {
+		// Load balancing evaluation (§3.2.5): one balancing pass per
+		// system.
+		g.step("lb-evaluation", always(func() error {
+			if err := m.gatherReports(g); err != nil {
 				return err
 			}
-			c.fs.order, c.fs.donated = order, nil
-			st := c.stores[si]
-			if order != nil && order.Op == loadbalance.Send {
-				side, edge := donationSide(c.idx, order.Peer)
-				var boundary float64
-				c.fs.donated, boundary = st.DonateBatch(order.Count, side)
-				c.ep.Send(rankManager, transport.TagNewDims, encodeBoundary(edge, boundary))
-			}
-			dimsMsg := c.ep.Recv(rankManager, transport.TagNewDims)
-			edges, err := decodeEdges(dimsMsg.Payload)
-			if err != nil {
-				return err
-			}
-			table, err := domain.FromEdges(c.scn.Axis, edges)
-			if err != nil {
-				return err
-			}
-			c.decomps[si] = table
-			lo, hi := table.Bounds(c.idx)
-			st.Resize(lo, hi)
-			return nil
-		})},
-		// The transfer itself; idle calculators skip the phase.
-		{phase: "load-balance", sys: si, traced: true, run: func() (bool, error) {
-			order := c.fs.order
-			if order == nil {
-				return false, nil
-			}
-			st := c.stores[si]
-			peerRank := rankCalc0 + order.Peer
-			if order.Op == loadbalance.Send {
-				c.ep.SendScaled(peerRank, transport.TagLBParticles,
-					c.fs.donated.EncodeWire(), c.scn.Ratio)
-				return true, nil
-			}
-			msg := c.ep.Recv(peerRank, transport.TagLBParticles)
-			if err := c.wire.DecodeWireInto(msg.Payload); err != nil {
-				return false, err
-			}
-			st.AddBatch(&c.wire)
-			msg.Release()
-			return true, nil
-		}},
-	}
-}
-
-func (dynamicLB) managerBatchSteps(m *managerProc) []step {
-	scn := m.scn
-	return []step{
-		// One combined report per calculator, one balancing pass per
-		// system, one combined order message back.
-		{phase: "lb-evaluation", sys: -1, run: always(func() error {
-			nSys := len(scn.Systems)
-			msgs := m.ep.RecvFromEach(m.calcRanks, transport.TagLoadReport)
-			reports := make([][]loadbalance.Report, nSys) // [system][calc]
-			for si := range reports {
-				reports[si] = make([]loadbalance.Report, m.nCalc)
-			}
-			for ci, msg := range msgs {
-				rs, err := decodeMultiReports(msg.Payload, nSys)
-				if err != nil {
-					return err
-				}
-				for si, r := range rs {
-					reports[si][ci] = r
-					m.addFrameLoad(ci, float64(r.Load))
-				}
-			}
-			m.ep.Clock().AdvanceWork(evalWorkPerCalc*float64(m.nCalc*nSys), m.rate)
-			m.fs.ordersBySys = make([][]loadbalance.Order, nSys)
-			perCalcOrders := make([][]*loadbalance.Order, m.nCalc)
-			for c := range perCalcOrders {
-				perCalcOrders[c] = make([]*loadbalance.Order, nSys)
-			}
-			for si := range scn.Systems {
-				orders := m.balancers[si].Evaluate(reports[si], m.power)
-				if len(orders) > 0 {
+			for si := g.lo; si < g.hi; si++ {
+				m.fs.orders[si] = m.balancers[si].Evaluate(m.reports[si], m.power)
+				if len(m.fs.orders[si]) > 0 {
 					m.lbRounds++
 				}
-				m.fs.ordersBySys[si] = orders
-				for i := range orders {
-					perCalcOrders[orders[i].Proc][si] = &orders[i]
-				}
 			}
-			for c := 0; c < m.nCalc; c++ {
-				m.ep.Send(rankCalc0+c, transport.TagLBOrder, encodeMultiOrders(perCalcOrders[c]))
+			// Seam 4 (spans only): a framed group's orders leave at the
+			// end of the evaluation, an unframed group's at the head of
+			// the broadcast.
+			if g.framed {
+				sendOrders()
 			}
 			return nil
-		})},
-		// Donor boundaries, in (system, order) sequence — donors emit
-		// them in the same order, so the matching is deterministic —
-		// then one combined dimension broadcast.
-		{phase: "dims-broadcast", sys: -1, run: always(func() error {
-			for si := range scn.Systems {
-				for _, o := range m.fs.ordersBySys[si] {
+		})),
+		// Collect the donors' new dimensions — in (system, order)
+		// sequence; donors emit them in the same order, so the matching
+		// is deterministic — and update the authoritative tables (§3.2.5:
+		// "the calculator processes send the new values to the manager,
+		// which will update its local information and send the
+		// dimensions back to all the calculators").
+		g.step("dims-broadcast", always(func() error {
+			if !g.framed {
+				sendOrders() // seam 4
+			}
+			for si := g.lo; si < g.hi; si++ {
+				for _, o := range m.fs.orders[si] {
 					if o.Op != loadbalance.Send {
 						continue
 					}
 					msg := m.ep.Recv(rankCalc0+o.Proc, transport.TagNewDims)
-					sys, edge, val, err := decodeBoundarySys(msg.Payload)
+					sys, edge, val, err := g.decodeBoundary(msg.Payload)
 					if err != nil {
 						return err
 					}
@@ -271,93 +159,100 @@ func (dynamicLB) managerBatchSteps(m *managerProc) []step {
 					m.lbMovedStored += o.Count
 				}
 			}
-			edgeTables := make([][]float64, len(scn.Systems))
-			for si := range edgeTables {
-				edgeTables[si] = m.slab(si).Edges()
+			tables := m.edgeTables[:0]
+			for si := g.lo; si < g.hi; si++ {
+				tables = append(tables, m.slab(si).Edges())
 			}
+			m.edgeTables = tables
 			// Sends consume buffer ownership: encode per destination.
 			for c := 0; c < m.nCalc; c++ {
-				m.ep.Send(rankCalc0+c, transport.TagNewDims, encodeMultiEdges(edgeTables))
+				m.ep.Send(rankCalc0+c, transport.TagNewDims, encodeMultiEdges(tables))
 			}
 			return nil
-		})},
+		})),
 	}
 }
 
-func (dynamicLB) calcBatchReportSteps(c *calcProc) []step {
-	scn := c.scn
-	// One combined load report.
-	return []step{{phase: "load-information", sys: -1, run: always(func() error {
-		reports := make([]loadbalance.Report, len(scn.Systems))
-		for si := range scn.Systems {
-			reports[si] = c.frameReport(si)
+func (dynamicLB) calcReportSteps(c *calcProc, g sysGroup) []step {
+	// Load information (§3.2.4): the measured time, rescaled to the
+	// post-exchange particle count, for every system of the group.
+	return []step{g.step("load-information", always(func() error {
+		reports := c.reports[:0]
+		for si := g.lo; si < g.hi; si++ {
+			reports = append(reports, c.frameReport(si))
 		}
+		c.reports = reports
 		c.ep.Send(rankManager, transport.TagLoadReport, encodeMultiReports(reports))
 		return nil
-	})}}
+	}))}
 }
 
-func (dynamicLB) calcBatchBalanceSteps(c *calcProc) []step {
-	scn := c.scn
+func (dynamicLB) calcBalanceSteps(c *calcProc, g sysGroup) []step {
 	return []step{
-		// Donations selected and announced in system order, then one
-		// combined dimension broadcast installs every system's table.
-		{phase: "new-dims", sys: -1, run: always(func() error {
-			nSys := len(scn.Systems)
+		// Donors select the particles nearest the departing edge and
+		// derive the new boundary before anything moves, in system order;
+		// then everyone installs the new dimensions ("only after
+		// receiving the new domains the calculators effectively start the
+		// donation and reception of particles", §3.2.5).
+		g.step("new-dims", always(func() error {
 			msg := c.ep.Recv(rankManager, transport.TagLBOrder)
-			orders, err := decodeMultiOrders(msg.Payload, nSys)
+			// Decoded in place: the group's window of the per-system table.
+			orders, err := decodeMultiOrders(c.fs.orders[g.lo:g.hi], msg.Payload, g.n())
 			if err != nil {
 				return err
 			}
-			c.fs.orders = orders
-			c.fs.donations = make([]*particle.Batch, nSys)
-			for si, o := range orders {
+			for i, o := range orders {
+				si := g.lo + i
 				if o == nil || o.Op != loadbalance.Send {
 					continue
 				}
-				st := c.stores[si]
 				side, edge := donationSide(c.idx, o.Peer)
 				var boundary float64
-				c.fs.donations[si], boundary = st.DonateBatch(o.Count, side)
-				c.ep.Send(rankManager, transport.TagNewDims, encodeBoundarySys(si, edge, boundary))
+				c.fs.donations[si], boundary = c.stores[si].DonateBatch(o.Count, side)
+				c.ep.Send(rankManager, transport.TagNewDims, g.encodeBoundary(si, edge, boundary))
 			}
 			dimsMsg := c.ep.Recv(rankManager, transport.TagNewDims)
-			edgeTables, err := decodeMultiEdges(dimsMsg.Payload, nSys, c.nCalc+1)
+			tables, err := decodeMultiEdges(c.edgeTables, dimsMsg.Payload, g.n(), c.nCalc+1)
 			if err != nil {
 				return err
 			}
-			for si, edges := range edgeTables {
-				table, err := domain.FromEdges(scn.Axis, edges)
+			c.edgeTables = tables
+			for i, edges := range tables {
+				table, err := domain.FromEdges(c.scn.Axis, edges)
 				if err != nil {
 					return err
 				}
-				c.decomps[si] = table
+				c.decomps[g.lo+i] = table
 				lo, hi := table.Bounds(c.idx)
-				c.stores[si].Resize(lo, hi)
+				c.stores[g.lo+i].Resize(lo, hi)
 			}
 			return nil
-		})},
-		// Transfers in system order.
-		{phase: "load-balance", sys: -1, run: always(func() error {
-			for si, o := range c.fs.orders {
+		})),
+		// The transfers, in system order.
+		g.step("load-balance", func() (bool, error) {
+			// Seam 5 (spans only): an idle calculator skips the phase only
+			// when the group is unframed.
+			emit := g.framed
+			for si := g.lo; si < g.hi; si++ {
+				o := c.fs.orders[si]
 				if o == nil {
 					continue
 				}
+				emit = true
 				peerRank := rankCalc0 + o.Peer
 				if o.Op == loadbalance.Send {
 					c.ep.SendScaled(peerRank, transport.TagLBParticles,
-						c.fs.donations[si].EncodeWire(), scn.Ratio)
+						c.fs.donations[si].EncodeWire(), c.scn.Ratio)
 					continue
 				}
-				pm := c.ep.Recv(peerRank, transport.TagLBParticles)
-				if err := c.wire.DecodeWireInto(pm.Payload); err != nil {
-					return err
+				msg := c.ep.Recv(peerRank, transport.TagLBParticles)
+				if err := c.addWire(si, msg.Payload); err != nil {
+					return false, err
 				}
-				c.stores[si].AddBatch(&c.wire)
-				pm.Release()
+				msg.Release()
 			}
-			return nil
-		})},
+			return emit, nil
+		}),
 	}
 }
 
@@ -396,9 +291,15 @@ func donationSide(idx, peer int) (particle.Side, int) {
 
 type decentralLB struct{ noSteps }
 
-func (decentralLB) calcBalanceSteps(c *calcProc, si int) []step {
-	return []step{{phase: "decentralized-lb", sys: si, run: always(func() error {
-		return c.executeDecentralized(c.fs.frame, si, c.frameReport(si))
+func (decentralLB) calcBalanceSteps(c *calcProc, g sysGroup) []step {
+	// Not a Figure-2 phase, so never traced (g.step would trace it).
+	return []step{{phase: "decentralized-lb", sys: g.tag(), run: always(func() error {
+		for si := g.lo; si < g.hi; si++ {
+			if err := c.executeDecentralized(c.fs.frame, si, c.frameReport(si)); err != nil {
+				return err
+			}
+		}
+		return nil
 	})}}
 }
 
@@ -487,10 +388,9 @@ func (c *calcProc) tradeWithNeighbor(si, peer, move int) error {
 	lo, hi := c.slab(si).Bounds(c.idx)
 	st.Resize(lo, hi)
 	pm := c.ep.Recv(peerRank, transport.TagLBParticles)
-	if err := c.wire.DecodeWireInto(pm.Payload); err != nil {
+	if err := c.addWire(si, pm.Payload); err != nil {
 		return err
 	}
-	st.AddBatch(&c.wire)
 	pm.Release()
 	return nil
 }

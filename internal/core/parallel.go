@@ -33,8 +33,9 @@ const evalWorkPerCalc = 20.0
 // with nCalc calculator processes, following the per-frame phase
 // structure of the paper's Figure 2. Physics is computed for real by
 // goroutines; timing is virtual (see package transport). Each process
-// role compiles its frame into a step program — assembled by the
-// scenario's Schedule plan and LB policy — and the runner in
+// role compiles its frame into a step program — one compiler
+// (schedule.go) walking the system groups the scenario's Schedule
+// picks, with the LB policy's steps per group — and the runner in
 // pipeline.go executes it every frame.
 func RunParallel(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, error) {
 	res, _, err := runParallel(scn, cl, nCalc, false, nil)
@@ -108,45 +109,12 @@ func runParallel(scn Scenario, cl *cluster.Cluster, nCalc int, profiled bool, si
 		}
 	}
 
-	// Launch every process; any error or panic aborts the router so no
-	// peer blocks forever.
-	errs := make([]error, 2+nCalc)
-	var wg sync.WaitGroup
-	launch := func(slot int, fn func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if e, ok := p.(error); ok && errors.Is(e, transport.ErrAborted) {
-						errs[slot] = e
-					} else {
-						errs[slot] = fmt.Errorf("core: process %d panicked: %v", slot, p)
-					}
-					router.Abort()
-				}
-			}()
-			if err := fn(); err != nil {
-				errs[slot] = err
-				router.Abort()
-			}
-		}()
+	fns := []func() error{mgr.run, img.run}
+	for _, c := range calcs {
+		fns = append(fns, c.run)
 	}
-	launch(rankManager, mgr.run)
-	launch(rankImageGen, img.run)
-	for i := range calcs {
-		launch(rankCalc0+i, calcs[i].run)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil && !errors.Is(e, transport.ErrAborted) {
-			return nil, nil, e
-		}
-	}
-	for _, e := range errs {
-		if e != nil {
-			return nil, nil, e
-		}
+	if err := runRanks(router, fns...); err != nil {
+		return nil, nil, err
 	}
 
 	res := assembleResult(&scn, mgr, img, calcs)
@@ -155,6 +123,48 @@ func runParallel(scn Scenario, cl *cluster.Cluster, nCalc int, profiled bool, si
 		prof = assembleProfile(res, mgr, img, calcs)
 	}
 	return res, prof, nil
+}
+
+// runRanks runs fns[r] as rank r's process, each on its own goroutine,
+// and waits for all of them. Any error or panic aborts the router so no
+// peer blocks forever. It returns the lowest rank's own failure;
+// ErrAborted — a rank torn down by somebody else's failure — only when
+// nothing else was reported.
+func runRanks(router *transport.Router, fns ...func() error) error {
+	errs := make([]error, len(fns))
+	var wg sync.WaitGroup
+	for rank, fn := range fns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					if e, ok := p.(error); ok && errors.Is(e, transport.ErrAborted) {
+						errs[rank] = e
+					} else {
+						errs[rank] = fmt.Errorf("core: process %d panicked: %v", rank, p)
+					}
+					router.Abort()
+				}
+			}()
+			if err := fn(); err != nil {
+				errs[rank] = err
+				router.Abort()
+			}
+		}()
+	}
+	wg.Wait()
+	var aborted error
+	for _, e := range errs {
+		if e == nil {
+			continue
+		}
+		if !errors.Is(e, transport.ErrAborted) {
+			return e
+		}
+		aborted = e
+	}
+	return aborted
 }
 
 // assembleProfile merges the per-process recorders and adds the
@@ -432,18 +442,29 @@ type managerProc struct {
 	events        []Event
 	rec           *obs.Recorder // nil unless the run is profiled
 
+	// Step scratch, sized once in run() and reused every frame (steps
+	// that append write the grown slice back): the [system][calculator]
+	// report table with its decode row, one system's report times, the
+	// [calculator][system-in-group] order and payload-slot rows of the
+	// per-calculator sends, and the group's edge tables.
+	reports       [][]loadbalance.Report
+	reportScratch []loadbalance.Report
+	loads         []float64
+	calcOrders    [][]*loadbalance.Order
+	calcSlots     [][][]byte
+	edgeTables    [][]float64
+
 	fs managerFrame
 }
 
-// managerFrame is the manager's per-frame scratch: the balancing
-// orders flowing from the lb-evaluation step to the dims-broadcast
-// step, and the per-calculator loads accumulated from the frame's
-// reports for the imbalance record.
+// managerFrame is the manager's per-frame scratch: each system's
+// balancing orders, flowing from the lb-evaluation step to the
+// dims-broadcast step, and the per-calculator loads accumulated from
+// the frame's reports for the imbalance record.
 type managerFrame struct {
-	frame       int
-	orders      []loadbalance.Order   // per-system schedule: current system's orders
-	ordersBySys [][]loadbalance.Order // batched schedule: orders for every system
-	frameLoads  []float64             // stored particles reported per calculator
+	frame      int
+	orders     [][]loadbalance.Order // per system
+	frameLoads []float64             // stored particles reported per calculator
 }
 
 // slab returns system si's decomposition as the paper's slab Table.
@@ -486,8 +507,11 @@ func (m *managerProc) scenario() *Scenario        { return m.scn }
 func (m *managerProc) endpoint() transport.Fabric { return m.ep }
 func (m *managerProc) recorder() *obs.Recorder    { return m.rec }
 func (m *managerProc) rank() int                  { return rankManager }
-func (m *managerProc) beginFrame(frame int)       { m.fs = managerFrame{frame: frame} }
 func (m *managerProc) pushEvent(ev Event)         { m.events = append(m.events, ev) }
+
+func (m *managerProc) beginFrame(frame int) {
+	m.fs = managerFrame{frame: frame, orders: m.fs.orders}
+}
 
 func (m *managerProc) annotateLive(fr *obs.FrameRecord) {
 	fr.LBRounds = m.lbRounds
@@ -498,16 +522,28 @@ func (m *managerProc) annotateLive(fr *obs.FrameRecord) {
 
 func (m *managerProc) run() error {
 	scn := m.scn
-	m.balancers = make([]*loadbalance.Balancer, len(scn.Systems))
-	m.ctxs = make([]*actions.Context, len(scn.Systems))
+	nSys := len(scn.Systems)
+	m.balancers = make([]*loadbalance.Balancer, nSys)
+	m.ctxs = make([]*actions.Context, nSys)
+	m.reports = make([][]loadbalance.Report, nSys)
+	m.reportScratch = make([]loadbalance.Report, 0, nSys)
+	m.loads = make([]float64, m.nCalc)
+	m.calcOrders = make([][]*loadbalance.Order, m.nCalc)
+	m.calcSlots = make([][][]byte, m.nCalc)
+	m.edgeTables = make([][]float64, 0, nSys)
+	m.fs.orders = make([][]loadbalance.Order, nSys)
+	for c := 0; c < m.nCalc; c++ {
+		m.calcOrders[c] = make([]*loadbalance.Order, nSys)
+	}
 	for i := range scn.Systems {
+		m.reports[i] = make([]loadbalance.Report, m.nCalc)
 		m.balancers[i] = loadbalance.New(scn.LBThreshold, scn.LBMinBatch)
 		if scn.NaivePairing {
 			m.balancers[i].Alternate = false
 		}
 		m.ctxs[i] = &actions.Context{RNG: geom.NewRNG(scn.Systems[i].Seed), DT: scn.DT}
 	}
-	return runProgram(m, scn.Schedule.plan().compileManager(m, scn.lbPolicy()))
+	return runProgram(m, compileManager(m, scn.lbPolicy()))
 }
 
 // ---------------------------------------------------------------------
@@ -542,26 +578,28 @@ type calcProc struct {
 	// are copied into the target store by AddBatch.
 	wire particle.Batch
 
-	// renderBlobs is the batched render send's reusable slot slice (the
-	// pooled blob buffers themselves are consumed by the combine).
-	renderBlobs [][]byte
+	// Step scratch, sized once in run() and reused every frame (steps
+	// that append write the grown slice back): the payload slots of the
+	// message being packed or unpacked (the pooled buffers themselves are
+	// consumed by the pack), each system's leavers grouped by owner, and
+	// the group's load reports and edge tables.
+	slots      [][]byte
+	owned      [][]*particle.Batch
+	reports    []loadbalance.Report
+	edgeTables [][]float64
 
 	fs calcFrame
 }
 
-// calcFrame is a calculator's per-frame scratch: the accumulated work
-// and pre-exchange loads feeding the load reports, and the balancing
-// orders flowing from the new-dims step to the load-balance step.
+// calcFrame is a calculator's per-frame scratch, all of it per system:
+// the accumulated work and pre-exchange loads feeding the load reports,
+// and the balancing orders and selected donations flowing from the
+// new-dims step to the load-balance step (written before they are read,
+// so never reset).
 type calcFrame struct {
-	frame   int
-	work    []float64 // accumulated work units, per system
-	oldLoad []int     // pre-exchange particle count, per system
-
-	// Per-system schedule: the current system's balancing order.
-	order   *loadbalance.Order
-	donated *particle.Batch
-
-	// Batched schedule: one order and donation per system.
+	frame     int
+	work      []float64 // accumulated work units
+	oldLoad   []int     // pre-exchange particle count
 	orders    []*loadbalance.Order
 	donations []*particle.Batch
 }
@@ -572,14 +610,9 @@ func (c *calcProc) recorder() *obs.Recorder    { return c.rec }
 func (c *calcProc) rank() int                  { return rankCalc0 + c.idx }
 
 func (c *calcProc) beginFrame(frame int) {
-	work, oldLoad := c.fs.work, c.fs.oldLoad
-	for i := range work {
-		work[i] = 0
-	}
-	for i := range oldLoad {
-		oldLoad[i] = 0
-	}
-	c.fs = calcFrame{frame: frame, work: work, oldLoad: oldLoad}
+	clear(c.fs.work)
+	clear(c.fs.oldLoad)
+	c.fs.frame = frame
 }
 
 func (c *calcProc) pushEvent(ev Event) { c.events = append(c.events, ev) }
@@ -618,9 +651,15 @@ func (c *calcProc) run() error {
 		}
 	}
 	c.others = c.otherCalcRanks()
-	c.fs.work = make([]float64, len(scn.Systems))
-	c.fs.oldLoad = make([]int, len(scn.Systems))
-	c.renderBlobs = make([][]byte, 0, len(scn.Systems))
+	nSys := len(scn.Systems)
+	c.fs.work = make([]float64, nSys)
+	c.fs.oldLoad = make([]int, nSys)
+	c.fs.orders = make([]*loadbalance.Order, nSys)
+	c.fs.donations = make([]*particle.Batch, nSys)
+	c.slots = make([][]byte, 0, nSys)
+	c.owned = make([][]*particle.Batch, nSys)
+	c.reports = make([]loadbalance.Report, 0, nSys)
+	c.edgeTables = make([][]float64, 0, nSys)
 	width := scn.Workers
 	if width == 0 {
 		width = 1
@@ -628,7 +667,7 @@ func (c *calcProc) run() error {
 	c.pool = newWorkerPool(width)
 	defer c.pool.Close()
 	c.plans = compilePlans(scn)
-	return runProgram(c, scn.Schedule.plan().compileCalc(c, scn.lbPolicy()))
+	return runProgram(c, compileCalc(c, scn.lbPolicy()))
 }
 
 // ---------------------------------------------------------------------
@@ -727,7 +766,7 @@ func (g *imageGenProc) run() error {
 			}
 		}
 	}
-	if err := runProgram(g, scn.Schedule.plan().compileImage(g)); err != nil {
+	if err := runProgram(g, compileImage(g)); err != nil {
 		return err
 	}
 	return g.drainFinish()

@@ -7,8 +7,9 @@ import (
 
 // This file is the engine's step runner. A parallel run is no longer a
 // set of hand-written frame loops: each process role compiles its frame
-// once — a flat []step program assembled by the scenario's Schedule plan
-// and LBPolicy — and the runner executes that program every frame,
+// once — a flat []step program compiled over the Schedule's system
+// groups, with the LBPolicy's steps per group — and the runner executes
+// that program every frame,
 // emitting the Figure-2 observability spans and trace events itself.
 // Step bodies only move particles, advance clocks and exchange
 // messages; where a phase begins and ends is the runner's concern.

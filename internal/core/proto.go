@@ -15,17 +15,28 @@ import (
 // Wire encodings for the model's control messages (Figure 2 arrows) and
 // the compact render record. All little-endian.
 
-// encodeLoadReport packs a calculator's end-of-frame report.
-func encodeLoadReport(r loadbalance.Report) []byte {
-	b := make([]byte, 16)
+// Record widths of the fixed-width control codecs.
+const (
+	loadReportSize = 16
+	orderSize      = 9
+)
+
+// putLoadReport writes a calculator's end-of-frame report at b[:16].
+func putLoadReport(b []byte, r loadbalance.Report) {
 	binary.LittleEndian.PutUint64(b, uint64(r.Load))
 	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(r.Time))
+}
+
+// encodeLoadReport packs one report as its own message.
+func encodeLoadReport(r loadbalance.Report) []byte {
+	b := make([]byte, loadReportSize)
+	putLoadReport(b, r)
 	return b
 }
 
 func decodeLoadReport(b []byte) (loadbalance.Report, error) {
-	if len(b) != 16 {
-		return loadbalance.Report{}, fmt.Errorf("core: load report is %d bytes, want 16", len(b))
+	if len(b) != loadReportSize {
+		return loadbalance.Report{}, fmt.Errorf("core: load report is %d bytes, want %d", len(b), loadReportSize)
 	}
 	load := binary.LittleEndian.Uint64(b)
 	if load > math.MaxInt64 {
@@ -44,14 +55,13 @@ const (
 	opReceive = 2
 )
 
-// encodeOrder packs a load-balancing order for one calculator; a nil
-// order encodes as a no-op (the manager always sends one message per
-// calculator so the receive pattern stays deterministic).
-func encodeOrder(o *loadbalance.Order) []byte {
-	b := make([]byte, 9)
+// putOrder writes a load-balancing order for one calculator at b[:9]; a
+// nil order encodes as a no-op (the manager always sends every
+// calculator a message so the receive pattern stays deterministic).
+func putOrder(b []byte, o *loadbalance.Order) {
 	if o == nil {
-		b[0] = opNone
-		return b
+		clear(b[:orderSize]) // opNone, and no stale peer or count
+		return
 	}
 	if o.Op == loadbalance.Send {
 		b[0] = opSend
@@ -60,12 +70,11 @@ func encodeOrder(o *loadbalance.Order) []byte {
 	}
 	binary.LittleEndian.PutUint32(b[1:], uint32(o.Peer))
 	binary.LittleEndian.PutUint32(b[5:], uint32(o.Count))
-	return b
 }
 
 func decodeOrder(b []byte) (*loadbalance.Order, error) {
-	if len(b) != 9 {
-		return nil, fmt.Errorf("core: order is %d bytes, want 9", len(b))
+	if len(b) != orderSize {
+		return nil, fmt.Errorf("core: order is %d bytes, want %d", len(b), orderSize)
 	}
 	o := &loadbalance.Order{
 		Peer:  int(binary.LittleEndian.Uint32(b[1:])),
@@ -101,14 +110,12 @@ func decodeBoundary(b []byte) (edge int, value float64, err error) {
 		math.Float64frombits(binary.LittleEndian.Uint64(b[4:])), nil
 }
 
-// encodeEdges packs a full domain-edge table for the manager's
-// broadcast of new dimensions.
-func encodeEdges(edges []float64) []byte {
-	b := make([]byte, 8*len(edges))
+// putEdges writes a full domain-edge table at b[:8*len(edges)] for the
+// manager's broadcast of new dimensions.
+func putEdges(b []byte, edges []float64) {
 	for i, e := range edges {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(e))
 	}
-	return b
 }
 
 func decodeEdges(b []byte) ([]float64, error) {
@@ -123,64 +130,49 @@ func decodeEdges(b []byte) ([]float64, error) {
 }
 
 // ---------------------------------------------------------------------
-// Batched-schedule codecs (§3.3): one message carries all systems.
-// Every multi-system codec is a generic wrapper over its single-system
-// codec — a fixed-width sequence for the control records, a counted
-// sequence of self-sizing slots for the particle payloads.
+// Multi-system codecs: one message carries every system of a group
+// (schedule.go). The control records are fixed-width sequences whose
+// record count both ends already know, so a sequence of one record is
+// byte-for-byte the single record and an unframed group needs no codec
+// of its own. The particle payloads are self-sizing slots behind a
+// count; only sysGroup.pack/unpack decide when that count is on the
+// wire.
 // ---------------------------------------------------------------------
 
-// encodeFixedSeq concatenates fixed-width records encoded by enc.
-func encodeFixedSeq[T any](items []T, enc func(T) []byte) []byte {
-	var buf []byte
-	for _, it := range items {
-		buf = append(buf, enc(it)...)
+// encodeFixedSeq packs items as consecutive width-byte records, each
+// written in place by put, into one exact-size buffer.
+func encodeFixedSeq[T any](items []T, width int, put func([]byte, T)) []byte {
+	buf := make([]byte, len(items)*width)
+	for i, it := range items {
+		put(buf[i*width:], it)
 	}
 	return buf
 }
 
 // decodeFixedSeq splits b into n records of width bytes each and
-// decodes them with dec, rejecting any length mismatch.
-func decodeFixedSeq[T any](b []byte, n, width int, what string, dec func([]byte) (T, error)) ([]T, error) {
+// decodes them with dec into dst[:0], rejecting any length mismatch.
+func decodeFixedSeq[T any](dst []T, b []byte, n, width int, what string, dec func([]byte) (T, error)) ([]T, error) {
 	if n < 0 || len(b) != n*width {
 		return nil, fmt.Errorf("core: %s of %d bytes, want %d", what, len(b), n*width)
 	}
-	out := make([]T, n)
-	for i := range out {
+	out := dst[:0]
+	for i := 0; i < n; i++ {
 		v, err := dec(b[i*width : (i+1)*width])
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		out = append(out, v)
 	}
 	return out, nil
 }
 
-// encodeCountedSeq concatenates variable-width slots behind a u32
-// count. Every slot must carry its own size (see decodeCountedSeq).
-func encodeCountedSeq(slots [][]byte) []byte {
-	size := 4
-	for _, s := range slots {
-		size += len(s)
-	}
-	buf := make([]byte, 4, size)
-	binary.LittleEndian.PutUint32(buf, uint32(len(slots)))
-	for _, s := range slots {
-		buf = append(buf, s...)
-	}
-	return buf
-}
-
-// decodeCountedSeq splits a counted payload back into its slots. size
-// reads the full width of the slot at the head of its argument (which
-// is guaranteed at least 4 bytes). Corrupt input — short headers,
-// truncated slots, trailing bytes — returns an error, never garbage.
-func decodeCountedSeq(b []byte, what string, size func([]byte) int) ([][]byte, error) {
-	return decodeCountedSeqInto(nil, b, what, size)
-}
-
-// decodeCountedSeqInto is decodeCountedSeq appending into dst[:0] — the
-// reusable-scratch form for per-frame decode paths.
-func decodeCountedSeqInto(dst [][]byte, b []byte, what string, size func([]byte) int) ([][]byte, error) {
+// decodeCountedSeq splits a counted payload back into its slots,
+// appending them to dst[:0] (the per-frame decode paths pass reusable
+// scratch). size reads the full width of the slot at the head of its
+// argument (which is guaranteed at least 4 bytes). Corrupt input —
+// short headers, truncated slots, trailing bytes — returns an error,
+// never garbage.
+func decodeCountedSeq(dst [][]byte, b []byte, what string, size func([]byte) int) ([][]byte, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("core: %s of %d bytes has no header", what, len(b))
 	}
@@ -214,14 +206,13 @@ func decodeCountedSeqInto(dst [][]byte, b []byte, what string, size func([]byte)
 	return out, nil
 }
 
-// encodeCountedSeqPooled is encodeCountedSeq for slots that were
-// themselves drawn from the wire pool: the combined payload comes from
-// the pool (its receiver releases it) and every consumed slot buffer
-// goes straight back.
+// encodeCountedSeq concatenates self-sizing slots behind a u32 count.
+// The combined payload comes from the wire pool (its receiver releases
+// it) and every consumed slot buffer goes straight back.
 //
 //pslint:hotpath
 //pslint:pooled
-func encodeCountedSeqPooled(slots [][]byte) []byte {
+func encodeCountedSeq(slots [][]byte) []byte {
 	size := 4
 	for _, s := range slots {
 		size += len(s)
@@ -236,94 +227,57 @@ func encodeCountedSeqPooled(slots [][]byte) []byte {
 	return buf
 }
 
-// encodeMultiBatch concatenates particle batches (one per (system,
-// create-action) slot, or one per system) behind a count prefix.
-//
-//pslint:pooled
-func encodeMultiBatch(batches [][]particle.Particle) []byte {
-	return encodeCountedSeqPooled(encodeFixedSeqSlots(batches, particle.EncodeBatch))
+// batchSlotSize reads the full width of the particle batch at the head
+// of a counted payload.
+func batchSlotSize(rest []byte) int {
+	return particle.BatchBytes(int(binary.LittleEndian.Uint32(rest)))
 }
 
-// encodeFixedSeqSlots maps a slice through a per-item encoder, giving
-// encodeCountedSeq its slots.
-func encodeFixedSeqSlots[T any](items []T, enc func(T) []byte) [][]byte {
-	slots := make([][]byte, len(items))
-	for i, it := range items {
-		slots[i] = enc(it)
-	}
-	return slots
-}
-
-// splitMultiBatch splits a multi-batch payload into its raw per-slot
-// batch payloads without decoding them — callers stream each slot
-// through a reusable columnar decode scratch.
-func splitMultiBatch(b []byte) ([][]byte, error) {
-	return decodeCountedSeq(b, "multi-batch", func(rest []byte) int {
-		return particle.BatchBytes(int(binary.LittleEndian.Uint32(rest)))
-	})
-}
-
-// decodeMultiBatch splits a multi-batch back into its per-slot batches.
-func decodeMultiBatch(b []byte) ([][]particle.Particle, error) {
-	slots, err := splitMultiBatch(b)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]particle.Particle, len(slots))
-	for i, s := range slots {
-		ps, err := particle.DecodeBatch(s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ps
-	}
-	return out, nil
-}
-
-// encodeMultiWire packs columnar batches (one per system) behind a
-// count prefix — byte-identical to encodeMultiBatch of the equivalent
-// slices.
-func encodeMultiWire(batches []*particle.Batch) []byte {
-	slots := make([][]byte, len(batches))
-	for i := range batches {
-		slots[i] = batches[i].EncodeWire()
-	}
-	return encodeCountedSeqPooled(slots)
+// renderSlotSize reads the full width of the render blob at the head of
+// a counted payload.
+func renderSlotSize(rest []byte) int {
+	return 4 + int(binary.LittleEndian.Uint32(rest))*renderRecordSize
 }
 
 // encodeMultiReports packs one load report per system.
 func encodeMultiReports(rs []loadbalance.Report) []byte {
-	return encodeFixedSeq(rs, encodeLoadReport)
+	return encodeFixedSeq(rs, loadReportSize, putLoadReport)
 }
 
-// decodeMultiReports unpacks nSys load reports.
-func decodeMultiReports(b []byte, nSys int) ([]loadbalance.Report, error) {
-	return decodeFixedSeq(b, nSys, 16, "multi-report", decodeLoadReport)
+// decodeMultiReports unpacks nSys load reports into dst[:0].
+func decodeMultiReports(dst []loadbalance.Report, b []byte, nSys int) ([]loadbalance.Report, error) {
+	return decodeFixedSeq(dst, b, nSys, loadReportSize, "load reports", decodeLoadReport)
 }
 
 // encodeMultiOrders packs one (possibly nil) order per system.
 func encodeMultiOrders(os []*loadbalance.Order) []byte {
-	return encodeFixedSeq(os, encodeOrder)
+	return encodeFixedSeq(os, orderSize, putOrder)
 }
 
-// decodeMultiOrders unpacks nSys orders.
-func decodeMultiOrders(b []byte, nSys int) ([]*loadbalance.Order, error) {
-	return decodeFixedSeq(b, nSys, 9, "multi-order", decodeOrder)
+// decodeMultiOrders unpacks nSys orders into dst[:0].
+func decodeMultiOrders(dst []*loadbalance.Order, b []byte, nSys int) ([]*loadbalance.Order, error) {
+	return decodeFixedSeq(dst, b, nSys, orderSize, "orders", decodeOrder)
 }
 
 // encodeMultiEdges packs every system's edge table (all tables have the
 // same length, nCalc+1).
 func encodeMultiEdges(tables [][]float64) []byte {
-	return encodeFixedSeq(tables, encodeEdges)
+	width := 0
+	if len(tables) > 0 {
+		width = 8 * len(tables[0])
+	}
+	return encodeFixedSeq(tables, width, putEdges)
 }
 
-// decodeMultiEdges unpacks nSys edge tables of edgeLen entries each.
-func decodeMultiEdges(b []byte, nSys, edgeLen int) ([][]float64, error) {
-	return decodeFixedSeq(b, nSys, edgeLen*8, "multi-edges", decodeEdges)
+// decodeMultiEdges unpacks nSys edge tables of exactly edgeLen entries
+// each into dst[:0]: a table of any other size is rejected here, before
+// anything indexes it by calculator.
+func decodeMultiEdges(dst [][]float64, b []byte, nSys, edgeLen int) ([][]float64, error) {
+	return decodeFixedSeq(dst, b, nSys, edgeLen*8, "edge tables", decodeEdges)
 }
 
-// encodeBoundarySys tags a donor boundary with its system index for the
-// batched schedule's interleaved donations.
+// encodeBoundarySys tags a donor boundary with its system index, for
+// groups whose donations interleave several systems.
 func encodeBoundarySys(sys, edge int, value float64) []byte {
 	b := make([]byte, 16)
 	binary.LittleEndian.PutUint32(b, uint32(sys))
@@ -338,34 +292,6 @@ func decodeBoundarySys(b []byte) (sys, edge int, value float64, err error) {
 	sys = int(binary.LittleEndian.Uint32(b))
 	edge, value, err = decodeBoundary(b[4:])
 	return sys, edge, value, err
-}
-
-// encodeMultiRender concatenates per-system render batches behind a
-// count prefix. The blobs are pooled encodeRenderSet buffers and are
-// consumed (returned to the pool); the combined payload is pooled too,
-// released by its receiver.
-//
-//pslint:pooled
-func encodeMultiRender(blobs [][]byte) []byte {
-	return encodeCountedSeqPooled(blobs)
-}
-
-// renderSlotSize reads the full width of the render blob at the head of
-// a multi-render payload.
-func renderSlotSize(rest []byte) int {
-	return 4 + int(binary.LittleEndian.Uint32(rest))*renderRecordSize
-}
-
-// decodeMultiRender splits a multi-render payload into its per-system
-// render batches.
-func decodeMultiRender(b []byte) ([][]byte, error) {
-	return decodeMultiRenderInto(nil, b)
-}
-
-// decodeMultiRenderInto is decodeMultiRender appending into a reusable
-// slot slice — the image generator's per-frame gather scratch.
-func decodeMultiRenderInto(dst [][]byte, b []byte) ([][]byte, error) {
-	return decodeCountedSeqInto(dst, b, "multi-render", renderSlotSize)
 }
 
 // renderRecordSize is the compact on-wire size of one particle sent to
@@ -438,16 +364,6 @@ func encodeRenderSet(st *particle.ColumnStore) []byte {
 	return b
 }
 
-// decodeRenderColumns unpacks compact render records straight into
-// batch columns (only the rendering columns are populated).
-func decodeRenderColumns(b []byte) (*particle.Batch, error) {
-	cols := &particle.Batch{}
-	if err := decodeRenderColumnsInto(cols, b); err != nil {
-		return nil, err
-	}
-	return cols, nil
-}
-
 // decodeRenderColumnsInto unpacks compact render records into a
 // reusable batch, truncating it first — the image generator's
 // per-message decode scratch.
@@ -480,32 +396,6 @@ func decodeRenderColumnsInto(cols *particle.Batch, b []byte) error {
 		cols.Size[i] = float64(math.Float32frombits(le.Uint32(rec[28:])))
 	}
 	return nil
-}
-
-// decodeRenderBatch unpacks compact render records into particles (only
-// the rendering fields are populated).
-func decodeRenderBatch(b []byte) ([]particle.Particle, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("core: render batch of %d bytes has no header", len(b))
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if len(b) != n*renderRecordSize {
-		return nil, fmt.Errorf("core: render batch of %d records needs %d bytes, have %d",
-			n, n*renderRecordSize, len(b))
-	}
-	ps := make([]particle.Particle, n)
-	for i := range ps {
-		rec := b[i*renderRecordSize:]
-		getF32 := func(off int) float64 {
-			return float64(math.Float32frombits(binary.LittleEndian.Uint32(rec[off:])))
-		}
-		ps[i].Pos = geom.V(getF32(0), getF32(4), getF32(8))
-		ps[i].Color = geom.V(getF32(12), getF32(16), getF32(20))
-		ps[i].Alpha = getF32(24)
-		ps[i].Size = getF32(28)
-	}
-	return ps, nil
 }
 
 // hashRenderRecords returns an order-independent digest of a render

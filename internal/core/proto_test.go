@@ -6,10 +6,62 @@ import (
 	"math"
 	"testing"
 
+	"pscluster/internal/domain"
 	"pscluster/internal/geom"
 	"pscluster/internal/loadbalance"
 	"pscluster/internal/particle"
 )
+
+// Single-record and whole-message oracles. The engine only ever writes
+// orders and edge tables as per-group sequences and frames particle
+// payloads through sysGroup.pack; these are the one-record forms those
+// sequences must degenerate to, and the record-level round trip of a
+// framed particle message the fuzzer and the corrupt-payload table use.
+
+func encodeOrder(o *loadbalance.Order) []byte {
+	b := make([]byte, orderSize)
+	putOrder(b, o)
+	return b
+}
+
+func encodeEdges(edges []float64) []byte {
+	b := make([]byte, 8*len(edges))
+	putEdges(b, edges)
+	return b
+}
+
+func decodeEdgesN1(b []byte, edgeLen int) ([]float64, error) {
+	tables, err := decodeMultiEdges(nil, b, 1, edgeLen)
+	if err != nil {
+		return nil, err
+	}
+	return tables[0], nil
+}
+
+// framedGroup is a framed group of n systems.
+func framedGroup(n int) sysGroup { return sysGroup{hi: n, framed: true} }
+
+func encodeMultiBatch(batches [][]particle.Particle) []byte {
+	slots := make([][]byte, len(batches))
+	for i, ps := range batches {
+		slots[i] = particle.EncodeBatch(ps)
+	}
+	return framedGroup(len(batches)).pack(slots)
+}
+
+func decodeMultiBatch(b []byte) ([][]particle.Particle, error) {
+	slots, err := decodeCountedSeq(nil, b, "multi-batch", batchSlotSize)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]particle.Particle, len(slots))
+	for i, s := range slots {
+		if out[i], err = particle.DecodeBatch(s); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
 
 func mkParticle(seed float64) particle.Particle {
 	var p particle.Particle
@@ -63,7 +115,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	})
 	t.Run("edges", func(t *testing.T) {
 		want := []float64{-60, -20, 20, 60}
-		got, err := decodeEdges(encodeEdges(want))
+		got, err := decodeEdgesN1(encodeEdges(want), len(want))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,13 +127,13 @@ func TestCodecRoundTrips(t *testing.T) {
 	})
 	t.Run("render-batch", func(t *testing.T) {
 		ps := []particle.Particle{mkParticle(1), mkParticle(2)}
-		got, err := decodeRenderBatch(encodeRenderBatch(ps))
-		if err != nil || len(got) != 2 {
-			t.Fatalf("got %d records, %v", len(got), err)
+		var got particle.Batch
+		if err := decodeRenderColumnsInto(&got, encodeRenderBatch(ps)); err != nil || got.Len() != 2 {
+			t.Fatalf("got %d records, %v", got.Len(), err)
 		}
 		// Render records quantize to f32; compare through the same path.
-		if float64(float32(ps[1].Pos.X)) != got[1].Pos.X {
-			t.Fatalf("position mangled: %v vs %v", ps[1].Pos.X, got[1].Pos.X)
+		if float64(float32(ps[1].Pos.X)) != got.Pos[1].X {
+			t.Fatalf("position mangled: %v vs %v", ps[1].Pos.X, got.Pos[1].X)
 		}
 	})
 }
@@ -114,21 +166,21 @@ func TestMultiCodecRoundTrips(t *testing.T) {
 	})
 	t.Run("multi-reports", func(t *testing.T) {
 		want := []loadbalance.Report{{Load: 1, Time: 2}, {Load: 3, Time: 4}}
-		got, err := decodeMultiReports(encodeMultiReports(want), 2)
+		got, err := decodeMultiReports(nil, encodeMultiReports(want), 2)
 		if err != nil || got[0] != want[0] || got[1] != want[1] {
 			t.Fatalf("got %+v, %v", got, err)
 		}
 	})
 	t.Run("multi-orders", func(t *testing.T) {
 		want := []*loadbalance.Order{nil, {Op: loadbalance.Send, Peer: 1, Count: 7}}
-		got, err := decodeMultiOrders(encodeMultiOrders(want), 2)
+		got, err := decodeMultiOrders(nil, encodeMultiOrders(want), 2)
 		if err != nil || got[0] != nil || *got[1] != *want[1] {
 			t.Fatalf("got %+v, %v", got, err)
 		}
 	})
 	t.Run("multi-edges", func(t *testing.T) {
 		want := [][]float64{{0, 1, 2}, {3, 4, 5}}
-		got, err := decodeMultiEdges(encodeMultiEdges(want), 2, 3)
+		got, err := decodeMultiEdges(nil, encodeMultiEdges(want), 2, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,23 +197,93 @@ func TestMultiCodecRoundTrips(t *testing.T) {
 			encodeRenderBatch([]particle.Particle{mkParticle(1)}),
 			encodeRenderBatch(nil),
 		}
-		got, err := decodeMultiRender(encodeMultiRender(blobs))
+		want := [][]byte{append([]byte(nil), blobs[0]...), append([]byte(nil), blobs[1]...)}
+		g := framedGroup(2)
+		got, err := g.unpack(nil, g.pack(blobs), 2, "render batch", renderSlotSize)
 		if err != nil || len(got) != 2 {
 			t.Fatalf("got %d blobs, %v", len(got), err)
 		}
-		for i := range blobs {
-			if !bytes.Equal(got[i], blobs[i]) {
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
 				t.Fatalf("blob %d differs", i)
 			}
 		}
 	})
 }
 
+// A sequence of one record is the single record, byte for byte: this is
+// what lets a single-system group speak the multi-system codecs without
+// a branch — and what keeps its traffic identical to the historical
+// per-system messages.
+func TestMultiCodecsDegenerateAtOne(t *testing.T) {
+	r := loadbalance.Report{Load: 77, Time: 1.5}
+	if !bytes.Equal(encodeMultiReports([]loadbalance.Report{r}), encodeLoadReport(r)) {
+		t.Error("one-report sequence differs from the single report")
+	}
+	for _, o := range []*loadbalance.Order{nil, {Op: loadbalance.Send, Peer: 2, Count: 9}, {Op: loadbalance.Receive, Peer: 1, Count: 4}} {
+		if !bytes.Equal(encodeMultiOrders([]*loadbalance.Order{o}), encodeOrder(o)) {
+			t.Errorf("one-order sequence differs from the single order %+v", o)
+		}
+	}
+	e := []float64{-60, -20, 20, 60}
+	if !bytes.Equal(encodeMultiEdges([][]float64{e}), encodeEdges(e)) {
+		t.Error("one-table sequence differs from the single edge table")
+	}
+}
+
+// The group is the only place that knows whether a count is on the
+// wire: unframed, the single slot is the message (same backing array
+// both ways, so pooled-buffer ownership passes through); framed, a
+// message carrying any other number of slots than the receiver expects
+// is rejected, whatever the slots hold.
+func TestGroupPackUnpack(t *testing.T) {
+	one := sysGroup{lo: 2, hi: 3}
+	slot := particle.EncodeBatch([]particle.Particle{mkParticle(1)})
+	msg := one.pack([][]byte{slot})
+	if &msg[0] != &slot[0] || len(msg) != len(slot) {
+		t.Error("unframed pack copied or re-framed its slot")
+	}
+	back, err := one.unpack(nil, msg, 1, "exchange", batchSlotSize)
+	if err != nil || len(back) != 1 || &back[0][0] != &msg[0] {
+		t.Errorf("unframed unpack: %d slots, %v", len(back), err)
+	}
+
+	table, err := domain.NewEqual(geom.AxisX, -60, 60, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := []struct {
+		what string
+		size func([]byte) int
+		slot func() []byte
+	}{
+		{"particle exchange", batchSlotSize, func() []byte { return particle.EncodeBatch([]particle.Particle{mkParticle(1)}) }},
+		{"decomposition broadcast", domain.WireSize, func() []byte { return domain.Encode(table) }},
+		{"render batch", renderSlotSize, func() []byte { return encodeRenderBatch([]particle.Particle{mkParticle(1)}) }},
+	}
+	for _, k := range kinds {
+		for _, sent := range []int{0, 2, 3, 4} {
+			slots := make([][]byte, sent)
+			for i := range slots {
+				slots[i] = k.slot()
+			}
+			got, err := framedGroup(3).unpack(nil, framedGroup(sent).pack(slots), 3, k.what, k.size)
+			if sent == 3 {
+				if err != nil || len(got) != 3 {
+					t.Errorf("%s: 3 slots unpacked as %d, %v", k.what, len(got), err)
+				}
+			} else if err == nil {
+				t.Errorf("%s: %d slots accepted by a group of 3", k.what, sent)
+			}
+		}
+	}
+}
+
 // Every decode path must return an error — never panic or fabricate
 // records — on truncated or corrupt payloads.
 func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 	okBatch := encodeMultiBatch([][]particle.Particle{{mkParticle(1)}, {mkParticle(2)}})
-	okRender := encodeMultiRender([][]byte{encodeRenderBatch([]particle.Particle{mkParticle(1)})})
+	okRender := framedGroup(1).pack([][]byte{encodeRenderBatch([]particle.Particle{mkParticle(1)})})
 	overcount := append([]byte(nil), okBatch...)
 	binary.LittleEndian.PutUint32(overcount, math.MaxUint32) // count says 4G slots
 
@@ -183,18 +305,27 @@ func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 			[][]byte{nil, make([]byte, 15), make([]byte, 17)}},
 		{"edges", func(b []byte) error { _, err := decodeEdges(b); return err },
 			[][]byte{make([]byte, 7), make([]byte, 9)}},
-		{"multi-reports", func(b []byte) error { _, err := decodeMultiReports(b, 2); return err },
+		// One system's table for 3 calculators is exactly 4 edges: a
+		// well-formed table that is short (2 edges) or long must not get
+		// as far as Bounds(idx).
+		{"edges-n1", func(b []byte) error { _, err := decodeEdgesN1(b, 4); return err },
+			[][]byte{nil, encodeEdges([]float64{-60, 60}), encodeEdges([]float64{-60, 0, 60}),
+				encodeEdges([]float64{-60, -30, 0, 30, 60}), make([]byte, 31), make([]byte, 33)}},
+		{"multi-reports", func(b []byte) error { _, err := decodeMultiReports(nil, b, 2); return err },
 			[][]byte{nil, make([]byte, 31), make([]byte, 33)}},
-		{"multi-orders", func(b []byte) error { _, err := decodeMultiOrders(b, 2); return err },
+		{"multi-orders", func(b []byte) error { _, err := decodeMultiOrders(nil, b, 2); return err },
 			[][]byte{nil, make([]byte, 17), make([]byte, 19), bytes.Repeat([]byte{9}, 18)}},
-		{"multi-edges", func(b []byte) error { _, err := decodeMultiEdges(b, 2, 3); return err },
+		{"multi-edges", func(b []byte) error { _, err := decodeMultiEdges(nil, b, 2, 3); return err },
 			[][]byte{nil, make([]byte, 47), make([]byte, 49)}},
-		{"render-batch", func(b []byte) error { _, err := decodeRenderBatch(b); return err },
+		{"render-batch", func(b []byte) error { return decodeRenderColumnsInto(new(particle.Batch), b) },
 			[][]byte{nil, {1}, {1, 0, 0, 0}, append([]byte{1, 0, 0, 0}, make([]byte, 31)...)}},
 		{"multi-batch", func(b []byte) error { _, err := decodeMultiBatch(b); return err },
 			[][]byte{nil, {2}, {2, 0, 0, 0}, okBatch[:len(okBatch)-1],
 				append(okBatch, 0), overcount}},
-		{"multi-render", func(b []byte) error { _, err := decodeMultiRender(b); return err },
+		{"multi-render", func(b []byte) error {
+			_, err := framedGroup(1).unpack(nil, b, 1, "render batch", renderSlotSize)
+			return err
+		},
 			[][]byte{nil, {1}, {1, 0, 0, 0}, okRender[:len(okRender)-1],
 				append(append([]byte(nil), okRender...), 0)}},
 	}

@@ -11,65 +11,175 @@ import (
 	"pscluster/internal/transport"
 )
 
-// This file holds the Schedule strategies: how the phases of Figure 2
-// are laid out across the particle systems of one frame. A schedulePlan
-// compiles each role's frame into a []step program for the runner in
-// pipeline.go; the LB policy (lbpolicy.go) contributes the balancing
-// steps. PerSystemSchedule walks the full phase sequence once per
-// system; BatchedSchedule (§3.3) runs every phase once per frame for
-// all systems together, so the n² exchange messages, the balancing
-// round-trips and the render sends are paid once per frame instead of
-// once per system. Physics is identical either way — the schedules
-// remain bit-equivalent.
+// This file is the frame-program compiler. There is one program per
+// process role — compileManager, compileCalc, compileImage — and it is
+// written once, over system groups: a sysGroup is a run of consecutive
+// particle systems whose Figure-2 phases execute together. The Schedule
+// only picks the grouping. PerSystemSchedule walks the phase sequence
+// once per system (one single-system group each); BatchedSchedule
+// (§3.3) runs every phase once per frame for all systems together (one
+// group), so the n² exchange messages, the balancing round-trips and
+// the render sends are paid once per frame instead of once per system.
+// The LB policy (lbpolicy.go) contributes the balancing steps of each
+// group. Physics is identical either way — the schedules remain
+// bit-equivalent.
+//
+// What a group hides is the wire format: whether its messages carry
+// one system bare or several behind a count (pack/unpack,
+// encodeBoundary/decodeBoundary), how its creating actions are cut into
+// messages, and how its steps are tagged. Beyond the group's own
+// methods the programs branch on the framing in exactly five places,
+// each marked "seam" below and in lbpolicy.go; everything else is the
+// same code for both schedules.
 
-// schedulePlan compiles one frame's step program per process role.
-type schedulePlan interface {
-	compileManager(m *managerProc, pol lbPolicy) []step
-	compileCalc(c *calcProc, pol lbPolicy) []step
-	compileImage(g *imageGenProc) []step
+// sysGroup is the systems [lo, hi) of one pass through the phases.
+// An unframed group is a single system whose payloads travel bare — the
+// one slot is the message — and whose steps carry the system index and
+// are traced. A framed group's messages carry one slot per system
+// behind a count, and its steps cover all of them: tag -1, untraced.
+type sysGroup struct {
+	lo, hi int
+	framed bool
 }
 
-// plan returns the strategy implementing this schedule.
-func (s Schedule) plan() schedulePlan {
+// groups cuts nSys systems into the schedule's groups.
+func (s Schedule) groups(nSys int) []sysGroup {
 	if s == BatchedSchedule {
-		return batchedPlan{}
+		return []sysGroup{{lo: 0, hi: nSys, framed: true}}
 	}
-	return perSystemPlan{}
+	gs := make([]sysGroup, nSys)
+	for si := range gs {
+		gs[si] = sysGroup{lo: si, hi: si + 1}
+	}
+	return gs
 }
 
-// ---------------------------------------------------------------------
-// Per-system schedule
-// ---------------------------------------------------------------------
+// n is the number of systems in the group.
+func (g sysGroup) n() int { return g.hi - g.lo }
 
-type perSystemPlan struct{}
+// tag is the system tag of the group's spans.
+func (g sysGroup) tag() int {
+	if g.framed {
+		return -1
+	}
+	return g.lo
+}
 
-func (perSystemPlan) compileManager(m *managerProc, pol lbPolicy) []step {
-	scn := m.scn
-	var prog []step
-	for si := range scn.Systems {
-		// Particle creation (§3.2.1): generate, then scatter by domain
-		// with one batch per calculator; the batch itself is the
-		// end-of-transmission notification. One step per creating
-		// action, matching the sequential engine's action order.
+// step builds one Figure-2 phase step of the group.
+func (g sysGroup) step(phase string, run func() (bool, error)) step {
+	return step{phase: phase, sys: g.tag(), traced: !g.framed, run: run}
+}
+
+// createRef is one creating action of one system.
+type createRef struct {
+	si  int
+	act actions.CreateAction
+}
+
+// creationMessages lists the group's creating actions in the sequential
+// engine's (system, action) order, cut into the runs that travel in one
+// manager→calculator message: every action on its own when unframed,
+// all of them together when framed.
+func (g sysGroup) creationMessages(scn *Scenario) [][]createRef {
+	var msgs [][]createRef
+	for si := g.lo; si < g.hi; si++ {
 		for _, a := range scn.Systems[si].Actions {
 			ca, ok := a.(actions.CreateAction)
 			if !ok {
 				continue
 			}
-			cost := a.Cost()
-			prog = append(prog, step{phase: "particle-creation", sys: si, traced: true,
-				run: always(func() error {
-					ps := ca.Generate(m.ctxs[si])
-					m.ep.Clock().AdvanceWork(cost*float64(len(ps))*scn.Ratio, m.rate)
-					groups := groupByOwner(ps, m.decomps[si], m.nCalc)
-					for c := 0; c < m.nCalc; c++ {
-						m.ep.SendScaled(rankCalc0+c, transport.TagParticles,
-							particle.EncodeBatch(groups[c]), scn.Ratio)
-					}
-					return nil
-				})})
+			ref := createRef{si: si, act: ca}
+			if g.framed && len(msgs) > 0 {
+				msgs[0] = append(msgs[0], ref)
+			} else {
+				msgs = append(msgs, []createRef{ref})
+			}
 		}
-		prog = append(prog, pol.managerSystemSteps(m, si)...)
+	}
+	return msgs
+}
+
+// pack frames per-system payload slots into one message, consuming
+// them. Unframed, the single slot is the message itself — no copy, and
+// the buffer's ownership passes through unchanged.
+//
+//pslint:pooled
+func (g sysGroup) pack(slots [][]byte) []byte {
+	if !g.framed {
+		return slots[0]
+	}
+	return encodeCountedSeq(slots)
+}
+
+// unpack splits a message from pack back into its n slots, appended to
+// dst[:0]; the slots alias b. size reads the width of the slot at the
+// head of its argument. A framed message carrying any other number of
+// slots is rejected.
+func (g sysGroup) unpack(dst [][]byte, b []byte, n int, what string, size func([]byte) int) ([][]byte, error) {
+	if !g.framed {
+		return append(dst[:0], b), nil
+	}
+	slots, err := decodeCountedSeq(dst, b, what, size)
+	if err != nil {
+		return nil, err
+	}
+	if len(slots) != n {
+		return nil, fmt.Errorf("core: %s carried %d slots, want %d", what, len(slots), n)
+	}
+	return slots, nil
+}
+
+// encodeBoundary packs a donor's new boundary for system si. A framed
+// group's donors announce several systems' boundaries on one tag, so
+// each carries its system index.
+func (g sysGroup) encodeBoundary(si, edge int, value float64) []byte {
+	if g.framed {
+		return encodeBoundarySys(si, edge, value)
+	}
+	return encodeBoundary(edge, value)
+}
+
+// decodeBoundary is the inverse of encodeBoundary.
+func (g sysGroup) decodeBoundary(b []byte) (si, edge int, value float64, err error) {
+	if g.framed {
+		return decodeBoundarySys(b)
+	}
+	edge, value, err = decodeBoundary(b)
+	return g.lo, edge, value, err
+}
+
+// ---------------------------------------------------------------------
+// The three frame programs
+// ---------------------------------------------------------------------
+
+func compileManager(m *managerProc, pol lbPolicy) []step {
+	scn := m.scn
+	var prog []step
+	for _, g := range scn.Schedule.groups(len(scn.Systems)) {
+		// Particle creation (§3.2.1): generate, then scatter by domain
+		// with one message per calculator; the message itself is the
+		// end-of-transmission notification. Generation follows the
+		// sequential engine's (system, action) order.
+		for _, refs := range g.creationMessages(scn) {
+			prog = append(prog, g.step("particle-creation", always(func() error {
+				for c := range m.calcSlots {
+					m.calcSlots[c] = m.calcSlots[c][:0]
+				}
+				for _, ref := range refs {
+					ps := ref.act.Generate(m.ctxs[ref.si])
+					m.ep.Clock().AdvanceWork(ref.act.Cost()*float64(len(ps))*scn.Ratio, m.rate)
+					owned := groupByOwner(ps, m.decomps[ref.si], m.nCalc)
+					for c := range owned {
+						m.calcSlots[c] = append(m.calcSlots[c], particle.EncodeBatch(owned[c]))
+					}
+				}
+				for c := 0; c < m.nCalc; c++ {
+					m.ep.SendScaled(rankCalc0+c, transport.TagParticles, g.pack(m.calcSlots[c]), scn.Ratio)
+				}
+				return nil
+			})))
+		}
+		prog = append(prog, pol.managerSteps(m, g)...)
 	}
 	prog = append(prog, imbalanceStep(m))
 	if !scn.PipelineFrames {
@@ -78,55 +188,24 @@ func (perSystemPlan) compileManager(m *managerProc, pol lbPolicy) []step {
 	return prog
 }
 
-func (perSystemPlan) compileCalc(c *calcProc, pol lbPolicy) []step {
+func compileCalc(c *calcProc, pol lbPolicy) []step {
 	scn := c.scn
 	var prog []step
-	for si := range scn.Systems {
-		// Compute phase: the compiled run program of Algorithm 1 (see
-		// compilePlans). Each creation run closes an "addition" step (the
-		// runs since the previous creation execute first, then the
-		// manager's batch arrives); the runs after the last creation fold
-		// into "calculus".
-		var pending []actions.Run
-		for _, r := range c.plans[si] {
-			if r.Create == nil {
-				pending = append(pending, r)
-				continue
+	for _, g := range scn.Schedule.groups(len(scn.Systems)) {
+		prog = append(prog, c.computeSteps(g)...)
+		prog = append(prog, g.step("exchange", always(func() error {
+			// Seam 2: an unframed group opens its exchange with the scan
+			// charge; a framed one paid it per system inside "calculus".
+			// Moving it either way moves a traced completion time or the
+			// float-addition order of the clock.
+			if !g.framed {
+				c.chargeExchangeScan(g.lo)
 			}
-			pre := pending
-			pending = nil
-			prog = append(prog, step{phase: "addition", sys: si, traced: true,
-				run: always(func() error {
-					if err := c.runRuns(si, pre); err != nil {
-						return err
-					}
-					msg := c.ep.Recv(rankManager, transport.TagParticles)
-					if err := c.wire.DecodeWireInto(msg.Payload); err != nil {
-						return err
-					}
-					c.stores[si].AddBatch(&c.wire)
-					msg.Release()
-					return nil
-				})})
-		}
-		tail := pending
-		prog = append(prog, step{phase: "calculus", sys: si, traced: true,
-			run: always(func() error {
-				if err := c.runRuns(si, tail); err != nil {
-					return err
-				}
-				c.runScripted(si)
-				st := c.stores[si]
-				st.RemoveDead()
-				c.fs.oldLoad[si] = st.Len()
-				return nil
-			})})
-		prog = append(prog, step{phase: "exchange", sys: si, traced: true,
-			run: always(func() error { return c.exchangeSystem(si) })})
-		prog = append(prog, pol.calcReportSteps(c, si)...)
-		prog = append(prog, step{phase: "render-send", sys: si, traced: true,
-			run: always(func() error { c.renderSend(si); return nil })})
-		prog = append(prog, pol.calcBalanceSteps(c, si)...)
+			return c.ownerAllToAll(g, transport.TagParticles, &c.exchangedStored)
+		})))
+		prog = append(prog, pol.calcReportSteps(c, g)...)
+		prog = append(prog, g.step("render-send", always(func() error { c.renderSend(g); return nil })))
+		prog = append(prog, pol.calcBalanceSteps(c, g)...)
 	}
 	if !scn.PipelineFrames {
 		prog = append(prog, frameBarrierStep(c))
@@ -134,136 +213,195 @@ func (perSystemPlan) compileCalc(c *calcProc, pol lbPolicy) []step {
 	return prog
 }
 
-func (perSystemPlan) compileImage(g *imageGenProc) []step {
-	return imageSteps(g, func() error {
-		// Streamed ingest: each batch is decoded and handed to the splat
-		// workers as it arrives, overlapping splatting with the remaining
-		// gathers. The fabric ops and the clock charges keep exactly the
-		// historical sequence — all receives for the system, then every
-		// blob's AdvanceWork in rank order — so virtual times are
-		// untouched; only host work moved.
-		for range g.scn.Systems {
-			for i, r := range g.calcRanks {
-				msg := g.ep.Recv(r, transport.TagRenderBatch)
-				g.gather[i] = msg
-				if err := g.splatBlob(msg.Payload); err != nil {
-					return err
-				}
-			}
-			for i := range g.gather {
-				g.chargeBlob(g.gather[i].Payload)
-				g.gather[i].Release()
-			}
-		}
-		return nil
-	})
-}
-
-// ---------------------------------------------------------------------
-// Batched schedule (§3.3)
-// ---------------------------------------------------------------------
-
-type batchedPlan struct{}
-
-func (batchedPlan) compileManager(m *managerProc, pol lbPolicy) []step {
-	scn := m.scn
-	// Creation: generate every system's new particles (in the same
-	// (system, action) order as the sequential engine) and scatter one
-	// combined message per calculator.
-	prog := []step{{phase: "particle-creation", sys: -1, run: func() (bool, error) {
-		perCalc := make([][][]particle.Particle, m.nCalc)
-		slots := 0
-		for si := range scn.Systems {
-			for _, a := range scn.Systems[si].Actions {
-				ca, ok := a.(actions.CreateAction)
-				if !ok {
-					continue
-				}
-				ps := ca.Generate(m.ctxs[si])
-				m.ep.Clock().AdvanceWork(a.Cost()*float64(len(ps))*scn.Ratio, m.rate)
-				groups := groupByOwner(ps, m.decomps[si], m.nCalc)
-				for c := 0; c < m.nCalc; c++ {
-					perCalc[c] = append(perCalc[c], groups[c])
-				}
-				slots++
-			}
-		}
-		if slots == 0 {
-			return false, nil
-		}
-		for c := 0; c < m.nCalc; c++ {
-			m.ep.SendScaled(rankCalc0+c, transport.TagParticles,
-				encodeMultiBatch(perCalc[c]), scn.Ratio)
-		}
-		return true, nil
-	}}}
-	prog = append(prog, pol.managerBatchSteps(m)...)
-	prog = append(prog, imbalanceStep(m))
-	if !scn.PipelineFrames {
-		prog = append(prog, frameBarrierStep(m))
-	}
-	return prog
-}
-
-func (batchedPlan) compileCalc(c *calcProc, pol lbPolicy) []step {
-	scn := c.scn
-	hasCreate := false
-	for si := range scn.Systems {
-		for _, a := range scn.Systems[si].Actions {
-			if a.Kind() == actions.KindCreate {
-				hasCreate = true
-			}
-		}
-	}
-	prog := []step{
-		{phase: "calculus", sys: -1,
-			run: always(func() error { return c.batchedCompute(hasCreate) })},
-		{phase: "exchange", sys: -1,
-			run: always(func() error { return c.batchedExchange() })},
-	}
-	prog = append(prog, pol.calcBatchReportSteps(c)...)
-	prog = append(prog, step{phase: "render-send", sys: -1,
-		run: always(func() error { c.batchedRenderSend(); return nil })})
-	prog = append(prog, pol.calcBatchBalanceSteps(c)...)
-	if !scn.PipelineFrames {
-		prog = append(prog, frameBarrierStep(c))
-	}
-	return prog
-}
-
-func (batchedPlan) compileImage(g *imageGenProc) []step {
-	return imageSteps(g, func() error {
-		// One combined message per calculator carries every system.
-		// Streamed like the per-system plan: split and splat each
-		// calculator's blobs on arrival, then charge everything in the
-		// historical rank-then-system order before releasing.
-		for i, r := range g.calcRanks {
-			msg := g.ep.Recv(r, transport.TagRenderBatch)
-			g.gather[i] = msg
-			blobs, err := decodeMultiRenderInto(g.blobs[i], msg.Payload)
-			if err != nil {
+// compileImage builds the image generator's frame program: gather and
+// splat every render batch, generate the image, then deliver the frame
+// (and, for synchronous frames, release everyone's barrier).
+func compileImage(g *imageGenProc) []step {
+	scn := g.scn
+	groups := scn.Schedule.groups(len(scn.Systems))
+	return []step{
+		{phase: "render-collect", sys: -1, run: always(func() error {
+			if err := g.beginFrameFB(); err != nil {
 				return err
 			}
-			g.blobs[i] = blobs
-			for _, blob := range blobs {
-				if err := g.splatBlob(blob); err != nil {
-					return err
+			// Streamed ingest: each message is split and handed to the
+			// splat workers as it arrives, overlapping splatting with the
+			// remaining gathers. The fabric ops and the clock charges keep
+			// exactly the historical sequence — all receives for the
+			// group, then every blob's AdvanceWork in rank-then-system
+			// order — so virtual times are untouched; only host work moved.
+			for _, grp := range groups {
+				for i, r := range g.calcRanks {
+					msg := g.ep.Recv(r, transport.TagRenderBatch)
+					g.gather[i] = msg
+					blobs, err := grp.unpack(g.blobs[i], msg.Payload, grp.n(), "render batch", renderSlotSize)
+					if err != nil {
+						return err
+					}
+					g.blobs[i] = blobs
+					for _, blob := range blobs {
+						if err := g.splatBlob(blob); err != nil {
+							return err
+						}
+					}
+				}
+				for i := range g.calcRanks {
+					for _, blob := range g.blobs[i] {
+						g.chargeBlob(blob)
+					}
+					g.gather[i].Release()
 				}
 			}
-		}
-		for i := range g.calcRanks {
-			for _, blob := range g.blobs[i] {
-				g.chargeBlob(blob)
+			return nil
+		})},
+		{phase: "image-generation", sys: -1, traced: true, run: always(func() error {
+			g.ep.Clock().AdvanceWork(scn.Render.FrameOverhead, g.rate)
+			if err := g.generateImage(); err != nil {
+				return err
 			}
-			g.gather[i].Release()
-		}
-		return nil
-	})
+			g.frameTimes = append(g.frameTimes, g.ep.Clock().Now())
+			return nil
+		})},
+		{run: always(func() error {
+			g.rec.FrameDelivered(g.ep.Clock().Now())
+			if !scn.PipelineFrames {
+				g.ep.Send(rankManager, transport.TagFrameDone, nil)
+				for _, r := range g.calcRanks {
+					g.ep.Send(r, transport.TagFrameDone, nil)
+				}
+			}
+			return nil
+		})},
+	}
 }
 
 // ---------------------------------------------------------------------
-// Calculator phase bodies shared by the plans
+// Calculator phase bodies
 // ---------------------------------------------------------------------
+
+// computeSteps lays out a group's compute phase: the compiled run
+// program of Algorithm 1 (see compilePlans) with the manager's created
+// particles added where the creating actions stand.
+//
+// Seam 1, the compute layout. An unframed group gets each creation in
+// its own message, so every creation run closes an "addition" step (the
+// runs since the previous creation execute first, then the manager's
+// batch arrives) and the runs after the last creation fold into
+// "calculus". A framed group's creations arrive combined, so it
+// receives that one message up front and computes everything in a
+// single "calculus" step.
+func (c *calcProc) computeSteps(g sysGroup) []step {
+	if g.framed {
+		nCreated := 0
+		for si := g.lo; si < g.hi; si++ {
+			for ri := range c.plans[si] {
+				if c.plans[si][ri].Create != nil {
+					nCreated++
+				}
+			}
+		}
+		return []step{g.step("calculus", always(func() error { return c.computeFramed(g, nCreated) }))}
+	}
+	si := g.lo
+	var prog []step
+	var pending []actions.Run
+	for _, r := range c.plans[si] {
+		if r.Create == nil {
+			pending = append(pending, r)
+			continue
+		}
+		pre := pending
+		pending = nil
+		prog = append(prog, g.step("addition", always(func() error {
+			if err := c.runRuns(si, pre); err != nil {
+				return err
+			}
+			msg := c.ep.Recv(rankManager, transport.TagParticles)
+			if err := c.addWire(si, msg.Payload); err != nil {
+				return err
+			}
+			msg.Release()
+			return nil
+		})))
+	}
+	tail := pending
+	return append(prog, g.step("calculus", always(func() error {
+		if err := c.runRuns(si, tail); err != nil {
+			return err
+		}
+		c.closeCompute(si)
+		return nil
+	})))
+}
+
+// computeFramed is a framed group's whole compute phase: one combined
+// creation message (slots in (system, action) order), then every
+// system's action list, script entries and exchange scan.
+func (c *calcProc) computeFramed(g sysGroup, nCreated int) error {
+	var createdMsg transport.Message
+	var created [][]byte
+	if nCreated > 0 {
+		createdMsg = c.ep.Recv(rankManager, transport.TagParticles)
+		var err error
+		created, err = g.unpack(c.slots, createdMsg.Payload, nCreated, "creation", batchSlotSize)
+		if err != nil {
+			return err
+		}
+		c.slots = created
+	}
+	for si := g.lo; si < g.hi; si++ {
+		for ri := range c.plans[si] {
+			r := &c.plans[si][ri]
+			if r.Create != nil {
+				if err := c.addWire(si, created[0]); err != nil {
+					return err
+				}
+				created = created[1:]
+				continue
+			}
+			if err := c.applyRun(si, r); err != nil {
+				return err
+			}
+		}
+		c.closeCompute(si)
+		c.chargeExchangeScan(si) // seam 2, the framed side
+	}
+	// The created slots alias the payload, so the message is released
+	// only after every slot is decoded (no-op when nothing is created).
+	createdMsg.Release()
+	return nil
+}
+
+// addWire decodes one particle batch payload through the reusable
+// columnar scratch and adds it to system si's store.
+func (c *calcProc) addWire(si int, payload []byte) error {
+	if err := c.wire.DecodeWireInto(payload); err != nil {
+		return err
+	}
+	c.stores[si].AddBatch(&c.wire)
+	return nil
+}
+
+// closeCompute ends system si's compute phase: the steering script's
+// entries for this frame, the dead removed, and the pre-exchange load
+// the report rescales from.
+func (c *calcProc) closeCompute(si int) {
+	c.runScripted(si)
+	st := c.stores[si]
+	st.RemoveDead()
+	c.fs.oldLoad[si] = st.Len()
+}
+
+// chargeExchangeScan charges the preparation of the structures for the
+// exchange (Figure 2): out-of-domain detection, sub-domain re-binning
+// and exchange packing, a per-particle cost the sequential baseline
+// does not pay.
+func (c *calcProc) chargeExchangeScan(si int) {
+	scn := c.scn
+	scanWork := scn.ExchangeScanWork * float64(c.stores[si].Len()) * scn.Ratio
+	c.ep.Clock().AdvanceWork(scanWork, c.rate)
+	c.fs.work[si] += scanWork
+}
 
 // applyRun executes one compiled run of system si — a store action, a
 // fused kernel, or a single per-particle action — advancing the clock
@@ -337,38 +475,49 @@ func compilePlans(scn *Scenario) [][]actions.Run {
 	return plans
 }
 
-// exchangeSystem is the particle exchange of §3.2.4 for one system:
-// out-of-domain particles go straight to their owner; one message per
-// peer, empty batches doubling as end-of-transmission. It opens with
-// the preparation of the structures (Figure 2): out-of-domain
-// detection, sub-domain re-binning and exchange packing, a per-particle
-// cost the sequential baseline does not pay.
-func (c *calcProc) exchangeSystem(si int) error {
+// ownerAllToAll is the owner-grouped all-to-all over a group's systems:
+// every particle this calculator holds but no longer owns goes straight
+// to its owner, one message per peer with a slot per system, empty
+// batches doubling as end-of-transmission — every pair trades a
+// message, so the round needs no orders to stay deadlock-free. It is
+// the particle exchange of §3.2.4 (TagParticles, counted in
+// exchangedStored) and the ownership migration after a geometry
+// rebalance (TagLBParticles, counted in lbMovedStored). The particles
+// sent are added to *moved.
+func (c *calcProc) ownerAllToAll(g sysGroup, tag transport.Tag, moved *int) error {
 	scn := c.scn
-	st := c.stores[si]
-	scanWork := scn.ExchangeScanWork * float64(st.Len()) * scn.Ratio
-	c.ep.Clock().AdvanceWork(scanWork, c.rate)
-	c.fs.work[si] += scanWork
-
-	out := c.partitionOut(si)
-	groups := groupOwnerBatches(out, c.decomps[si], c.nCalc)
-	if groups[c.idx].Len() > 0 {
-		// Out-of-space particles clamp back to the outermost domains,
-		// which may be our own.
-		st.AddBatch(groups[c.idx])
+	for si := g.lo; si < g.hi; si++ {
+		owned := groupOwnerBatches(c.partitionOut(si), c.decomps[si], c.nCalc)
+		if owned[c.idx].Len() > 0 {
+			// Out-of-space particles clamp back to the outermost domains,
+			// which may be our own.
+			c.stores[si].AddBatch(owned[c.idx])
+		}
+		c.owned[si] = owned
 	}
-	for i := 0; i < c.nCalc; i++ {
-		if i == c.idx {
+	for p := 0; p < c.nCalc; p++ {
+		if p == c.idx {
 			continue
 		}
-		c.exchangedStored += groups[i].Len()
-		c.ep.SendScaled(rankCalc0+i, transport.TagParticles, groups[i].EncodeWire(), scn.Ratio)
+		slots := c.slots[:0]
+		for si := g.lo; si < g.hi; si++ {
+			*moved += c.owned[si][p].Len()
+			slots = append(slots, c.owned[si][p].EncodeWire())
+		}
+		c.slots = slots
+		c.ep.SendScaled(rankCalc0+p, tag, g.pack(slots), scn.Ratio)
 	}
-	for _, msg := range c.ep.RecvFromEach(c.others, transport.TagParticles) {
-		if err := c.wire.DecodeWireInto(msg.Payload); err != nil {
+	for _, msg := range c.ep.RecvFromEach(c.others, tag) {
+		slots, err := g.unpack(c.slots, msg.Payload, g.n(), "particle exchange", batchSlotSize)
+		if err != nil {
 			return err
 		}
-		st.AddBatch(&c.wire)
+		c.slots = slots
+		for i, s := range slots {
+			if err := c.addWire(g.lo+i, s); err != nil {
+				return err
+			}
+		}
 		msg.Release()
 	}
 	return nil
@@ -397,174 +546,31 @@ func imbalanceStep(m *managerProc) step {
 	return step{run: always(func() error { m.recordImbalance(); return nil })}
 }
 
-// renderSend ships one system's particles to the image generator: it
-// overlaps the manager's evaluation ("while the manager evaluates the
-// load balancing, the calculators send the particles to the image
-// generator"). Billed at the scenario's per-particle render wire size.
-func (c *calcProc) renderSend(si int) {
+// renderSend ships the group's particles to the image generator, one
+// blob per system: it overlaps the manager's evaluation ("while the
+// manager evaluates the load balancing, the calculators send the
+// particles to the image generator"). Billed at the scenario's
+// per-particle render wire size, summed over the systems. The blobs
+// come from the pool and are consumed by the pack; the slot slice is
+// per-calculator scratch — the send allocates nothing at steady state.
+func (c *calcProc) renderSend(g sysGroup) {
 	scn := c.scn
-	st := c.stores[si]
-	payload := encodeRenderSet(st)
-	bill := 4 + int(float64(st.Len()*scn.Render.BytesPerParticle)*scn.Ratio)
+	blobs := c.slots[:0]
+	bill := 0
+	if g.framed {
+		bill = 4 // seam 3: the framed payload's slot count is billed too
+	}
+	for si := g.lo; si < g.hi; si++ {
+		st := c.stores[si]
+		blobs = append(blobs, encodeRenderSet(st))
+		bill += 4 + int(float64(st.Len()*scn.Render.BytesPerParticle)*scn.Ratio)
+	}
+	c.slots = blobs
+	payload := g.pack(blobs)
 	if bill < len(payload) {
 		bill = len(payload)
 	}
 	c.ep.SendSized(rankImageGen, transport.TagRenderBatch, payload, bill)
-}
-
-// batchedCompute is the batched schedule's whole compute phase: one
-// combined creation message (slots in (system, action) order), then
-// every system's action list, script entries and exchange scan.
-func (c *calcProc) batchedCompute(hasCreate bool) error {
-	scn := c.scn
-	var createdMsg transport.Message
-	var created [][]byte
-	if hasCreate {
-		createdMsg = c.ep.Recv(rankManager, transport.TagParticles)
-		var err error
-		created, err = splitMultiBatch(createdMsg.Payload)
-		if err != nil {
-			return err
-		}
-	}
-	slot := 0
-	for si := range scn.Systems {
-		st := c.stores[si]
-		for ri := range c.plans[si] {
-			r := &c.plans[si][ri]
-			if r.Create != nil {
-				if slot >= len(created) {
-					return fmt.Errorf("core: creation slot %d out of range", slot)
-				}
-				if err := c.wire.DecodeWireInto(created[slot]); err != nil {
-					return err
-				}
-				st.AddBatch(&c.wire)
-				slot++
-				continue
-			}
-			if err := c.applyRun(si, r); err != nil {
-				return err
-			}
-		}
-		c.runScripted(si)
-		st.RemoveDead()
-		c.fs.oldLoad[si] = st.Len()
-		scanWork := scn.ExchangeScanWork * float64(st.Len()) * scn.Ratio
-		c.ep.Clock().AdvanceWork(scanWork, c.rate)
-		c.fs.work[si] += scanWork
-	}
-	// The created slots alias the payload, so the message is released
-	// only after every slot is decoded (no-op when hasCreate is false).
-	createdMsg.Release()
-	return nil
-}
-
-// batchedExchange is one combined exchange: per peer, a multi-batch
-// with one slot per system.
-func (c *calcProc) batchedExchange() error {
-	scn := c.scn
-	nSys := len(scn.Systems)
-	perPeer := make([][]*particle.Batch, c.nCalc)
-	for p := range perPeer {
-		perPeer[p] = make([]*particle.Batch, nSys)
-	}
-	for si := range scn.Systems {
-		st := c.stores[si]
-		out := c.partitionOut(si)
-		groups := groupOwnerBatches(out, c.decomps[si], c.nCalc)
-		if groups[c.idx].Len() > 0 {
-			st.AddBatch(groups[c.idx])
-		}
-		for p := 0; p < c.nCalc; p++ {
-			if p != c.idx {
-				perPeer[p][si] = groups[p]
-				c.exchangedStored += groups[p].Len()
-			}
-		}
-	}
-	for p := 0; p < c.nCalc; p++ {
-		if p == c.idx {
-			continue
-		}
-		c.ep.SendScaled(rankCalc0+p, transport.TagParticles, encodeMultiWire(perPeer[p]), scn.Ratio)
-	}
-	for _, msg := range c.ep.RecvFromEach(c.others, transport.TagParticles) {
-		slots, err := splitMultiBatch(msg.Payload)
-		if err != nil {
-			return err
-		}
-		if len(slots) != nSys {
-			return fmt.Errorf("core: exchange carried %d systems, want %d", len(slots), nSys)
-		}
-		for si, s := range slots {
-			if err := c.wire.DecodeWireInto(s); err != nil {
-				return err
-			}
-			c.stores[si].AddBatch(&c.wire)
-		}
-		msg.Release()
-	}
-	return nil
-}
-
-// batchedRenderSend is one combined render send with one blob per
-// system, billed as the sum of the per-system render wire sizes. The
-// per-system blobs come from the pool and are consumed by the combine;
-// the slot slice itself is per-calculator scratch — the whole send is
-// allocation-free at steady state.
-func (c *calcProc) batchedRenderSend() {
-	scn := c.scn
-	blobs := c.renderBlobs[:0]
-	bill := 4
-	for si := range scn.Systems {
-		blobs = append(blobs, encodeRenderSet(c.stores[si]))
-		bill += 4 + int(float64(c.stores[si].Len()*scn.Render.BytesPerParticle)*scn.Ratio)
-	}
-	c.renderBlobs = blobs
-	payload := encodeMultiRender(blobs)
-	if bill < len(payload) {
-		bill = len(payload)
-	}
-	c.ep.SendSized(rankImageGen, transport.TagRenderBatch, payload, bill)
-}
-
-// ---------------------------------------------------------------------
-// Image generator program
-// ---------------------------------------------------------------------
-
-// imageSteps builds the image generator's frame program around a
-// schedule-specific collect body: gather and splat every render batch,
-// generate the image, then deliver the frame (and, for synchronous
-// frames, release everyone's barrier).
-func imageSteps(g *imageGenProc, collect func() error) []step {
-	scn := g.scn
-	return []step{
-		{phase: "render-collect", sys: -1, run: always(func() error {
-			if err := g.beginFrameFB(); err != nil {
-				return err
-			}
-			return collect()
-		})},
-		{phase: "image-generation", sys: -1, traced: true, run: always(func() error {
-			g.ep.Clock().AdvanceWork(scn.Render.FrameOverhead, g.rate)
-			if err := g.generateImage(); err != nil {
-				return err
-			}
-			g.frameTimes = append(g.frameTimes, g.ep.Clock().Now())
-			return nil
-		})},
-		{run: always(func() error {
-			g.rec.FrameDelivered(g.ep.Clock().Now())
-			if !scn.PipelineFrames {
-				g.ep.Send(rankManager, transport.TagFrameDone, nil)
-				for _, r := range g.calcRanks {
-					g.ep.Send(r, transport.TagFrameDone, nil)
-				}
-			}
-			return nil
-		})},
-	}
 }
 
 // beginFrameFB readies the framebuffer for a new frame. In overlapped

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"pscluster/internal/actions"
 	"pscluster/internal/cluster"
@@ -53,59 +51,22 @@ func RunSimsBaseline(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, err
 	}
 	router := transport.NewRouter(place, cl.Net)
 
-	calcRanks := make([]int, nCalc)
-	for i := range calcRanks {
-		calcRanks[i] = rankCalc0 + i
-	}
-
 	mgr := &simsManager{
 		scn: &scn, ep: router.Endpoint(rankManager), rate: place.Rate(rankManager), nCalc: nCalc,
 	}
-	img := &imageGenProc{
-		scn: &scn, ep: router.Endpoint(rankImageGen), rate: place.Rate(rankImageGen),
-		calcRanks: calcRanks,
-	}
+	img := newImageGenProc(&scn, place, nCalc, router.Endpoint(rankImageGen))
 	calcs := make([]*simsCalc, nCalc)
+	fns := []func() error{mgr.run, img.run}
 	for i := range calcs {
 		calcs[i] = &simsCalc{
 			scn: &scn, idx: i, ep: router.Endpoint(rankCalc0 + i),
 			rate: place.Rate(rankCalc0 + i), nCalc: nCalc,
 			sets: make([][]particle.Particle, len(scn.Systems)),
 		}
+		fns = append(fns, calcs[i].run)
 	}
-
-	errs := make([]error, 2+nCalc)
-	var wg sync.WaitGroup
-	launch := func(slot int, fn func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if e, ok := p.(error); ok && errors.Is(e, transport.ErrAborted) {
-						errs[slot] = e
-					} else {
-						errs[slot] = fmt.Errorf("core: sims process %d panicked: %v", slot, p)
-					}
-					router.Abort()
-				}
-			}()
-			if err := fn(); err != nil {
-				errs[slot] = err
-				router.Abort()
-			}
-		}()
-	}
-	launch(rankManager, mgr.run)
-	launch(rankImageGen, img.run)
-	for i := range calcs {
-		launch(rankCalc0+i, calcs[i].run)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
+	if err := runRanks(router, fns...); err != nil {
+		return nil, err
 	}
 
 	res := &Result{Frames: scn.Frames, FrameChecksums: img.checksums, FrameTimes: img.frameTimes}

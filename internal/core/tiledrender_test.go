@@ -213,13 +213,13 @@ func TestRenderSendPathZeroAlloc(t *testing.T) {
 	combine := func() []byte {
 		slots = slots[:0]
 		slots = append(slots, encodeRenderSet(st), encodeRenderSet(st))
-		return encodeMultiRender(slots)
+		return framedGroup(2).pack(slots)
 	}
 	bufpool.Put(combine())
 	allocs = testing.AllocsPerRun(200, func() {
 		bufpool.Put(combine())
 	})
 	if allocs != 0 {
-		t.Errorf("encodeMultiRender send path: %v allocs/op, want 0", allocs)
+		t.Errorf("framed render pack send path: %v allocs/op, want 0", allocs)
 	}
 }
