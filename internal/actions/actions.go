@@ -75,13 +75,13 @@ type CreateAction interface {
 }
 
 // StoreAction operates on the whole local store (inter-particle
-// effects), handed to it as a flat record view in store order that it
-// mutates in place. It returns the work units it performed, since its
-// cost depends on neighborhood density rather than a flat per-particle
-// rate.
+// effects): it reads and writes the store's Pos and Vel columns in
+// place, indexing particles in store order, with sc as its working
+// memory. It returns the work units it performed, since its cost
+// depends on neighborhood density rather than a flat per-particle rate.
 type StoreAction interface {
 	Action
-	ApplyStore(ctx *Context, ps []particle.Particle) float64
+	ApplyStore(ctx *Context, sc *StoreScratch, st *particle.ColumnStore) float64
 }
 
 // ---------------------------------------------------------------------

@@ -59,31 +59,29 @@ func BenchmarkSourceGenerate(b *testing.B) {
 	}
 }
 
-func BenchmarkCollideSparse(b *testing.B) {
-	a := &CollideParticles{Radius: 0.5, Elasticity: 0.8}
-	s := benchStore(10000, 200)
+// benchCollide times the engines' entry: one retained scratch, the
+// same store collided again every iteration.
+func benchCollide(b *testing.B, a *CollideParticles, s *particle.ColumnStore, ghosts *particle.Batch) {
+	b.Helper()
+	c := ctx()
+	var sc StoreScratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		applyStore(a, s)
+		a.ApplyWithGhosts(c, &sc, s, ghosts)
 	}
+}
+
+func BenchmarkCollideSparse(b *testing.B) {
+	benchCollide(b, &CollideParticles{Radius: 0.5, Elasticity: 0.8}, benchStore(10000, 200), nil)
 }
 
 func BenchmarkCollideDense(b *testing.B) {
-	a := &CollideParticles{Radius: 2, Elasticity: 0.8}
-	s := benchStore(10000, 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		applyStore(a, s)
-	}
+	benchCollide(b, &CollideParticles{Radius: 2, Elasticity: 0.8}, benchStore(10000, 20), nil)
 }
 
 func BenchmarkCollideWithGhosts(b *testing.B) {
-	a := &CollideParticles{Radius: 1, Elasticity: 0.8}
-	s := benchStore(10000, 50)
-	ghosts := benchStore(1000, 50).All()
-	c := ctx()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.WithParticles(func(ps []particle.Particle) { a.ApplyWithGhosts(c, ps, ghosts) })
-	}
+	var ghosts particle.Batch
+	ghosts.AppendSlice(benchStore(1000, 50).All())
+	benchCollide(b, &CollideParticles{Radius: 1, Elasticity: 0.8}, benchStore(10000, 50), &ghosts)
 }

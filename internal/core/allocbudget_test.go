@@ -4,9 +4,11 @@ import (
 	"runtime"
 	"testing"
 
+	"pscluster/internal/actions"
 	"pscluster/internal/cluster"
 	"pscluster/internal/core"
 	"pscluster/internal/experiments"
+	"pscluster/internal/geom"
 )
 
 // mallocsPerFrame returns the heap objects one steady-state frame of
@@ -29,16 +31,41 @@ func mallocsPerFrame(t *testing.T, run func(frames int) error) float64 {
 }
 
 // The engines' allocation budget: a steady-state frame allocates
-// nothing proportional to the particle count, so quadrupling the snow
+// nothing proportional to the particle count, so quadrupling the
 // population must leave the objects per frame where they were. A
 // per-particle allocation anywhere in the frame — a boxed record in an
-// action adapter, a store copied on Resize — multiplies the count by
-// the population ratio and fails here; psperf, which shows the same
-// thing as allocs_per_frame, runs outside the tier-1 suite.
+// action adapter, a store copied on Resize, a neighbor grid rebuilt from
+// nothing by a store action — multiplies the count by the population
+// ratio and fails here; psperf, which shows the same thing as
+// allocs_per_frame, runs outside the tier-1 suite.
 func TestFrameAllocationsDoNotScaleWithPopulation(t *testing.T) {
 	snow := func(perSystem, frames int) core.Scenario {
 		cfg := experiments.Config{ParticlesPerSystem: perSystem, Systems: 8, Frames: frames, DT: 0.1}
 		return experiments.Snow(cfg, core.FiniteSpace, core.DynamicLB)
+	}
+	// Two jets that meet head-on at the calculators' shared edge: the
+	// store-action path with its ghost-band exchange, every frame.
+	jets := func(perSystem, frames int) core.Scenario {
+		jet := func(x0, x1, v0, v1 float64) *actions.Source {
+			return &actions.Source{
+				Rate: perSystem / (2 * experiments.LifetimeFrames),
+				Pos:  geom.BoxDomain{B: geom.Box(geom.V(x0, -2, -2), geom.V(x1, 2, 2))},
+				Vel:  geom.BoxDomain{B: geom.Box(geom.V(v0, -1, -1), geom.V(v1, 1, 1))},
+				Size: 0.5, Alpha: 0.9,
+			}
+		}
+		return core.Scenario{
+			Name: "colliding-jets",
+			Systems: []core.System{{Name: "jets", Seed: 7, Actions: []actions.Action{
+				jet(-8, -6, 18, 24), jet(6, 8, -24, -18),
+				&actions.CollideParticles{Radius: 1, Elasticity: 0.9},
+				&actions.KillOld{MaxAge: 0.05 * experiments.LifetimeFrames},
+				&actions.Move{},
+			}}},
+			Axis: geom.AxisX, Space: geom.Box(geom.V(-45, -25, -25), geom.V(45, 25, 25)),
+			Mode: core.FiniteSpace, Frames: frames, DT: 0.05, LB: core.DynamicLB,
+			GhostCollisions: true,
+		}
 	}
 	// One fast and one slow node: power-proportional balancing keeps
 	// moving the boundary, so Resize's re-bin path runs too.
@@ -57,16 +84,28 @@ func TestFrameAllocationsDoNotScaleWithPopulation(t *testing.T) {
 			return err
 		}},
 	}
+	scenarios := []struct {
+		name         string
+		build        func(perSystem, frames int) core.Scenario
+		small, large int
+	}{
+		{"snow", snow, 500, 2000},
+		{"jets", jets, 1000, 4000},
+	}
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) {
-			at := func(perSystem int) float64 {
-				return mallocsPerFrame(t, func(frames int) error { return e.run(snow(perSystem, frames)) })
-			}
-			small, large := at(500), at(2000)
-			t.Logf("objects per frame: %.0f at 8x500, %.0f at 8x2000", small, large)
-			if large >= 1.5*small {
-				t.Errorf("objects per frame grew %.2fx (%.0f -> %.0f) for 4x the particles; want < 1.5x",
-					large/small, small, large)
+			for _, sc := range scenarios {
+				t.Run(sc.name, func(t *testing.T) {
+					at := func(perSystem int) float64 {
+						return mallocsPerFrame(t, func(frames int) error { return e.run(sc.build(perSystem, frames)) })
+					}
+					small, large := at(sc.small), at(sc.large)
+					t.Logf("objects per frame: %.0f at %d per system, %.0f at %d", small, sc.small, large, sc.large)
+					if large >= 1.5*small {
+						t.Errorf("objects per frame grew %.2fx (%.0f -> %.0f) for 4x the particles; want < 1.5x",
+							large/small, small, large)
+					}
+				})
 			}
 		})
 	}

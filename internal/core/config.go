@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"pscluster/internal/actions"
 	"pscluster/internal/domain"
@@ -386,6 +387,22 @@ func (s *Scenario) Validate() error {
 	for i := range s.Systems {
 		if len(s.Systems[i].Actions) == 0 {
 			return fmt.Errorf("core: system %d (%s) has no actions", i, s.Systems[i].Name)
+		}
+		for _, a := range s.Systems[i].Actions {
+			// The neighbor grid's cell size: zero divides by zero in the
+			// cell index, NaN and +Inf file every particle in one cell.
+			var radius float64
+			switch v := a.(type) {
+			case *actions.CollideParticles:
+				radius = v.Radius
+			case *actions.MatchVelocity:
+				radius = v.Radius
+			default:
+				continue
+			}
+			if !(radius > 0) || math.IsInf(radius, 1) {
+				return fmt.Errorf("core: system %d action %q has radius %g, want finite and > 0", i, a.Name(), radius)
+			}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"pscluster/internal/actions"
@@ -302,12 +303,28 @@ func TestValidateErrors(t *testing.T) {
 			Frames: 1, DT: 0.1, Ratio: 0.5},
 		{Name: "empty-actions", Systems: []System{{}}, Frames: 1, DT: 0.1},
 	}
+	// A store action's radius is its neighbor grid's cell size.
+	for _, r := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		for _, a := range []actions.Action{
+			&actions.CollideParticles{Radius: r, Elasticity: 1},
+			&actions.MatchVelocity{Radius: r, Strength: 1},
+		} {
+			bad = append(bad, Scenario{Name: fmt.Sprintf("%s-radius-%v", a.Name(), r),
+				Systems: []System{{Actions: []actions.Action{&actions.Move{}, a}}}, Frames: 1, DT: 0.1})
+		}
+	}
 	for _, scn := range bad {
 		s := scn
 		s.Mode = InfiniteSpace
 		if err := s.Validate(); err == nil {
 			t.Errorf("scenario %q validated", s.Name)
 		}
+	}
+	ok := Scenario{Name: "store-actions", Mode: InfiniteSpace, Frames: 1, DT: 0.1,
+		Systems: []System{{Actions: []actions.Action{
+			&actions.CollideParticles{Radius: 0.5, Elasticity: 1}, &actions.MatchVelocity{Radius: 2, Strength: 1}}}}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("positive finite radii rejected: %v", err)
 	}
 }
 

@@ -24,17 +24,13 @@ func (c *calcProc) applyStoreAction(si int, act actions.StoreAction,
 	st := c.stores[si]
 	col, ok := act.(*actions.CollideParticles)
 	if !c.scn.GhostCollisions || !ok {
-		var w float64
-		st.WithParticles(func(ps []particle.Particle) { w = act.ApplyStore(ctx, ps) })
-		return w, nil
+		return act.ApplyStore(ctx, &c.storeScratch, st), nil
 	}
 	ghosts, err := c.exchangeGhostBand(si, col.Radius)
 	if err != nil {
 		return 0, err
 	}
-	var w float64
-	st.WithParticles(func(ps []particle.Particle) { w = col.ApplyWithGhosts(ctx, ps, ghosts) })
-	return w, nil
+	return col.ApplyWithGhosts(ctx, &c.storeScratch, st, ghosts), nil
 }
 
 // exchangeGhostBand trades boundary bands with the decomposition's
@@ -42,115 +38,107 @@ func (c *calcProc) applyStoreAction(si int, act actions.StoreAction,
 // order (determinism). All calculators reach this point in the same
 // (frame, system, action) position, so the protocol needs no further
 // coordination. The slab path keeps its historical two-sided scan over
-// the store interval verbatim (the store bounds — not the table edges —
-// define the band for collapsed domains); other decompositions ask the
-// strategy for one band region per neighbor.
-func (c *calcProc) exchangeGhostBand(si int, radius float64) ([]particle.Particle, error) {
-	if _, ok := c.decomps[si].(*domain.Table); !ok {
-		return c.exchangeGhostBandMulti(si, radius)
-	}
-	return c.exchangeGhostBandSlab(si, radius)
-}
-
-// exchangeGhostBandMulti is the general per-neighbor band exchange:
-// collect each neighbor's band, send every band, then receive every
-// neighbor's, all in ascending rank order.
-func (c *calcProc) exchangeGhostBandMulti(si int, radius float64) ([]particle.Particle, error) {
+// the store interval (the store bounds — not the table edges — define
+// the band for collapsed domains); other decompositions ask the
+// strategy for one band region per neighbor. Bands and ghosts are
+// calculator-owned batches, refilled in place every exchange.
+func (c *calcProc) exchangeGhostBand(si int, radius float64) (*particle.Batch, error) {
 	d := c.decomps[si]
+	if _, ok := d.(*domain.Table); ok {
+		return c.exchangeGhostBandSlab(si, radius)
+	}
 	st := c.stores[si]
 	neighbors := d.NeighborsOf(c.idx)
-	bands := make([][]particle.Particle, len(neighbors))
+	bands := c.ghostBands(len(neighbors))
 	for ni, n := range neighbors {
 		band := d.NeighborBand(c.idx, n, radius)
-		var ps []particle.Particle
 		for bi, nb := 0, st.NumBins(); bi < nb; bi++ {
 			b := st.Bin(bi)
 			for i, pos := range b.Pos {
 				if band.Contains(pos) {
-					ps = append(ps, b.At(i))
+					bands[ni].AppendIndex(b, i)
 				}
 			}
 		}
-		bands[ni] = ps
 	}
-	for ni, n := range neighbors {
-		c.ep.SendScaled(rankCalc0+n, transport.TagGhosts,
-			particle.EncodeBatch(bands[ni]), c.scn.Ratio)
-	}
-	var ghosts []particle.Particle
-	for _, n := range neighbors {
-		msg := c.ep.Recv(rankCalc0+n, transport.TagGhosts)
-		ps, err := particle.DecodeBatch(msg.Payload)
-		if err != nil {
-			return nil, err
-		}
-		ghosts = append(ghosts, ps...)
-		msg.Release()
-	}
-	return ghosts, nil
+	return c.tradeGhostBands(neighbors, bands)
 }
 
 //pslint:hotpath
-func (c *calcProc) exchangeGhostBandSlab(si int, radius float64) ([]particle.Particle, error) {
+func (c *calcProc) exchangeGhostBandSlab(si int, radius float64) (*particle.Batch, error) {
 	st := c.stores[si]
 	lo, hi := st.Bounds()
 	axis := c.scn.Axis
-	// Two walks over the position column: size the bands, then
-	// materialize only their members, in store order.
-	var nLow, nHigh int
-	for bi, nb := 0, st.NumBins(); bi < nb; bi++ {
-		for _, pos := range st.Bin(bi).Pos {
-			x := pos.Component(axis)
-			if x < lo+radius {
-				nLow++
-			}
-			if x >= hi-radius {
-				nHigh++
-			}
-		}
-	}
-	low := make([]particle.Particle, 0, nLow)
-	high := make([]particle.Particle, 0, nHigh)
+	bands := c.ghostBands(2)
+	low, high := &bands[0], &bands[1]
 	for bi, nb := 0, st.NumBins(); bi < nb; bi++ {
 		b := st.Bin(bi)
 		for i := range b.Pos {
 			x := b.Pos[i].Component(axis)
 			if x < lo+radius {
-				low = append(low, b.At(i))
+				low.AppendIndex(b, i)
 			}
 			if x >= hi-radius {
-				high = append(high, b.At(i))
+				high.AppendIndex(b, i)
 			}
 		}
 	}
-	hasLeft := c.idx > 0
-	hasRight := c.idx < c.nCalc-1
-	if hasLeft {
-		c.ep.SendScaled(rankCalc0+c.idx-1, transport.TagGhosts,
-			particle.EncodeBatch(low), c.scn.Ratio)
+	// An edge calculator has one neighbor and drops the other band.
+	var sides [2]int
+	neighbors := sides[:0]
+	if c.idx > 0 {
+		neighbors = append(neighbors, c.idx-1)
+	} else {
+		bands = bands[1:]
 	}
-	if hasRight {
-		c.ep.SendScaled(rankCalc0+c.idx+1, transport.TagGhosts,
-			particle.EncodeBatch(high), c.scn.Ratio)
+	if c.idx < c.nCalc-1 {
+		neighbors = append(neighbors, c.idx+1)
+	} else {
+		bands = bands[:len(bands)-1]
 	}
-	var ghosts []particle.Particle
-	if hasLeft {
-		msg := c.ep.Recv(rankCalc0+c.idx-1, transport.TagGhosts)
-		ps, err := particle.DecodeBatch(msg.Payload)
-		if err != nil {
+	return c.tradeGhostBands(neighbors, bands)
+}
+
+// ghostBands returns n empty outgoing bands from the calculator's
+// scratch, in store order once filled by AppendIndex.
+func (c *calcProc) ghostBands(n int) []particle.Batch {
+	for len(c.bands) < n {
+		c.bands = append(c.bands, particle.Batch{})
+	}
+	for i := range c.bands[:n] {
+		c.bands[i].Clear()
+	}
+	return c.bands[:n]
+}
+
+// tradeGhostBands sends bands[i] to neighbors[i], all of them, then
+// receives every neighbor's band in the same ascending order.
+//
+//pslint:hotpath
+func (c *calcProc) tradeGhostBands(neighbors []int, bands []particle.Batch) (*particle.Batch, error) {
+	for ni, n := range neighbors {
+		c.ep.SendScaled(rankCalc0+n, transport.TagGhosts, bands[ni].EncodeWire(), c.scn.Ratio)
+	}
+	c.ghosts.Clear()
+	for _, n := range neighbors {
+		if err := c.recvGhostsInto(n, &c.ghosts); err != nil {
 			return nil, err
 		}
-		ghosts = append(ghosts, ps...)
-		msg.Release()
 	}
-	if hasRight {
-		msg := c.ep.Recv(rankCalc0+c.idx+1, transport.TagGhosts)
-		ps, err := particle.DecodeBatch(msg.Payload)
-		if err != nil {
-			return nil, err
-		}
-		ghosts = append(ghosts, ps...)
-		msg.Release()
+	return &c.ghosts, nil
+}
+
+// recvGhostsInto receives calculator from's ghost band and appends it
+// to dst. The pooled payload is released on every path.
+//
+//pslint:hotpath
+func (c *calcProc) recvGhostsInto(from int, dst *particle.Batch) error {
+	msg := c.ep.Recv(rankCalc0+from, transport.TagGhosts)
+	err := c.wire.DecodeWireInto(msg.Payload)
+	msg.Release()
+	if err != nil {
+		return err
 	}
-	return ghosts, nil
+	dst.AppendBatch(&c.wire)
+	return nil
 }

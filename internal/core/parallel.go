@@ -578,6 +578,12 @@ type calcProc struct {
 	// are copied into the target store by AddBatch.
 	wire particle.Batch
 
+	// Store-action scratch: the neighbor grids, the outgoing ghost bands
+	// (one per neighbor) and the ghosts received for the current action.
+	storeScratch actions.StoreScratch
+	bands        []particle.Batch
+	ghosts       particle.Batch
+
 	// Step scratch, sized once in run() and reused every frame (steps
 	// that append write the grown slice back): the payload slots of the
 	// message being packed or unpacked (the pooled buffers themselves are

@@ -326,29 +326,11 @@ func encodeRenderRecords(b []byte, off int, batch *particle.Batch) int {
 	return off
 }
 
-// encodeRenderBatch packs particles into compact render records with a
-// count prefix. Both engines hash frames through this quantization, so
+// encodeRenderSet packs a store's particles into compact render
+// records with a count prefix, straight from its bin columns in store
+// order. Every engine hashes frames through this quantization, so
 // sequential and parallel checksums agree bit-for-bit. The buffer is
 // pooled: its send's receiver releases it.
-//
-//pslint:hotpath
-//pslint:pooled
-func encodeRenderBatch(ps []particle.Particle) []byte {
-	b := bufpool.Get(4 + len(ps)*renderRecordSize)
-	binary.LittleEndian.PutUint32(b, uint32(len(ps)))
-	off := 4
-	for i := range ps {
-		putRenderRecord(b, off, ps[i].Pos, ps[i].Color, ps[i].Alpha, ps[i].Size)
-		off += renderRecordSize
-	}
-	return b
-}
-
-// encodeRenderSet packs a store's particles into compact render
-// records straight from its bin columns, in store iteration order —
-// byte-identical to encodeRenderBatch(st.All()) without materializing
-// the particle slice. The buffer is pooled: its send's receiver
-// releases it.
 //
 //pslint:hotpath
 //pslint:pooled

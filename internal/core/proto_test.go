@@ -24,6 +24,16 @@ func encodeOrder(o *loadbalance.Order) []byte {
 	return b
 }
 
+// encodeRenderBatch is the record-slice form of encodeRenderSet.
+func encodeRenderBatch(ps []particle.Particle) []byte {
+	b := make([]byte, 4+len(ps)*renderRecordSize)
+	binary.LittleEndian.PutUint32(b, uint32(len(ps)))
+	for i := range ps {
+		putRenderRecord(b, 4+i*renderRecordSize, ps[i].Pos, ps[i].Color, ps[i].Alpha, ps[i].Size)
+	}
+	return b
+}
+
 func encodeEdges(edges []float64) []byte {
 	b := make([]byte, 8*len(edges))
 	putEdges(b, edges)

@@ -38,6 +38,7 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 	var fb *render.Framebuffer
 	var cam render.Camera
 	var wire particle.Batch // reusable render-record decode scratch
+	var storeScratch actions.StoreScratch
 	if scn.Render.Rasterize {
 		fb = render.NewFramebuffer(scn.Render.Width, scn.Render.Height)
 		cam = defaultCamera(&scn)
@@ -87,9 +88,7 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 					st.AddSlice(ps)
 					emit(frame, si, "create")
 				case r.Store != nil:
-					var work float64
-					st.WithParticles(func(ps []particle.Particle) { work = r.Store.ApplyStore(ctx, ps) })
-					clock.AdvanceWork(work*scn.Ratio, rate)
+					clock.AdvanceWork(r.Store.ApplyStore(ctx, &storeScratch, st)*scn.Ratio, rate)
 				case r.Fused != nil:
 					applyKernelToSet(st, ctx, r.Fused, pool)
 					for _, a := range r.Acts {

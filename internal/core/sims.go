@@ -61,7 +61,10 @@ func RunSimsBaseline(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, err
 		calcs[i] = &simsCalc{
 			scn: &scn, idx: i, ep: router.Endpoint(rankCalc0 + i),
 			rate: place.Rate(rankCalc0 + i), nCalc: nCalc,
-			sets: make([][]particle.Particle, len(scn.Systems)),
+			sets: make([]*particle.ColumnStore, len(scn.Systems)),
+		}
+		for si := range calcs[i].sets {
+			calcs[i].sets[si] = particle.NewColumnStore(scn.Axis, 0, 1, 1)
 		}
 		fns = append(fns, calcs[i].run)
 	}
@@ -81,7 +84,7 @@ func RunSimsBaseline(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, err
 		ghosts += c.ghostsSent
 		load := 0
 		for _, set := range c.sets {
-			load += len(set)
+			load += set.Len()
 		}
 		res.CalcLoads = append(res.CalcLoads, load)
 	}
@@ -99,7 +102,7 @@ func RunSimsBaseline(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, err
 		for si := range scn.Systems {
 			var all []particle.Particle
 			for _, c := range calcs {
-				all = append(all, c.sets[si]...)
+				all = append(all, c.sets[si].All()...)
 			}
 			sortParticles(all)
 			res.FinalParticles[si] = all
@@ -149,17 +152,32 @@ func (m *simsManager) run() error {
 	return nil
 }
 
-// simsCalc holds plain per-system particle slices — no domains, no
-// sub-domain bins.
+// simsCalc holds each system's particles as one undivided bag — no
+// domains, no sub-domain bins: a one-bin store, whose single bin takes
+// every coordinate whatever its nominal interval.
 type simsCalc struct {
 	scn   *Scenario
 	idx   int
 	ep    transport.Fabric
 	rate  float64
 	nCalc int
-	sets  [][]particle.Particle
+	sets  []*particle.ColumnStore
+
+	// Decode scratch for inbound batches, the ghosts of the current
+	// collide action, and the collide action's working memory.
+	wire, ghosts particle.Batch
+	storeScratch actions.StoreScratch
 
 	ghostsSent int
+}
+
+// recvBatch receives one particle batch from rank into the decode
+// scratch, valid until the next receive.
+func (c *simsCalc) recvBatch(rank int) (*particle.Batch, error) {
+	msg := c.ep.Recv(rank, transport.TagParticles)
+	err := c.wire.DecodeWireInto(msg.Payload)
+	msg.Release()
+	return &c.wire, err
 }
 
 func (c *simsCalc) run() error {
@@ -173,50 +191,37 @@ func (c *simsCalc) run() error {
 	}
 	for frame := 0; frame < scn.Frames; frame++ {
 		for si := range scn.Systems {
-			sys := &scn.Systems[si]
-			for _, a := range sys.Actions {
+			st := c.sets[si]
+			for _, a := range scn.Systems[si].Actions {
 				switch act := a.(type) {
 				case actions.CreateAction:
-					msg := c.ep.Recv(rankManager, transport.TagParticles)
-					ps, err := particle.DecodeBatch(msg.Payload)
+					b, err := c.recvBatch(rankManager)
 					if err != nil {
 						return err
 					}
-					c.sets[si] = append(c.sets[si], ps...)
+					st.AddBatch(b)
 				case *actions.CollideParticles:
-					ghosts, err := c.broadcastGhosts(si)
-					if err != nil {
+					if err := c.broadcastGhosts(st); err != nil {
 						return err
 					}
-					w := act.ApplyWithGhosts(ctxs[si], c.sets[si], ghosts) * scn.Ratio
+					w := act.ApplyWithGhosts(ctxs[si], &c.storeScratch, st, &c.ghosts) * scn.Ratio
 					c.ep.Clock().AdvanceWork(w, c.rate)
 				case actions.ParticleAction:
-					for i := range c.sets[si] {
-						act.Apply(ctxs[si], &c.sets[si][i])
-					}
-					c.ep.Clock().AdvanceWork(a.Cost()*float64(len(c.sets[si]))*scn.Ratio, c.rate)
+					applyToSet(st, ctxs[si], act, nil)
+					c.ep.Clock().AdvanceWork(a.Cost()*float64(st.Len())*scn.Ratio, c.rate)
 				default:
 					return fmt.Errorf("core: sims baseline cannot run action %q", a.Name())
 				}
 			}
 			for _, pa := range scn.scriptedFor(frame, si) {
-				for i := range c.sets[si] {
-					pa.Apply(ctxs[si], &c.sets[si][i])
-				}
-				c.ep.Clock().AdvanceWork(pa.Cost()*float64(len(c.sets[si]))*scn.Ratio, c.rate)
+				applyToSet(st, ctxs[si], pa, nil)
+				c.ep.Clock().AdvanceWork(pa.Cost()*float64(st.Len())*scn.Ratio, c.rate)
 			}
-			// Compact the dead.
-			kept := c.sets[si][:0]
-			for _, p := range c.sets[si] {
-				if !p.Dead {
-					kept = append(kept, p)
-				}
-			}
-			c.sets[si] = kept
+			st.RemoveDead()
 
 			// Render send, exactly as the model's calculators do.
-			payload := encodeRenderBatch(c.sets[si])
-			bill := 4 + int(float64(len(c.sets[si])*scn.Render.BytesPerParticle)*scn.Ratio)
+			payload := encodeRenderSet(st)
+			bill := 4 + int(float64(st.Len()*scn.Render.BytesPerParticle)*scn.Ratio)
 			if bill < len(payload) {
 				bill = len(payload)
 			}
@@ -231,30 +236,29 @@ func (c *simsCalc) run() error {
 
 // broadcastGhosts performs the all-to-all replication the Sims layout
 // needs before any inter-particle test: every calculator ships its full
-// set to every other.
-func (c *simsCalc) broadcastGhosts(si int) ([]particle.Particle, error) {
+// set to every other, and collects theirs in c.ghosts by ascending rank.
+func (c *simsCalc) broadcastGhosts(st *particle.ColumnStore) error {
 	// Each send consumes ownership of its pooled buffer, so every
 	// destination gets its own encoding of the set.
 	for p := 0; p < c.nCalc; p++ {
 		if p == c.idx {
 			continue
 		}
-		c.ghostsSent += len(c.sets[si])
-		payload := particle.EncodeBatch(c.sets[si])
+		c.ghostsSent += st.Len()
+		payload := st.Bin(0).EncodeWire()
 		c.ep.SendSized(rankCalc0+p, transport.TagParticles, payload,
 			billed(len(payload), c.scn.Ratio))
 	}
-	var ghosts []particle.Particle
+	c.ghosts.Clear()
 	for p := 0; p < c.nCalc; p++ {
 		if p == c.idx {
 			continue
 		}
-		msg := c.ep.Recv(rankCalc0+p, transport.TagParticles)
-		ps, err := particle.DecodeBatch(msg.Payload)
+		b, err := c.recvBatch(rankCalc0 + p)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ghosts = append(ghosts, ps...)
+		c.ghosts.AppendBatch(b)
 	}
-	return ghosts, nil
+	return nil
 }

@@ -146,19 +146,19 @@ func TestGhostCollisionsConserveMomentumAcrossOwners(t *testing.T) {
 	own := particle.Particle{Pos: geom.V(0, 0, 0), Vel: geom.V(1, 0, 0)}
 	ghost := particle.Particle{Pos: geom.V(0.5, 0, 0), Vel: geom.V(-1, 0, 0)}
 
-	// Side A holds its particle the way the Sims baseline does, as a
-	// plain slice; side B the way the model's calculators do, behind a
-	// store's flat view.
-	setA := []particle.Particle{own}
-	a.ApplyWithGhosts(ctx, setA, []particle.Particle{ghost})
-	gotA := setA[0]
-
-	stB := particle.NewColumnStore(geom.AxisX, -10, 10, 4)
-	stB.Add(ghost)
-	stB.WithParticles(func(ps []particle.Particle) {
-		a.ApplyWithGhosts(ctx, ps, []particle.Particle{own})
-	})
-	gotB := stB.All()[0]
+	// Side A holds its particle the way the Sims baseline does, in a
+	// one-bin store; side B the way the model's calculators do, in a
+	// binned one.
+	side := func(bins int, own, ghost particle.Particle) particle.Particle {
+		st := particle.NewColumnStore(geom.AxisX, -10, 10, bins)
+		st.Add(own)
+		var ghosts particle.Batch
+		ghosts.Append(ghost)
+		a.ApplyWithGhosts(ctx, &actions.StoreScratch{}, st, &ghosts)
+		return st.All()[0]
+	}
+	gotA := side(1, own, ghost)
+	gotB := side(4, ghost, own)
 
 	// Elastic head-on swap: own ends at -1, ghost-owner's copy at +1.
 	if gotA.Vel.X != -1 || gotB.Vel.X != 1 {

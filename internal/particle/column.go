@@ -37,10 +37,9 @@ type ColumnStore struct {
 	// Scratch kept across frames so the steady-state frame allocates
 	// nothing proportional to the particle count: spare is the bin set
 	// Resize re-bins into and swaps with bins, moved holds the
-	// partitions' bin-to-bin movers, flat is WithParticles' record view.
+	// partitions' bin-to-bin movers.
 	spare []Batch
 	moved Batch
-	flat  []Particle
 }
 
 // NewColumnStore returns an empty columnar store for the interval
@@ -470,29 +469,4 @@ func (s *ColumnStore) nearestKeptC(side Side) float64 {
 		return s.lo
 	}
 	return c
-}
-
-// WithParticles runs fn on a flat record view of the store — the
-// bridge for StoreActions, whose neighborhood grids hold *Particle
-// pointers for the whole sweep. The view lists every particle in store
-// order (not re-binned, which would reorder particles whose positions
-// the action mutates); fn may mutate the records in place, and they are
-// scattered back to the same bin slots afterwards.
-func (s *ColumnStore) WithParticles(fn func([]Particle)) {
-	flat := s.flat[:0]
-	for bi := range s.bins {
-		b := &s.bins[bi]
-		for i := 0; i < b.Len(); i++ {
-			flat = append(flat, b.At(i))
-		}
-	}
-	s.flat = flat
-	fn(flat)
-	for bi := range s.bins {
-		b := &s.bins[bi]
-		for i := 0; i < b.Len(); i++ {
-			b.Set(i, flat[i])
-		}
-		flat = flat[b.Len():]
-	}
 }

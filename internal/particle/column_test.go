@@ -447,43 +447,6 @@ func TestDonateEmptyBinsAndTiedSortKeys(t *testing.T) {
 	}
 }
 
-// WithParticles exposes a flat record view in store order whose
-// mutations — including position changes that would re-bin — land back
-// in the same bin slots.
-func TestWithParticlesBridge(t *testing.T) {
-	s := NewColumnStore(geom.AxisX, 0, 100, 5)
-	s.AddSlice(benchParticles(80))
-	want := s.All()
-	counts := s.BinCounts()
-
-	for round := 0; round < 2; round++ { // the second round reuses the scratch view
-		s.WithParticles(func(ps []Particle) {
-			if len(ps) != len(want) {
-				t.Fatalf("view holds %d particles, want %d", len(ps), len(want))
-			}
-			for i := range ps {
-				if ps[i] != want[i] {
-					t.Fatalf("view particle %d not in store order", i)
-				}
-				ps[i].Vel = ps[i].Vel.Scale(0.5)
-				ps[i].Age++
-				ps[i].Pos.X = 100 - ps[i].Pos.X
-				want[i] = ps[i]
-			}
-		})
-		for i, p := range s.All() {
-			if p != want[i] {
-				t.Fatalf("round %d: particle %d not scattered back to its slot", round, i)
-			}
-		}
-		for i, c := range s.BinCounts() {
-			if c != counts[i] {
-				t.Fatalf("round %d: bin %d count changed %d -> %d", round, i, counts[i], c)
-			}
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
 // Wire codec
 // ---------------------------------------------------------------------

@@ -117,6 +117,41 @@ func TestRoundTripFullScenario(t *testing.T) {
 	}
 }
 
+// A store action's radius survives the codec as written — a zero one
+// is dropped from the document and decodes back to zero — so a file
+// without it reaches Validate, which rejects it before the neighbor
+// grid can divide by it.
+func TestRoundTripKeepsStoreActionRadiusForValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		action actions.Action
+		valid  bool
+	}{
+		{"collide", &actions.CollideParticles{Radius: 0.5, Elasticity: 0.9}, true},
+		{"collide-no-radius", &actions.CollideParticles{Elasticity: 0.9}, false},
+		{"collide-negative", &actions.CollideParticles{Radius: -1, Elasticity: 0.9}, false},
+		{"match", &actions.MatchVelocity{Radius: 1, Strength: 0.5}, true},
+		{"match-no-radius", &actions.MatchVelocity{Strength: 0.5}, false},
+	} {
+		scn := fullScenario()
+		scn.Systems[0].Actions = []actions.Action{scn.Systems[0].Actions[0], tc.action}
+		data, err := Encode(scn)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", tc.name, err, data)
+		}
+		if !reflect.DeepEqual(got.Systems[0].Actions[1], tc.action) {
+			t.Errorf("%s: decoded %#v, want %#v", tc.name, got.Systems[0].Actions[1], tc.action)
+		}
+		if err := got.Validate(); (err == nil) != tc.valid {
+			t.Errorf("%s: Validate = %v, want valid %v", tc.name, err, tc.valid)
+		}
+	}
+}
+
 func TestRoundTripProducesSameAnimation(t *testing.T) {
 	// The decoded scenario must run to the same frames as the original.
 	scn := fullScenario()
