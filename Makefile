@@ -3,7 +3,7 @@ GO ?= go
 # Coverage floor (percent of statements) for the engine package.
 CORE_COVER_FLOOR ?= 85
 
-.PHONY: all build vet lint lint-selftest test race race-obs bench bench-check bench-tables bench-smoke decomp-smoke fuzz-smoke serve-smoke net-smoke render-smoke cover ci
+.PHONY: all build vet lint lint-selftest test race race-obs bench bench-check bench-tables bench-smoke decomp-smoke fuzz-smoke serve-smoke net-smoke cover ci
 
 all: ci
 
@@ -40,10 +40,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Focused race check over traced/profiled parallel runs and the
-# host-parallel width cross-product.
+# Focused race check over traced/profiled parallel runs.
 race-obs:
-	$(GO) test -race ./internal/core/ -run 'Profile|Profiled|Figure2|HostParallel|WorkerPool'
+	$(GO) test -race ./internal/core/ -run 'Profile|Profiled|Figure2'
 
 # The repository's benchmark: BENCHMARK.json's command. Builds
 # bench/psperf into .bench_build/ and runs all six workloads end to end
@@ -97,12 +96,6 @@ fuzz-smoke:
 # /metrics exposition per rank.
 net-smoke:
 	GO=$(GO) sh scripts/net_smoke.sh
-
-# Render plane smoke: run one small rasterized scenario at render
-# widths 1 and 4 through the psanim binary, diff the per-frame
-# checksums and compare every written PPM byte for byte.
-render-smoke:
-	GO=$(GO) sh scripts/render_smoke.sh
 
 # Telemetry smoke: run `psanim -serve` on a small scenario and drive
 # the live HTTP plane end to end — /healthz, /metrics (validated by

@@ -9,7 +9,7 @@
 //	       [-space finite|infinite] [-decomp slab|grid|voronoi] [-frames N]
 //	       [-out DIR] [-seq] [-config scenario.json] [-dump scenario.json]
 //	       [-trace trace.json] [-metrics out.prom] [-timeline]
-//	       [-workers N] [-render-workers N] [-serve :9090]
+//	       [-serve :9090]
 //
 // Scenarios can also be described declaratively: -dump writes the
 // selected built-in scenario as JSON, -config runs one from a file (see
@@ -29,6 +29,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -61,46 +62,22 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
 	metricsOut := flag.String("metrics", "", "write run metrics in Prometheus text exposition format")
 	timeline := flag.Bool("timeline", false, "print the per-calculator compute/comm/idle timeline")
-	workers := flag.Int("workers", 0,
-		"host worker goroutines per compute pass (0 = scenario value, -1 = GOMAXPROCS); bit-identical at any width")
-	renderWorkers := flag.Int("render-workers", 0,
-		"image-generator splat workers over owned framebuffer tiles (0 = scenario value, -1 = GOMAXPROCS); bit-identical at any width")
 	serve := flag.String("serve", "",
 		"serve live telemetry on this address while running (/metrics /healthz /status /trace /debug/pprof); requires an explicit -frames, keeps serving after the run until interrupted")
 	checksums := flag.Bool("checksums", false,
 		"print per-frame content checksums, diffable against a psnode -checksums image generator")
 	flag.Parse()
 
-	if err := validateFlags(*serve, *frames, *metricsOut, *traceOut); err != nil {
+	if err := validateFlags(flagValues{
+		serve: *serve, frames: *frames, metricsOut: *metricsOut, traceOut: *traceOut,
+		lb: *lbName, space: *spaceName, net: *netName, decomp: *decompName,
+	}); err != nil {
 		fmt.Fprintf(os.Stderr, "psanim: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	lb := core.DynamicLB
-	if *lbName == "static" {
-		lb = core.StaticLB
-	}
-	mode := core.FiniteSpace
-	if *spaceName == "infinite" {
-		mode = core.InfiniteSpace
-	}
-	net := cluster.Myrinet
-	if *netName == "fast-ethernet" {
-		net = cluster.FastEthernet
-	}
-	var decomp core.DecompMode
-	switch *decompName {
-	case "slab":
-		decomp = core.DecompSlab
-	case "grid":
-		decomp = core.DecompGrid
-	case "voronoi":
-		decomp = core.DecompVoronoi
-	default:
-		fmt.Fprintf(os.Stderr, "psanim: unknown decomposition %q\n", *decompName)
-		os.Exit(2)
-	}
+	lb, mode := lbModes[*lbName], spaceModes[*spaceName]
+	net, decomp := networks[*netName], decomps[*decompName]
 
 	cfg := experiments.PaperScale
 	if *frames > 0 {
@@ -140,12 +117,6 @@ func main() {
 		// Only override the scenario (or config file) when asked: slab
 		// is both the flag default and the zero value.
 		scn.Decomp = decomp
-	}
-	if *workers != 0 {
-		scn.Workers = *workers
-	}
-	if *renderWorkers != 0 {
-		scn.Render.RenderWorkers = *renderWorkers
 	}
 	if *dump != "" {
 		data, err := scenariojson.Encode(scn)
@@ -257,15 +228,48 @@ func main() {
 	}
 }
 
-// validateFlags rejects flag combinations that would misbehave
-// silently: a served run with no explicit frame horizon, and -metrics
-// and -trace clobbering each other's output file.
-func validateFlags(serve string, frames int, metricsOut, traceOut string) error {
-	if serve != "" && frames <= 0 {
-		return fmt.Errorf("-serve requires an explicit -frames count (got %d): a served run must state its horizon", frames)
+// The enum flags' accepted values, each mapped to what it selects.
+var (
+	lbModes    = map[string]core.LBMode{"static": core.StaticLB, "dynamic": core.DynamicLB}
+	spaceModes = map[string]core.SpaceMode{"finite": core.FiniteSpace, "infinite": core.InfiniteSpace}
+	networks   = map[string]cluster.Network{"myrinet": cluster.Myrinet, "fast-ethernet": cluster.FastEthernet}
+	decomps    = map[string]core.DecompMode{
+		"slab": core.DecompSlab, "grid": core.DecompGrid, "voronoi": core.DecompVoronoi,
 	}
-	if metricsOut != "" && metricsOut == traceOut {
-		return fmt.Errorf("-metrics and -trace both write to %q: give them distinct paths", metricsOut)
+)
+
+// flagValues holds the flags validateFlags checks.
+type flagValues struct {
+	serve                string
+	frames               int
+	metricsOut, traceOut string
+	lb, space, net       string
+	decomp               string
+}
+
+// validateFlags rejects flag values that would misbehave silently: a
+// served run with no explicit frame horizon, -metrics and -trace
+// clobbering each other's output file, and an enum flag value outside
+// its choices (which would otherwise fall back to a default).
+func validateFlags(f flagValues) error {
+	if f.serve != "" && f.frames <= 0 {
+		return fmt.Errorf("-serve requires an explicit -frames count (got %d): a served run must state its horizon", f.frames)
+	}
+	if f.metricsOut != "" && f.metricsOut == f.traceOut {
+		return fmt.Errorf("-metrics and -trace both write to %q: give them distinct paths", f.metricsOut)
+	}
+	return errors.Join(
+		checkEnum("lb", f.lb, lbModes),
+		checkEnum("space", f.space, spaceModes),
+		checkEnum("net", f.net, networks),
+		checkEnum("decomp", f.decomp, decomps),
+	)
+}
+
+// checkEnum rejects a value the flag's choice table does not list.
+func checkEnum[T any](name, value string, choices map[string]T) error {
+	if _, ok := choices[value]; !ok {
+		return fmt.Errorf("-%s: unknown value %q", name, value)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@
 // Usage:
 //
 //	psbench [-table all|1|2|3|X1|X2|X3|X4|X5|X6|A1|F1|F2] [-scale small|paper]
+//	        [-format text|csv|json]
 //	psbench -list
 //	psbench -checkprom metrics.prom   (or - for stdin)
 package main
@@ -72,6 +73,11 @@ func main() {
 		"validate a Prometheus text exposition file (or - for stdin) against the format grammar and exit")
 	flag.Parse()
 
+	if err := validateFlags(*scale, *format); err != nil {
+		fmt.Fprintf(os.Stderr, "psbench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *list {
 		printIndex()
 		return
@@ -85,10 +91,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.PaperScale
-	if *scale == "small" {
-		cfg = experiments.Small
-	}
+	cfg := scales[*scale]
 
 	type job struct {
 		id  string
@@ -148,6 +151,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "psbench: unknown table %q\n", *table)
 		os.Exit(1)
 	}
+}
+
+// scales maps -scale to the experiment configuration it selects;
+// formats lists -format's values.
+var (
+	scales  = map[string]experiments.Config{"small": experiments.Small, "paper": experiments.PaperScale}
+	formats = map[string]bool{"text": true, "csv": true, "json": true}
+)
+
+// validateFlags rejects an unknown -scale or -format, which would
+// otherwise silently start a paper-scale run or print text.
+func validateFlags(scale, format string) error {
+	if _, ok := scales[scale]; !ok {
+		return fmt.Errorf("-scale: unknown value %q", scale)
+	}
+	if !formats[format] {
+		return fmt.Errorf("-format: unknown value %q", format)
+	}
+	return nil
 }
 
 // printFigure1 reproduces the paper's Figure 1: the initial equal-size

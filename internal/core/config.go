@@ -182,17 +182,6 @@ type RenderConfig struct {
 	// OutputDir, when non-empty and Rasterize is on, makes the image
 	// generator write each frame as frame-NNNN.ppm into the directory.
 	OutputDir string
-	// RenderWorkers is the host-parallel render width: the image
-	// generator splits the framebuffer into deterministically owned
-	// pixel rows across this many splat workers and streams decoded
-	// render batches to them as they arrive. 0 or 1 runs the historical
-	// serial splatter; negative means GOMAXPROCS. Any width is
-	// bit-identical to serial — each pixel is touched by exactly one
-	// worker in arrival order, so checksums, PPM bytes, clocks and
-	// traces do not change — only host wall-clock differs. Ignored
-	// unless Rasterize is set (without a framebuffer there is nothing to
-	// splat).
-	RenderWorkers int
 	// Perspective renders through the pinhole PerspectiveCamera instead
 	// of the default orthographic framing — same space box, eye pulled
 	// back along +Z.
@@ -259,14 +248,6 @@ type Scenario struct {
 	// proportional to measured processing power — the ablation for the
 	// paper's heterogeneity mechanism.
 	IgnorePower bool
-
-	// Workers is the host-parallel compute width: each calculator (and
-	// the sequential engine) fans its per-bin kernel applications across
-	// this many goroutines. 0 or 1 runs sequentially; negative means
-	// GOMAXPROCS. Parallel runs are bit-identical to sequential —
-	// checksums, virtual clocks, traces and metrics do not change with
-	// the width — only host wall-clock differs.
-	Workers int
 
 	// PipelineFrames lets calculators start frame f+1 before the image
 	// generator finishes frame f. The paper's frames are synchronous —

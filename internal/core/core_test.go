@@ -8,6 +8,7 @@ import (
 	"pscluster/internal/actions"
 	"pscluster/internal/cluster"
 	"pscluster/internal/geom"
+	"pscluster/internal/particle"
 )
 
 // miniSnow is a reduced snow-like scenario: three systems of emitters
@@ -381,6 +382,33 @@ func TestFrameTimesMonotonic(t *testing.T) {
 		if last := res.FrameTimes[len(res.FrameTimes)-1]; last > res.Time {
 			t.Errorf("%s: last frame at %v after total time %v", name, last, res.Time)
 		}
+	}
+}
+
+// One per-particle pass counts what the compute-pass counters export:
+// every non-empty bin once and every stored particle once. The
+// particles fill only the lower half of the store, so empty bins exist
+// and must not count.
+func TestApplyToSetCountsPasses(t *testing.T) {
+	const nBins = 16
+	st := particle.NewColumnStore(geom.AxisX, -50, 50, nBins)
+	rng := geom.NewRNG(7)
+	for i := 0; i < 500; i++ {
+		st.Add(particle.Particle{Pos: geom.V(rng.Float64()*50-50, 0, 0)})
+	}
+	wantBins := 0
+	for bi := 0; bi < nBins; bi++ {
+		if st.Bin(bi).Len() > 0 {
+			wantBins++
+		}
+	}
+	if wantBins == 0 || wantBins == nBins {
+		t.Fatalf("%d of %d bins occupied: the store cannot expose empty-bin counting", wantBins, nBins)
+	}
+	ctx := &actions.Context{DT: 0.1}
+	bins, parts := applyToSet(st, ctx, &actions.Gravity{G: geom.V(0, -9.8, 0)})
+	if bins != wantBins || parts != 500 {
+		t.Errorf("applyToSet counted %d bins, %d particles; want %d, 500", bins, parts, wantBins)
 	}
 }
 

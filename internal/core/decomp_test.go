@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"pscluster/internal/cluster"
 	"pscluster/internal/geom"
+	"pscluster/internal/obs"
 )
 
 // TestDecompSlabBitNeutral is the decomposition plane's acceptance
@@ -69,6 +71,21 @@ func TestDecompSlabBitNeutral(t *testing.T) {
 			})
 		}
 	}
+}
+
+// marshalF2 renders a run the way cmd/psbench's F2 JSON embeds it:
+// trace events plus the full metrics snapshot. Byte equality here means
+// the benchmark artifacts cannot tell the two runs apart.
+func marshalF2(t *testing.T, res *Result, prof *obs.Profile) []byte {
+	t.Helper()
+	data, err := json.Marshal(struct {
+		Events  []Event      `json:"events"`
+		Metrics obs.Snapshot `json:"metrics"`
+	}{res.Events, prof.Registry.Snapshot()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // The central correctness claim extends to the new strategies: for

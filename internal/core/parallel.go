@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 
@@ -202,18 +201,15 @@ func assembleProfile(res *Result, mgr *managerProc, img *imageGenProc, calcs []*
 			"final stored particles per calculator",
 			"rank", strconv.Itoa(rankCalc0+i)).Set(float64(load))
 	}
-	// Per-rank compute-plane aggregates. Only width-independent totals
-	// are exported: the multiset of (bin, kernel) applications is fixed
-	// by the scenario, so these counters — unlike any per-worker-slot
-	// breakdown — are bit-identical at every Workers setting.
+	// Per-rank compute-pass totals: every (bin, kernel) application the
+	// calculator's per-particle passes made, as counted by notePasses.
 	for i, c := range calcs {
-		bins, parts := c.pool.totals()
 		reg.Counter("pscluster_compute_bin_passes_total",
 			"bin-batch kernel applications per calculator",
-			"rank", strconv.Itoa(rankCalc0+i)).Add(float64(bins))
+			"rank", strconv.Itoa(rankCalc0+i)).Add(float64(c.binPasses))
 		reg.Counter("pscluster_compute_particle_passes_total",
 			"particle kernel applications per calculator (stored scale)",
-			"rank", strconv.Itoa(rankCalc0+i)).Add(float64(parts))
+			"rank", strconv.Itoa(rankCalc0+i)).Add(float64(c.particlePasses))
 	}
 	for rank, t := range res.PerProcTime {
 		reg.Gauge("pscluster_proc_time_seconds",
@@ -563,10 +559,11 @@ type calcProc struct {
 	ctxs   []*actions.Context
 	others []int // every calculator rank except this one, ascending
 
-	// pool fans per-bin kernel applications across host goroutines;
-	// plans is the compiled, fused run program per system.
-	pool  *workerPool
-	plans [][]actions.Run
+	// plans is the compiled, fused run program per system; binPasses and
+	// particlePasses count what its per-particle passes touched.
+	plans          [][]actions.Run
+	binPasses      int
+	particlePasses int
 
 	exchangedStored int
 	lbMovedStored   int
@@ -666,12 +663,6 @@ func (c *calcProc) run() error {
 	c.owned = make([][]*particle.Batch, nSys)
 	c.reports = make([]loadbalance.Report, 0, nSys)
 	c.edgeTables = make([][]float64, 0, nSys)
-	width := scn.Workers
-	if width == 0 {
-		width = 1
-	}
-	c.pool = newWorkerPool(width)
-	defer c.pool.Close()
 	c.plans = compilePlans(scn)
 	return runProgram(c, compileCalc(c, scn.lbPolicy()))
 }
@@ -689,16 +680,8 @@ type imageGenProc struct {
 	fb  *render.Framebuffer // nil unless the scenario rasterizes
 	cam render.Camera
 
-	// The tiled render plane (DESIGN §16). plane is nil when the
-	// scenario renders serially; fbs double-buffers frames in overlapped
-	// (PipelineFrames) mode, with finish[i] carrying the async
-	// checksum+write job still running on fbs[i]. wire is the serial
-	// path's reusable decode scratch; gather and blobs are the collect
-	// phase's per-frame message/slot scratch.
-	plane  *render.Plane
-	fbs    [2]*render.Framebuffer
-	fbIdx  int
-	finish [2]<-chan error
+	// wire is the reusable render-batch decode scratch; gather and blobs
+	// are the collect phase's per-frame message/slot scratch.
 	wire   particle.Batch
 	gather []transport.Message
 	blobs  [][][]byte
@@ -709,25 +692,6 @@ type imageGenProc struct {
 	rec        *obs.Recorder // nil unless the run is profiled
 
 	fs imageFrame
-}
-
-// overlap reports whether frame rasterization runs on the plane's
-// finisher goroutine, overlapped with the next frame's collect.
-func (g *imageGenProc) overlap() bool {
-	return g.plane != nil && g.scn.PipelineFrames
-}
-
-// renderWidth resolves the configured render-worker width: 0 and 1 are
-// the serial splatter, negative means GOMAXPROCS.
-func renderWidth(scn *Scenario) int {
-	w := scn.Render.RenderWorkers
-	if w < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if w == 0 {
-		return 1
-	}
-	return w
 }
 
 // imageFrame is the image generator's per-frame scratch: the running
@@ -750,46 +714,15 @@ func (g *imageGenProc) annotateLive(fr *obs.FrameRecord) {
 
 func (g *imageGenProc) run() error {
 	scn := g.scn
-	// Preallocate the checksum log: overlapped finish jobs write their
-	// slot through a pointer, so the backing array must never move.
 	g.checksums = make([]uint64, 0, scn.Frames)
 	g.gather = make([]transport.Message, len(g.calcRanks))
 	g.blobs = make([][][]byte, len(g.calcRanks))
 	if scn.Render.Rasterize {
-		g.fbs[0] = render.NewFramebuffer(scn.Render.Width, scn.Render.Height)
-		g.fb = g.fbs[0]
+		g.fb = render.NewFramebuffer(scn.Render.Width, scn.Render.Height)
 		g.cam = defaultCamera(scn)
 		if err := ensureOutputDir(scn); err != nil {
 			return err
 		}
-		if w := renderWidth(scn); w > 1 {
-			g.plane = render.NewPlane(w)
-			defer g.plane.Close()
-			if scn.PipelineFrames {
-				g.fbs[1] = render.NewFramebuffer(scn.Render.Width, scn.Render.Height)
-				// Start at 1 so the first frame's beginFrameFB flips to 0.
-				g.fbIdx = 1
-			}
-		}
 	}
-	if err := runProgram(g, compileImage(g)); err != nil {
-		return err
-	}
-	return g.drainFinish()
-}
-
-// drainFinish joins the overlapped finish jobs still in flight after
-// the last frame, surfacing the first error.
-func (g *imageGenProc) drainFinish() error {
-	var first error
-	for i, ch := range g.finish {
-		if ch == nil {
-			continue
-		}
-		g.finish[i] = nil
-		if err := <-ch; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return runProgram(g, compileImage(g))
 }

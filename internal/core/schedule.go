@@ -7,7 +7,6 @@ import (
 	"pscluster/internal/domain"
 	"pscluster/internal/geom"
 	"pscluster/internal/particle"
-	"pscluster/internal/render"
 	"pscluster/internal/transport"
 )
 
@@ -221,15 +220,14 @@ func compileImage(g *imageGenProc) []step {
 	groups := scn.Schedule.groups(len(scn.Systems))
 	return []step{
 		{phase: "render-collect", sys: -1, run: always(func() error {
-			if err := g.beginFrameFB(); err != nil {
-				return err
+			if g.fb != nil {
+				g.fb.Clear()
 			}
-			// Streamed ingest: each message is split and handed to the
-			// splat workers as it arrives, overlapping splatting with the
-			// remaining gathers. The fabric ops and the clock charges keep
-			// exactly the historical sequence — all receives for the
-			// group, then every blob's AdvanceWork in rank-then-system
-			// order — so virtual times are untouched; only host work moved.
+			// Streamed ingest: each message is split and splatted as it
+			// arrives. The fabric ops and the clock charges keep exactly
+			// the historical sequence — all receives for the group, then
+			// every blob's AdvanceWork in rank-then-system order — so
+			// virtual times are untouched; only host work moved.
 			for _, grp := range groups {
 				for i, r := range g.calcRanks {
 					msg := g.ep.Recv(r, transport.TagRenderBatch)
@@ -407,8 +405,7 @@ func (c *calcProc) chargeExchangeScan(si int) {
 // fused kernel, or a single per-particle action — advancing the clock
 // and accumulating the frame's work for the load report. The clock is
 // charged per source action, after the kernel, in action-list order:
-// neither fusion nor the worker pool perturbs the sequential charge
-// sequence.
+// fusion does not perturb the sequential charge sequence.
 func (c *calcProc) applyRun(si int, r *actions.Run) error {
 	scn := c.scn
 	st := c.stores[si]
@@ -422,14 +419,14 @@ func (c *calcProc) applyRun(si int, r *actions.Run) error {
 		c.ep.Clock().AdvanceWork(w, c.rate)
 		c.fs.work[si] += w
 	case r.Fused != nil:
-		applyKernelToSet(st, c.ctxs[si], r.Fused, c.pool)
+		c.notePasses(applyKernelToSet(st, c.ctxs[si], r.Fused))
 		for _, a := range r.Acts {
 			w := a.Cost() * float64(st.Len()) * scn.Ratio
 			c.ep.Clock().AdvanceWork(w, c.rate)
 			c.fs.work[si] += w
 		}
 	case len(r.Acts) == 1:
-		applyToSet(st, c.ctxs[si], r.Acts[0], c.pool)
+		c.notePasses(applyToSet(st, c.ctxs[si], r.Acts[0]))
 		w := r.Acts[0].Cost() * float64(st.Len()) * scn.Ratio
 		c.ep.Clock().AdvanceWork(w, c.rate)
 		c.fs.work[si] += w
@@ -457,7 +454,7 @@ func (c *calcProc) runScripted(si int) {
 	scn := c.scn
 	st := c.stores[si]
 	for _, pa := range scn.scriptedFor(c.fs.frame, si) {
-		applyToSet(st, c.ctxs[si], pa, c.pool)
+		c.notePasses(applyToSet(st, c.ctxs[si], pa))
 		w := pa.Cost() * float64(st.Len()) * scn.Ratio
 		c.ep.Clock().AdvanceWork(w, c.rate)
 		c.fs.work[si] += w
@@ -573,49 +570,11 @@ func (c *calcProc) renderSend(g sysGroup) {
 	c.ep.SendSized(rankImageGen, transport.TagRenderBatch, payload, bill)
 }
 
-// beginFrameFB readies the framebuffer for a new frame. In overlapped
-// mode the buffers alternate, so the incoming frame first waits out any
-// finish job still rasterizing the buffer it is about to clear.
-func (g *imageGenProc) beginFrameFB() error {
-	if g.fb == nil {
-		return nil
-	}
-	if g.overlap() {
-		g.fbIdx ^= 1
-		g.fb = g.fbs[g.fbIdx]
-		if ch := g.finish[g.fbIdx]; ch != nil {
-			g.finish[g.fbIdx] = nil
-			if err := <-ch; err != nil {
-				return err
-			}
-		}
-	}
-	g.fb.Clear()
-	return nil
-}
-
 // generateImage closes the frame's image: checksum and (when asked)
-// the PPM file. With a render plane the splat backlog is barriered
-// first; in overlapped mode the checksum+write moves to the plane's
-// finisher goroutine and the program goroutine sails on to collect the
-// next frame — beginFrameFB joins the job before reusing its buffer,
-// and run() drains the last frames' jobs.
+// the PPM file.
 func (g *imageGenProc) generateImage() error {
 	if g.fb == nil {
 		g.checksums = append(g.checksums, g.fs.frameSum)
-		return nil
-	}
-	if g.plane != nil {
-		g.plane.Barrier()
-	}
-	if g.overlap() {
-		g.checksums = append(g.checksums, 0)
-		dst := &g.checksums[len(g.checksums)-1]
-		scn, frame, fb := g.scn, g.fs.frame, g.fb
-		g.finish[g.fbIdx] = g.plane.FinishAsync(fb, func(fb *render.Framebuffer) error {
-			*dst = fb.Checksum()
-			return maybeWriteFrame(scn, frame, fb)
-		})
 		return nil
 	}
 	sum := g.fb.Checksum()
@@ -627,16 +586,11 @@ func (g *imageGenProc) generateImage() error {
 }
 
 // splatBlob is the host-side half of the historical ingestBlob: decode
-// one render batch and splat it, either through the render plane (the
-// workers splat their owned rows while this goroutine keeps gathering)
-// or serially through the reusable decode scratch. No clock or hash
-// state is touched — chargeBlob does the model-visible half.
+// one render batch into the reusable scratch and splat it. No clock or
+// hash state is touched — chargeBlob does the model-visible half.
 func (g *imageGenProc) splatBlob(blob []byte) error {
 	if g.fb == nil {
 		return nil
-	}
-	if g.plane != nil {
-		return g.plane.Ingest(g.fb, g.cam, blob, decodeRenderColumnsInto)
 	}
 	if err := decodeRenderColumnsInto(&g.wire, blob); err != nil {
 		return err
@@ -661,41 +615,34 @@ func (g *imageGenProc) chargeBlob(blob []byte) {
 // applyToSet runs one per-particle action over every bin batch of st:
 // actions with a columnar kernel stream it, the rest go through
 // ApplyToBatch's record adapter. Either way the per-particle operations
-// and their order are those of an Apply loop in store order. With a
-// multi-slot pool the bins fan out across the worker goroutines; bins
-// are disjoint and the kernels touch only their own bin, so the result
-// is bit-identical to the sequential pass.
+// and their order are those of an Apply loop in store order. It
+// returns the non-empty bins and the particles the pass touched.
 //
 //pslint:clock-ok every caller (applyRun, runScripted) charges Cost×len×Ratio right after the kernel
-func applyToSet(st *particle.ColumnStore, ctx *actions.Context, act actions.ParticleAction, pool *workerPool) {
-	if bins := pool.parallelBins(st); bins != nil {
-		pool.runBins(bins, func(bi, slot int) {
-			b := bins[bi]
-			actions.ApplyToBatch(ctx, act, b)
-			pool.note(slot, b.Len())
-		})
-		return
-	}
+func applyToSet(st *particle.ColumnStore, ctx *actions.Context, act actions.ParticleAction) (bins, particles int) {
 	st.EachBatch(func(b *particle.Batch) {
 		actions.ApplyToBatch(ctx, act, b)
-		pool.note(0, b.Len())
+		bins++
+		particles += b.Len()
 	})
+	return bins, particles
 }
 
 // applyKernelToSet is applyToSet for a fused kernel: one single-pass
 // kernel standing for a chain of adjacent per-particle actions. The
 // caller (applyRun) charges each fused action's cost after the pass.
-func applyKernelToSet(st *particle.ColumnStore, ctx *actions.Context, k actions.Kernel, pool *workerPool) {
-	if bins := pool.parallelBins(st); bins != nil {
-		pool.runBins(bins, func(bi, slot int) {
-			b := bins[bi]
-			k(ctx, b)
-			pool.note(slot, b.Len())
-		})
-		return
-	}
+func applyKernelToSet(st *particle.ColumnStore, ctx *actions.Context, k actions.Kernel) (bins, particles int) {
 	st.EachBatch(func(b *particle.Batch) {
 		k(ctx, b)
-		pool.note(0, b.Len())
+		bins++
+		particles += b.Len()
 	})
+	return bins, particles
+}
+
+// notePasses adds one per-particle pass to the calculator's
+// pscluster_compute_{bin,particle}_passes_total counts.
+func (c *calcProc) notePasses(bins, particles int) {
+	c.binPasses += bins
+	c.particlePasses += particles
 }

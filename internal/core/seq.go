@@ -47,16 +47,9 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 		}
 	}
 
-	// The sequential engine shares the parallel engine's compute plane:
-	// compiled, fused run programs, and a worker pool
-	// fanning per-bin kernels across host goroutines. Both are
-	// bit-neutral, so the baseline's virtual time is unchanged.
-	width := scn.Workers
-	if width == 0 {
-		width = 1
-	}
-	pool := newWorkerPool(width)
-	defer pool.Close()
+	// The sequential engine runs the parallel engine's compiled, fused
+	// run programs. Fusion is bit-neutral, so the baseline's virtual
+	// time is unchanged.
 	plans := compilePlans(&scn)
 
 	res := &Result{Frames: scn.Frames}
@@ -90,12 +83,12 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 				case r.Store != nil:
 					clock.AdvanceWork(r.Store.ApplyStore(ctx, &storeScratch, st)*scn.Ratio, rate)
 				case r.Fused != nil:
-					applyKernelToSet(st, ctx, r.Fused, pool)
+					applyKernelToSet(st, ctx, r.Fused)
 					for _, a := range r.Acts {
 						clock.AdvanceWork(a.Cost()*float64(st.Len())*scn.Ratio, rate)
 					}
 				case len(r.Acts) == 1:
-					applyToSet(st, ctx, r.Acts[0], pool)
+					applyToSet(st, ctx, r.Acts[0])
 					clock.AdvanceWork(r.Acts[0].Cost()*float64(st.Len())*scn.Ratio, rate)
 				default:
 					name := "nil"
@@ -106,7 +99,7 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 				}
 			}
 			for _, pa := range scn.scriptedFor(frame, si) {
-				applyToSet(st, ctxs[si], pa, pool)
+				applyToSet(st, ctxs[si], pa)
 				clock.AdvanceWork(pa.Cost()*float64(st.Len())*scn.Ratio, rate)
 			}
 			st.RemoveDead()

@@ -207,14 +207,14 @@ func (c *simsCalc) run() error {
 					w := act.ApplyWithGhosts(ctxs[si], &c.storeScratch, st, &c.ghosts) * scn.Ratio
 					c.ep.Clock().AdvanceWork(w, c.rate)
 				case actions.ParticleAction:
-					applyToSet(st, ctxs[si], act, nil)
+					applyToSet(st, ctxs[si], act)
 					c.ep.Clock().AdvanceWork(a.Cost()*float64(st.Len())*scn.Ratio, c.rate)
 				default:
 					return fmt.Errorf("core: sims baseline cannot run action %q", a.Name())
 				}
 			}
 			for _, pa := range scn.scriptedFor(frame, si) {
-				applyToSet(st, ctxs[si], pa, nil)
+				applyToSet(st, ctxs[si], pa)
 				c.ep.Clock().AdvanceWork(pa.Cost()*float64(st.Len())*scn.Ratio, c.rate)
 			}
 			st.RemoveDead()

@@ -139,21 +139,6 @@ func (s *ColumnStore) EachBatch(fn func(*Batch)) {
 	}
 }
 
-// AppendBins appends the store's non-empty bin batches to dst in bin
-// order and returns the extended slice — the indexable form of
-// EachBatch the engine's worker pool fans out across goroutines. The
-// returned pointers alias the live bins: callers may mutate column
-// values but must not grow or shrink the batches.
-func (s *ColumnStore) AppendBins(dst []*Batch) []*Batch {
-	for bi := range s.bins {
-		if s.bins[bi].Len() == 0 {
-			continue
-		}
-		dst = append(dst, &s.bins[bi])
-	}
-	return dst
-}
-
 // Bin returns bin bi's live columns (possibly empty). The indexable,
 // closure-free form of EachBatch: allocation-sensitive encoders walk
 // bins by index so nothing escapes. The pointer aliases the live bin.

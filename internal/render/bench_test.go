@@ -196,73 +196,3 @@ func BenchmarkRenderTiled(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkRenderPipelined is the pipelined-vs-sync number: one op
-// renders 4 frames at plane width 4, with the per-frame finish
-// (checksum + tone-mapped PPM to io.Discard) either inline after the
-// barrier or overlapped on the finisher goroutine while the next frame
-// ingests — the PipelineFrames shape.
-func BenchmarkRenderPipelined(b *testing.B) {
-	const frames, nBatches, perBatch = 4, 4, 2000
-	cam := benchCam()
-	decode := benchDecode(benchColumns(perBatch))
-	finish := func(fb *Framebuffer) error {
-		_ = fb.Checksum()
-		return fb.WritePPM(io.Discard)
-	}
-	b.Run("sync", func(b *testing.B) {
-		p := NewPlane(4)
-		defer p.Close()
-		fb := NewFramebuffer(256, 256)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for f := 0; f < frames; f++ {
-				fb.Clear()
-				for j := 0; j < nBatches; j++ {
-					if err := p.Ingest(fb, cam, nil, decode); err != nil {
-						b.Fatal(err)
-					}
-				}
-				p.Barrier()
-				if err := finish(fb); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("pipelined", func(b *testing.B) {
-		p := NewPlane(4)
-		defer p.Close()
-		fbs := [2]*Framebuffer{NewFramebuffer(256, 256), NewFramebuffer(256, 256)}
-		var pending [2]<-chan error
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for f := 0; f < frames; f++ {
-				cur := f & 1
-				if pending[cur] != nil {
-					if err := <-pending[cur]; err != nil {
-						b.Fatal(err)
-					}
-					pending[cur] = nil
-				}
-				fb := fbs[cur]
-				fb.Clear()
-				for j := 0; j < nBatches; j++ {
-					if err := p.Ingest(fb, cam, nil, decode); err != nil {
-						b.Fatal(err)
-					}
-				}
-				p.Barrier()
-				pending[cur] = p.FinishAsync(fb, finish)
-			}
-		}
-		b.StopTimer()
-		for _, ch := range pending {
-			if ch != nil {
-				if err := <-ch; err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}

@@ -8,30 +8,25 @@ import (
 	"pscluster/internal/particle"
 )
 
-// Plane is the tiled host-parallel renderer (ROADMAP item 4, grounded
-// in the tile-owned compositing of arXiv:1401.0608): a fixed set of
-// splat workers that share every ingested batch but own disjoint pixel
-// rows of the framebuffer, plus one finisher goroutine that runs
-// whole-frame work (checksum, tone-map, file write) off the caller's
-// goroutine.
+// Plane is a tiled splatter: a fixed set of splat workers that share
+// every ingested batch but own disjoint pixel rows of the framebuffer.
+// The engine does not use it — every rank renders on its own goroutine
+// (DESIGN §16) — and it stays only as a host-performance probe.
 //
 // Determinism: worker w owns exactly the rows y with y % width == w,
 // and every worker receives every batch over its own FIFO queue in the
 // ingest call order. A pixel is therefore touched by exactly one
 // goroutine, in exactly the order a serial splatter would touch it, so
 // the accumulated floats — and with them Checksum() and the PPM bytes —
-// are bit-identical at any width. Like the compute plane's workerPool,
-// the Plane moves host work around but never changes what is computed.
+// are bit-identical at any width.
 //
-// The Plane is free-threaded in the small: one goroutine ingests and
-// barriers, the workers splat, the finisher writes. It is not safe for
-// concurrent ingest from multiple goroutines (the per-queue FIFO order
-// is the determinism contract).
+// One goroutine ingests and barriers, the workers splat. The Plane is
+// not safe for concurrent ingest from multiple goroutines (the
+// per-queue FIFO order is the determinism contract).
 type Plane struct {
 	width   int
 	queues  []chan planeOp
 	wg      sync.WaitGroup
-	finish  chan finishJob
 	closed  bool
 	leases  sync.Pool // *planeBatch
 	barrier sync.WaitGroup
@@ -53,21 +48,13 @@ type planeBatch struct {
 	refs atomic.Int32
 }
 
-// finishJob is one whole-frame job for the finisher goroutine.
-type finishJob struct {
-	fb   *Framebuffer
-	fn   func(*Framebuffer) error
-	done chan<- error
-}
-
 // planeQueueDepth bounds each worker's pending-batch FIFO. Ingest
 // blocks when a queue is full — pure backpressure, since workers always
 // drain; the bound keeps a fast producer from buffering a whole frame.
 const planeQueueDepth = 64
 
-// NewPlane starts a plane of the given width (<= 0 means GOMAXPROCS;
-// callers gate the serial width-1 case themselves). Close releases the
-// goroutines.
+// NewPlane starts a plane of the given width (<= 0 means GOMAXPROCS).
+// Close releases the goroutines.
 func NewPlane(width int) *Plane {
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
@@ -75,20 +62,14 @@ func NewPlane(width int) *Plane {
 	p := &Plane{
 		width:  width,
 		queues: make([]chan planeOp, width),
-		finish: make(chan finishJob, 1),
 	}
 	for w := range p.queues {
 		p.queues[w] = make(chan planeOp, planeQueueDepth)
 		p.wg.Add(1)
 		go p.worker(w)
 	}
-	p.wg.Add(1)
-	go p.finisher()
 	return p
 }
-
-// Width returns the number of splat workers.
-func (p *Plane) Width() int { return p.width }
 
 // Ingest leases a batch, fills it via decode(batch, blob) on the
 // calling goroutine, and hands it to every worker. Each worker splats
@@ -122,19 +103,7 @@ func (p *Plane) Barrier() {
 	p.barrier.Wait()
 }
 
-// FinishAsync hands fb to the finisher goroutine and returns a channel
-// carrying fn's error. Callers Barrier first, so fb is complete when fn
-// runs. The channel is buffered: the result can be read long after (or
-// never, on abort) without wedging the finisher.
-func (p *Plane) FinishAsync(fb *Framebuffer, fn func(*Framebuffer) error) <-chan error {
-	done := make(chan error, 1)
-	p.finish <- finishJob{fb: fb, fn: fn, done: done}
-	return done
-}
-
-// Close drains the queues and stops every goroutine. Idempotent; safe
-// after partial runs — pending finish jobs still run (their buffered
-// channels hold the results).
+// Close drains the queues and stops every goroutine. Idempotent.
 func (p *Plane) Close() {
 	if p.closed {
 		return
@@ -143,7 +112,6 @@ func (p *Plane) Close() {
 	for _, q := range p.queues {
 		close(q)
 	}
-	close(p.finish)
 	p.wg.Wait()
 }
 
@@ -158,12 +126,5 @@ func (p *Plane) worker(w int) {
 		if op.b.refs.Add(-1) == 0 {
 			p.leases.Put(op.b)
 		}
-	}
-}
-
-func (p *Plane) finisher() {
-	defer p.wg.Done()
-	for job := range p.finish {
-		job.done <- job.fn(job.fb)
 	}
 }

@@ -258,8 +258,6 @@ type jsonScenario struct {
 	DecompStep       float64      `json:"decomp_step,omitempty"`
 	GhostCollisions  bool         `json:"ghost_collisions,omitempty"`
 	PipelineFrames   bool         `json:"pipeline_frames,omitempty"`
-	Workers          int          `json:"workers,omitempty"`
-	RenderWorkers    int          `json:"render_workers,omitempty"`
 	ExchangeScanWork float64      `json:"exchange_scan_work,omitempty"`
 }
 
@@ -276,8 +274,6 @@ func Encode(scn core.Scenario) ([]byte, error) {
 		LBMinBatch:       scn.LBMinBatch,
 		GhostCollisions:  scn.GhostCollisions,
 		PipelineFrames:   scn.PipelineFrames,
-		Workers:          scn.Workers,
-		RenderWorkers:    scn.Render.RenderWorkers,
 		ExchangeScanWork: scn.ExchangeScanWork,
 	}
 	if scn.Mode == core.FiniteSpace {
@@ -349,10 +345,8 @@ func Decode(data []byte) (core.Scenario, error) {
 		LBMinBatch:       js.LBMinBatch,
 		GhostCollisions:  js.GhostCollisions,
 		PipelineFrames:   js.PipelineFrames,
-		Workers:          js.Workers,
 		ExchangeScanWork: js.ExchangeScanWork,
 	}
-	scn.Render.RenderWorkers = js.RenderWorkers
 	switch js.Mode {
 	case "finite":
 		scn.Mode = core.FiniteSpace

