@@ -55,7 +55,8 @@ bench:
 # temporary checkout of the base (HEAD if the tree is dirty, else HEAD^;
 # BASE=<rev> overrides) and on this tree. Fails on a wrong golden
 # digest, on any move in virtual_s / imbalance_mean, or on
-# allocs_per_frame rising > 2 %; timing is printed as advisory. ~3 min.
+# allocs_per_frame / alloc_mb_per_frame rising past their BENCHMARK.json
+# bounds (2 % / 8 %); timing is printed as advisory. ~3 min.
 bench-check:
 	sh scripts/bench_check.sh
 

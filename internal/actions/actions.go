@@ -43,10 +43,16 @@ func (k Kind) String() string {
 	}
 }
 
-// Context carries per-frame state into actions.
+// Context carries per-frame state into actions. Actions mutate it, so a
+// Context serves one goroutine at a time.
 type Context struct {
 	RNG *geom.RNG // the particle system's deterministic stream
 	DT  float64   // frame time step, seconds
+
+	// scratch is the kernels' re-seedable stream for particles' private
+	// random state: it lives in the Context so that passing it through an
+	// interface allocates nothing.
+	scratch geom.RNG
 }
 
 // Action is anything that can appear in a particle system's per-frame
@@ -68,10 +74,11 @@ type ParticleAction interface {
 	Apply(ctx *Context, p *particle.Particle)
 }
 
-// CreateAction generates new particles (manager-side).
+// CreateAction generates new particles (manager-side), appending them
+// to a batch the caller owns.
 type CreateAction interface {
 	Action
-	Generate(ctx *Context) []particle.Particle
+	GenerateInto(ctx *Context, dst *particle.Batch)
 }
 
 // StoreAction operates on the whole local store (inter-particle
@@ -111,32 +118,41 @@ func (s *Source) Kind() Kind { return KindCreate }
 // Cost implements Action: creation is charged per created particle.
 func (s *Source) Cost() float64 { return 2.0 }
 
-// Generate implements CreateAction.
-func (s *Source) Generate(ctx *Context) []particle.Particle {
-	ps := make([]particle.Particle, s.Rate)
-	for i := range ps {
-		p := &ps[i]
-		p.Pos = s.Pos.Generate(ctx.RNG)
+// GenerateInto implements CreateAction: it appends Rate particles to
+// dst, drawing each one's position, velocity, color, age and private
+// stream from the system stream in that order.
+func (s *Source) GenerateInto(ctx *Context, dst *particle.Batch) {
+	first := dst.Len()
+	dst.Grow(s.Rate)
+	for i := first; i < dst.Len(); i++ {
+		dst.Pos[i] = s.Pos.Generate(ctx.RNG)
 		if s.Vel != nil {
-			p.Vel = s.Vel.Generate(ctx.RNG)
+			dst.Vel[i] = s.Vel.Generate(ctx.RNG)
 		}
 		if s.Color != nil {
-			p.Color = s.Color.Generate(ctx.RNG)
+			dst.Color[i] = s.Color.Generate(ctx.RNG)
 		} else {
-			p.Color = geom.V(1, 1, 1)
+			dst.Color[i] = geom.V(1, 1, 1)
 		}
-		p.Up = s.UpVec
-		p.Size = s.Size
-		p.Alpha = s.Alpha
+		dst.Up[i] = s.UpVec
+		dst.Size[i] = s.Size
+		dst.Alpha[i] = s.Alpha
 		if s.AgeJitter > 0 {
-			p.Age = ctx.RNG.Range(0, s.AgeJitter)
+			dst.Age[i] = ctx.RNG.Range(0, s.AgeJitter)
 		}
 		// Every particle carries a private random stream so stochastic
 		// actions stay deterministic no matter which calculator ends up
 		// applying them (sequential ≡ parallel).
-		p.Rand = ctx.RNG.Uint64()
+		dst.Rand[i] = ctx.RNG.Uint64()
 	}
-	return ps
+}
+
+// Generate returns one GenerateInto call's particles as records, in a
+// fresh slice.
+func (s *Source) Generate(ctx *Context) []particle.Particle {
+	var b particle.Batch
+	s.GenerateInto(ctx, &b)
+	return b.All()
 }
 
 // ---------------------------------------------------------------------

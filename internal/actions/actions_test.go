@@ -50,6 +50,65 @@ func TestSourceDefaults(t *testing.T) {
 	}
 }
 
+// generateRecords is the record-at-a-time Source generator GenerateInto
+// replaced: one Particle per draw sequence, position, velocity, color,
+// age, private stream.
+func generateRecords(s *Source, ctx *Context) []particle.Particle {
+	ps := make([]particle.Particle, s.Rate)
+	for i := range ps {
+		p := &ps[i]
+		p.Pos = s.Pos.Generate(ctx.RNG)
+		if s.Vel != nil {
+			p.Vel = s.Vel.Generate(ctx.RNG)
+		}
+		if s.Color != nil {
+			p.Color = s.Color.Generate(ctx.RNG)
+		} else {
+			p.Color = geom.V(1, 1, 1)
+		}
+		p.Up, p.Size, p.Alpha = s.UpVec, s.Size, s.Alpha
+		if s.AgeJitter > 0 {
+			p.Age = ctx.RNG.Range(0, s.AgeJitter)
+		}
+		p.Rand = ctx.RNG.Uint64()
+	}
+	return ps
+}
+
+// GenerateInto appends exactly the records' particles, draws in the
+// same order, behind whatever the batch already holds — and, into a
+// warm batch, allocates nothing.
+func TestGenerateIntoMatchesRecordOracle(t *testing.T) {
+	for _, s := range []*Source{
+		{Rate: 57, Pos: geom.BoxDomain{B: geom.Box(geom.V(0, 0, 0), geom.V(10, 10, 10))},
+			Vel: geom.SphereDomain{OuterR: 2}, Color: geom.BoxDomain{B: geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1))},
+			UpVec: geom.V(0, 1, 0), Size: 0.5, Alpha: 0.8, AgeJitter: 2},
+		{Rate: 9, Pos: geom.PointDomain{P: geom.V(1, 2, 3)}},
+		{Rate: 0, Pos: geom.PointDomain{P: geom.V(1, 2, 3)}},
+	} {
+		wantCtx := ctx()
+		want := append(generateRecords(s, wantCtx), generateRecords(s, wantCtx)...)
+		c := ctx()
+		var b particle.Batch
+		s.GenerateInto(c, &b)
+		s.GenerateInto(c, &b)
+		if b.Len() != 2*s.Rate {
+			t.Fatalf("rate %d: two calls appended %d particles", s.Rate, b.Len())
+		}
+		for i, p := range want {
+			if b.At(i) != p {
+				t.Fatalf("rate %d: particle %d = %+v, want %+v", s.Rate, i, b.At(i), p)
+			}
+		}
+		if c.RNG.Save() != wantCtx.RNG.Save() {
+			t.Errorf("rate %d: system stream left in a different state", s.Rate)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { b.Clear(); s.GenerateInto(c, &b) }); allocs != 0 {
+			t.Errorf("rate %d: GenerateInto into a warm batch: %v allocs, want 0", s.Rate, allocs)
+		}
+	}
+}
+
 func TestGravity(t *testing.T) {
 	a := &Gravity{G: geom.V(0, -10, 0)}
 	p := particle.Particle{Vel: geom.V(1, 0, 0)}

@@ -1,9 +1,6 @@
 package actions
 
-import (
-	"pscluster/internal/geom"
-	"pscluster/internal/particle"
-)
+import "pscluster/internal/particle"
 
 // BatchAction is a ParticleAction with a columnar kernel: ApplyBatch
 // runs the action over a whole particle.Batch, streaming the columns it
@@ -59,18 +56,17 @@ func (a *Gravity) ApplyBatch(ctx *Context, b *particle.Batch) {
 	}
 }
 
-// ApplyBatch implements BatchAction. One RNG value is hoisted out of
-// the loop and re-seeded from each particle's saved stream — the draws
-// and float operations are Apply's, without its per-particle NewRNG.
-// The value escapes through the Domain interface call, so the kernel
-// costs one heap object per batch.
+// ApplyBatch implements BatchAction. The context's scratch stream is
+// re-seeded from each particle's saved stream — the draws and float
+// operations are Apply's, without its per-particle NewRNG, and with
+// nothing allocated.
 //
 //pslint:hotpath
 func (a *RandomAccel) ApplyBatch(ctx *Context, b *particle.Batch) {
-	var r geom.RNG
+	r := &ctx.scratch
 	for i := range b.Vel {
 		r.Seed(b.Rand[i])
-		b.Vel[i] = b.Vel[i].Add(a.Domain.Generate(&r).Scale(ctx.DT))
+		b.Vel[i] = b.Vel[i].Add(a.Domain.Generate(r).Scale(ctx.DT))
 		b.Rand[i] = r.Save()
 	}
 }

@@ -132,7 +132,7 @@ func TestApplyToBatchAllocBudget(t *testing.T) {
 		max float64
 	}{
 		{&Vortex{Axis: geom.V(0, 1, 0), Strength: 3}, 1},
-		{&RandomAccel{Domain: geom.SphereDomain{OuterR: 2}}, 1},
+		{&RandomAccel{Domain: geom.SphereDomain{OuterR: 2}}, 0},
 		{&Explosion{Center: explosionCenter, Speed: 12, Falloff: 0.7}, 0},
 	} {
 		b := randBatch(1000, 9)

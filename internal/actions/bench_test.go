@@ -53,9 +53,12 @@ func BenchmarkSourceGenerate(b *testing.B) {
 		Vel:  geom.SphereDomain{OuterR: 2},
 	}
 	c := ctx()
+	var dst particle.Batch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Generate(c)
+		dst.Clear()
+		s.GenerateInto(c, &dst)
 	}
 }
 

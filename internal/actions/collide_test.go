@@ -10,8 +10,15 @@ import (
 
 func storeWith(ps ...particle.Particle) *particle.ColumnStore {
 	s := particle.NewColumnStore(geom.AxisX, -100, 100, 8)
-	s.AddSlice(ps)
+	addAll(s, ps)
 	return s
+}
+
+// addAll stores every particle in ps, in order.
+func addAll(s *particle.ColumnStore, ps []particle.Particle) {
+	for i := range ps {
+		s.Add(ps[i])
+	}
 }
 
 // applyStore runs a store action the way the engines do, on the binned
@@ -501,7 +508,7 @@ func TestCollideMultiBinStoreOrder(t *testing.T) {
 		ps[i].Pos.X = 6 - 12*float64(i)/float64(len(ps))
 	}
 	st := particle.NewColumnStore(geom.AxisX, -6, 6, 5)
-	st.AddSlice(ps)
+	addAll(st, ps)
 	counts := st.BinCounts()
 	for _, n := range counts {
 		if n == 0 {

@@ -2,8 +2,8 @@ package analyzers
 
 // bufownership is the flow-sensitive enforcement of the pooled-buffer
 // contract (DESIGN §15): whoever acquires a wire buffer — bufpool.Get,
-// particle.EncodeBatch, (*Batch).EncodeWire, or any function whose doc
-// carries //pslint:pooled — owns exactly one disposal obligation, met
+// (*Batch).EncodeWire, or any function whose doc carries
+// //pslint:pooled — owns exactly one disposal obligation, met
 // by a bufpool.Put, a Message.Release, or an ownership transfer (a
 // fabric Send*/channel send, a return, or any escape into a call or a
 // data structure, after which the new holder is responsible). Tracked
@@ -172,8 +172,6 @@ func (t *bufTracker) originOf(call *ast.CallExpr) (bufKind, bool) {
 	base := path.Base(funcPkgPath(fn))
 	switch {
 	case base == "bufpool" && fn.Name() == "Get":
-		return kindBuf, true
-	case base == "particle" && fn.Name() == "EncodeBatch":
 		return kindBuf, true
 	case fn.Name() == "EncodeWire" && recvTypeName(fn) == "Batch":
 		return kindBuf, true

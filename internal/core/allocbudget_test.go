@@ -31,14 +31,19 @@ func mallocsPerFrame(t *testing.T, run func(frames int) error) float64 {
 }
 
 // The engines' allocation budget: a steady-state frame allocates
-// nothing proportional to the particle count, so quadrupling the
-// population must leave the objects per frame where they were. A
-// per-particle allocation anywhere in the frame — a boxed record in an
-// action adapter, a store copied on Resize, a neighbor grid rebuilt from
-// nothing by a store action — multiplies the count by the population
-// ratio and fails here; psperf, which shows the same thing as
-// allocs_per_frame, runs outside the tier-1 suite.
+// nothing that depends on the particle count, so quadrupling the
+// population must leave the objects per frame where they were, within
+// maxGrowth — the slack for reused capacity that still reaches a new
+// high-water mark now and then (bins, the neighbor grid), which the
+// larger population does a little more often. A per-particle allocation
+// anywhere in the frame — a boxed record in an action adapter, a store
+// copied on Resize, a neighbor grid rebuilt from nothing by a store
+// action — multiplies the count by the population ratio and fails here,
+// and so does a batch built fresh every frame, whose append growth is
+// logarithmic in the particles it takes; psperf, which shows the same
+// thing as allocs_per_frame, runs outside the tier-1 suite.
 func TestFrameAllocationsDoNotScaleWithPopulation(t *testing.T) {
+	const maxGrowth = 24
 	snow := func(perSystem, frames int) core.Scenario {
 		cfg := experiments.Config{ParticlesPerSystem: perSystem, Systems: 8, Frames: frames, DT: 0.1}
 		return experiments.Snow(cfg, core.FiniteSpace, core.DynamicLB)
@@ -67,6 +72,15 @@ func TestFrameAllocationsDoNotScaleWithPopulation(t *testing.T) {
 			GhostCollisions: true,
 		}
 	}
+	// A clustered explosion under the Voronoi decomposition: geometry
+	// rebalance and ownership migration every frame, leavers found by
+	// PartitionOwnedBatch.
+	explosion := func(perSystem, frames int) core.Scenario {
+		cfg := experiments.Config{ParticlesPerSystem: perSystem, Systems: 8, Frames: frames, DT: 0.1}
+		scn := experiments.ClusteredExplosion(cfg, core.FiniteSpace, core.DynamicLB)
+		scn.Decomp = core.DecompVoronoi
+		return scn
+	}
 	// One fast and one slow node: power-proportional balancing keeps
 	// moving the boundary, so Resize's re-bin path runs too.
 	hetero := cluster.New(cluster.FastEthernet, cluster.ICC,
@@ -91,6 +105,7 @@ func TestFrameAllocationsDoNotScaleWithPopulation(t *testing.T) {
 	}{
 		{"snow", snow, 500, 2000},
 		{"jets", jets, 1000, 4000},
+		{"explosion-voronoi", explosion, 500, 2000},
 	}
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) {
@@ -100,10 +115,10 @@ func TestFrameAllocationsDoNotScaleWithPopulation(t *testing.T) {
 						return mallocsPerFrame(t, func(frames int) error { return e.run(sc.build(perSystem, frames)) })
 					}
 					small, large := at(sc.small), at(sc.large)
-					t.Logf("objects per frame: %.0f at %d per system, %.0f at %d", small, sc.small, large, sc.large)
-					if large >= 1.5*small {
-						t.Errorf("objects per frame grew %.2fx (%.0f -> %.0f) for 4x the particles; want < 1.5x",
-							large/small, small, large)
+					t.Logf("objects per frame: %.1f at %d per system, %.1f at %d", small, sc.small, large, sc.large)
+					if large-small > maxGrowth {
+						t.Errorf("objects per frame grew by %.1f (%.1f -> %.1f) for 4x the particles; want at most %d",
+							large-small, small, large, maxGrowth)
 					}
 				})
 			}

@@ -370,10 +370,17 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("core: system %d (%s) has no actions", i, s.Systems[i].Name)
 		}
 		for _, a := range s.Systems[i].Actions {
-			// The neighbor grid's cell size: zero divides by zero in the
-			// cell index, NaN and +Inf file every particle in one cell.
 			var radius float64
 			switch v := a.(type) {
+			case *actions.Source:
+				// Either would panic the generator, not return an error.
+				if v.Rate < 0 {
+					return fmt.Errorf("core: system %d action %q has rate %d, want >= 0", i, a.Name(), v.Rate)
+				}
+				if v.Pos == nil {
+					return fmt.Errorf("core: system %d action %q has no position domain", i, a.Name())
+				}
+				continue
 			case *actions.CollideParticles:
 				radius = v.Radius
 			case *actions.MatchVelocity:
@@ -381,6 +388,8 @@ func (s *Scenario) Validate() error {
 			default:
 				continue
 			}
+			// The neighbor grid's cell size: zero divides by zero in the
+			// cell index, NaN and +Inf file every particle in one cell.
 			if !(radius > 0) || math.IsInf(radius, 1) {
 				return fmt.Errorf("core: system %d action %q has radius %g, want finite and > 0", i, a.Name(), radius)
 			}

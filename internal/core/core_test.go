@@ -303,6 +303,12 @@ func TestValidateErrors(t *testing.T) {
 		{Name: "bad-ratio", Systems: []System{{Actions: []actions.Action{&actions.Move{}}}},
 			Frames: 1, DT: 0.1, Ratio: 0.5},
 		{Name: "empty-actions", Systems: []System{{}}, Frames: 1, DT: 0.1},
+		// Both used to panic out of the engines: makeslice and a nil
+		// dereference in the generator.
+		{Name: "negative-rate", Systems: []System{{Actions: []actions.Action{
+			&actions.Source{Rate: -5, Pos: geom.PointDomain{}}, &actions.Move{}}}}, Frames: 1, DT: 0.1},
+		{Name: "nil-source-pos", Systems: []System{{Actions: []actions.Action{
+			&actions.Source{Rate: 5}, &actions.Move{}}}}, Frames: 1, DT: 0.1},
 	}
 	// A store action's radius is its neighbor grid's cell size.
 	for _, r := range []float64{0, -1, math.NaN(), math.Inf(1)} {

@@ -43,17 +43,15 @@ func (s *twoParticleSource) Name() string       { return "two-particle-source" }
 func (s *twoParticleSource) Kind() actions.Kind { return actions.KindCreate }
 func (s *twoParticleSource) Cost() float64      { return 2.0 }
 
-func (s *twoParticleSource) Generate(ctx *actions.Context) []particle.Particle {
+func (s *twoParticleSource) GenerateInto(ctx *actions.Context, dst *particle.Batch) {
 	if s.fired {
-		return nil
+		return
 	}
 	s.fired = true
 	// With two calculators over [-10, 10] the boundary is at x = 0; the
 	// pair straddles it, closing at combined speed 10.
-	return []particle.Particle{
-		{Pos: geom.V(-0.5, 0, 0), Vel: geom.V(5, 0, 0), Rand: ctx.RNG.Uint64()},
-		{Pos: geom.V(0.5, 0, 0), Vel: geom.V(-5, 0, 0), Rand: ctx.RNG.Uint64()},
-	}
+	dst.Append(particle.Particle{Pos: geom.V(-0.5, 0, 0), Vel: geom.V(5, 0, 0), Rand: ctx.RNG.Uint64()})
+	dst.Append(particle.Particle{Pos: geom.V(0.5, 0, 0), Vel: geom.V(-5, 0, 0), Rand: ctx.RNG.Uint64()})
 }
 
 func TestGhostCollisionsDetectCrossBoundaryPairs(t *testing.T) {

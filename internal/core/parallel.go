@@ -378,43 +378,18 @@ func billed(payloadLen int, ratio float64) int {
 	return transport.Billed(payloadLen, ratio)
 }
 
-// groupByOwner splits particles by their owning calculator, keeping
-// their order within each group. Owners are resolved once and counted
-// first, so the groups are exact-capacity windows of one backing array
-// instead of nCalc slices grown by append.
-func groupByOwner(ps []particle.Particle, d domain.Decomposition, nCalc int) [][]particle.Particle {
-	owners := make([]int, len(ps))
-	counts := make([]int, nCalc)
-	for i := range ps {
-		owners[i] = d.OwnerOf(ps[i].Pos)
-		counts[owners[i]]++
-	}
-	backing := make([]particle.Particle, len(ps))
-	groups := make([][]particle.Particle, nCalc)
-	off := 0
-	for c, n := range counts {
-		groups[c] = backing[off : off : off+n]
-		off += n
-	}
-	for i, o := range owners {
-		groups[o] = append(groups[o], ps[i])
-	}
-	return groups
-}
-
-// groupOwnerBatches splits a batch by owning calculator, scanning the
-// position column in order (the same particle order groupByOwner
-// produces from the equivalent slice).
-func groupOwnerBatches(b *particle.Batch, d domain.Decomposition, nCalc int) []*particle.Batch {
-	groups := make([]*particle.Batch, nCalc)
+// groupOwnerBatches refills groups, one batch per calculator, with b's
+// particles split by owner: each group is cleared, then the position
+// column is scanned in order, so every group keeps b's order. The
+// groups belong to the caller, which reuses them every frame — the
+// manager for creation, a calculator for its exchanges.
+func groupOwnerBatches(groups []particle.Batch, b *particle.Batch, d domain.Decomposition) {
 	for i := range groups {
-		groups[i] = &particle.Batch{}
+		groups[i].Clear()
 	}
 	for i := range b.Pos {
-		o := d.OwnerOf(b.Pos[i])
-		groups[o].AppendIndex(b, i)
+		groups[d.OwnerOf(b.Pos[i])].AppendIndex(b, i)
 	}
-	return groups
 }
 
 // ---------------------------------------------------------------------
@@ -442,13 +417,16 @@ type managerProc struct {
 	// that append write the grown slice back): the [system][calculator]
 	// report table with its decode row, one system's report times, the
 	// [calculator][system-in-group] order and payload-slot rows of the
-	// per-calculator sends, and the group's edge tables.
+	// per-calculator sends, the group's edge tables, and one creating
+	// action's particles, whole and split by owning calculator.
 	reports       [][]loadbalance.Report
 	reportScratch []loadbalance.Report
 	loads         []float64
 	calcOrders    [][]*loadbalance.Order
 	calcSlots     [][][]byte
 	edgeTables    [][]float64
+	created       particle.Batch
+	owned         []particle.Batch
 
 	fs managerFrame
 }
@@ -527,6 +505,7 @@ func (m *managerProc) run() error {
 	m.calcOrders = make([][]*loadbalance.Order, m.nCalc)
 	m.calcSlots = make([][][]byte, m.nCalc)
 	m.edgeTables = make([][]float64, 0, nSys)
+	m.owned = make([]particle.Batch, m.nCalc)
 	m.fs.orders = make([][]loadbalance.Order, nSys)
 	for c := 0; c < m.nCalc; c++ {
 		m.calcOrders[c] = make([]*loadbalance.Order, nSys)
@@ -584,10 +563,10 @@ type calcProc struct {
 	// Step scratch, sized once in run() and reused every frame (steps
 	// that append write the grown slice back): the payload slots of the
 	// message being packed or unpacked (the pooled buffers themselves are
-	// consumed by the pack), each system's leavers grouped by owner, and
-	// the group's load reports and edge tables.
+	// consumed by the pack), each system's leavers grouped by owning
+	// calculator, and the group's load reports and edge tables.
 	slots      [][]byte
-	owned      [][]*particle.Batch
+	owned      [][]particle.Batch
 	reports    []loadbalance.Report
 	edgeTables [][]float64
 
@@ -660,7 +639,10 @@ func (c *calcProc) run() error {
 	c.fs.orders = make([]*loadbalance.Order, nSys)
 	c.fs.donations = make([]*particle.Batch, nSys)
 	c.slots = make([][]byte, 0, nSys)
-	c.owned = make([][]*particle.Batch, nSys)
+	c.owned = make([][]particle.Batch, nSys)
+	for si := range c.owned {
+		c.owned[si] = make([]particle.Batch, c.nCalc)
+	}
 	c.reports = make([]loadbalance.Report, 0, nSys)
 	c.edgeTables = make([][]float64, 0, nSys)
 	c.plans = compilePlans(scn)

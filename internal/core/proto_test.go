@@ -51,10 +51,17 @@ func decodeEdgesN1(b []byte, edgeLen int) ([]float64, error) {
 // framedGroup is a framed group of n systems.
 func framedGroup(n int) sysGroup { return sysGroup{hi: n, framed: true} }
 
+// encodeParticles encodes records on the wire through a batch.
+func encodeParticles(ps []particle.Particle) []byte {
+	var b particle.Batch
+	b.AppendSlice(ps)
+	return b.EncodeWire()
+}
+
 func encodeMultiBatch(batches [][]particle.Particle) []byte {
 	slots := make([][]byte, len(batches))
 	for i, ps := range batches {
-		slots[i] = particle.EncodeBatch(ps)
+		slots[i] = encodeParticles(ps)
 	}
 	return framedGroup(len(batches)).pack(slots)
 }
@@ -66,9 +73,11 @@ func decodeMultiBatch(b []byte) ([][]particle.Particle, error) {
 	}
 	out := make([][]particle.Particle, len(slots))
 	for i, s := range slots {
-		if out[i], err = particle.DecodeBatch(s); err != nil {
+		b, err := particle.DecodeWire(s)
+		if err != nil {
 			return nil, err
 		}
+		out[i] = b.All()
 	}
 	return out, nil
 }
@@ -248,7 +257,7 @@ func TestMultiCodecsDegenerateAtOne(t *testing.T) {
 // is rejected, whatever the slots hold.
 func TestGroupPackUnpack(t *testing.T) {
 	one := sysGroup{lo: 2, hi: 3}
-	slot := particle.EncodeBatch([]particle.Particle{mkParticle(1)})
+	slot := encodeParticles([]particle.Particle{mkParticle(1)})
 	msg := one.pack([][]byte{slot})
 	if &msg[0] != &slot[0] || len(msg) != len(slot) {
 		t.Error("unframed pack copied or re-framed its slot")
@@ -267,7 +276,7 @@ func TestGroupPackUnpack(t *testing.T) {
 		size func([]byte) int
 		slot func() []byte
 	}{
-		{"particle exchange", batchSlotSize, func() []byte { return particle.EncodeBatch([]particle.Particle{mkParticle(1)}) }},
+		{"particle exchange", batchSlotSize, func() []byte { return encodeParticles([]particle.Particle{mkParticle(1)}) }},
 		{"decomposition broadcast", domain.WireSize, func() []byte { return domain.Encode(table) }},
 		{"render batch", renderSlotSize, func() []byte { return encodeRenderBatch([]particle.Particle{mkParticle(1)}) }},
 	}

@@ -165,11 +165,12 @@ func compileManager(m *managerProc, pol lbPolicy) []step {
 					m.calcSlots[c] = m.calcSlots[c][:0]
 				}
 				for _, ref := range refs {
-					ps := ref.act.Generate(m.ctxs[ref.si])
-					m.ep.Clock().AdvanceWork(ref.act.Cost()*float64(len(ps))*scn.Ratio, m.rate)
-					owned := groupByOwner(ps, m.decomps[ref.si], m.nCalc)
-					for c := range owned {
-						m.calcSlots[c] = append(m.calcSlots[c], particle.EncodeBatch(owned[c]))
+					m.created.Clear()
+					ref.act.GenerateInto(m.ctxs[ref.si], &m.created)
+					m.ep.Clock().AdvanceWork(ref.act.Cost()*float64(m.created.Len())*scn.Ratio, m.rate)
+					groupOwnerBatches(m.owned, &m.created, m.decomps[ref.si])
+					for c := range m.owned {
+						m.calcSlots[c] = append(m.calcSlots[c], m.owned[c].EncodeWire())
 					}
 				}
 				for c := 0; c < m.nCalc; c++ {
@@ -484,13 +485,13 @@ func compilePlans(scn *Scenario) [][]actions.Run {
 func (c *calcProc) ownerAllToAll(g sysGroup, tag transport.Tag, moved *int) error {
 	scn := c.scn
 	for si := g.lo; si < g.hi; si++ {
-		owned := groupOwnerBatches(c.partitionOut(si), c.decomps[si], c.nCalc)
+		owned := c.owned[si]
+		groupOwnerBatches(owned, c.partitionOut(si), c.decomps[si])
 		if owned[c.idx].Len() > 0 {
 			// Out-of-space particles clamp back to the outermost domains,
 			// which may be our own.
-			c.stores[si].AddBatch(owned[c.idx])
+			c.stores[si].AddBatch(&owned[c.idx])
 		}
-		c.owned[si] = owned
 	}
 	for p := 0; p < c.nCalc; p++ {
 		if p == c.idx {

@@ -37,7 +37,8 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 
 	var fb *render.Framebuffer
 	var cam render.Camera
-	var wire particle.Batch // reusable render-record decode scratch
+	var created particle.Batch // one creating action's particles
+	var wire particle.Batch    // reusable render-record decode scratch
 	var storeScratch actions.StoreScratch
 	if scn.Render.Rasterize {
 		fb = render.NewFramebuffer(scn.Render.Width, scn.Render.Height)
@@ -76,9 +77,10 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 				r := &plans[si][ri]
 				switch {
 				case r.Create != nil:
-					ps := r.Create.Generate(ctx)
-					clock.AdvanceWork(r.Create.Cost()*float64(len(ps))*scn.Ratio, rate)
-					st.AddSlice(ps)
+					created.Clear()
+					r.Create.GenerateInto(ctx, &created)
+					clock.AdvanceWork(r.Create.Cost()*float64(created.Len())*scn.Ratio, rate)
+					st.AddBatch(&created)
 					emit(frame, si, "create")
 				case r.Store != nil:
 					clock.AdvanceWork(r.Store.ApplyStore(ctx, &storeScratch, st)*scn.Ratio, rate)

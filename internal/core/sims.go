@@ -125,6 +125,9 @@ func (m *simsManager) run() error {
 	for i := range ctxs {
 		ctxs[i] = &actions.Context{RNG: geom.NewRNG(scn.Systems[i].Seed), DT: scn.DT}
 	}
+	// One creating action's particles, and their round-robin deal.
+	var created particle.Batch
+	dealt := make([]particle.Batch, m.nCalc)
 	for frame := 0; frame < scn.Frames; frame++ {
 		for si := range scn.Systems {
 			for _, a := range scn.Systems[si].Actions {
@@ -132,14 +135,17 @@ func (m *simsManager) run() error {
 				if !ok {
 					continue
 				}
-				ps := ca.Generate(ctxs[si])
-				m.ep.Clock().AdvanceWork(a.Cost()*float64(len(ps))*scn.Ratio, m.rate)
-				groups := make([][]particle.Particle, m.nCalc)
-				for i := range ps {
-					groups[i%m.nCalc] = append(groups[i%m.nCalc], ps[i])
+				created.Clear()
+				ca.GenerateInto(ctxs[si], &created)
+				m.ep.Clock().AdvanceWork(a.Cost()*float64(created.Len())*scn.Ratio, m.rate)
+				for c := range dealt {
+					dealt[c].Clear()
+				}
+				for i := range created.Pos {
+					dealt[i%m.nCalc].AppendIndex(&created, i)
 				}
 				for c := 0; c < m.nCalc; c++ {
-					payload := particle.EncodeBatch(groups[c])
+					payload := dealt[c].EncodeWire()
 					m.ep.SendSized(rankCalc0+c, transport.TagParticles, payload,
 						billed(len(payload), scn.Ratio))
 				}

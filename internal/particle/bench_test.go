@@ -18,38 +18,18 @@ func benchParticles(n int) []Particle {
 	return ps
 }
 
-func BenchmarkEncodeBatch(b *testing.B) {
-	ps := benchParticles(1000)
-	b.SetBytes(int64(BatchBytes(len(ps))))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EncodeBatch(ps)
-	}
-}
-
-func BenchmarkDecodeBatch(b *testing.B) {
-	buf := EncodeBatch(benchParticles(1000))
-	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBatch(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkStoreAdd(b *testing.B) {
 	ps := benchParticles(1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewColumnStore(geom.AxisX, 0, 100, 16)
-		s.AddSlice(ps)
+		addAll(s, ps)
 	}
 }
 
 func BenchmarkStorePartition(b *testing.B) {
 	s := NewColumnStore(geom.AxisX, 0, 100, 16)
-	s.AddSlice(benchParticles(10000))
+	addAll(s, benchParticles(10000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.EachBatch(func(b *Batch) {
@@ -61,60 +41,38 @@ func BenchmarkStorePartition(b *testing.B) {
 	}
 }
 
-// BenchmarkExchangeEncode compares the exchange-path serializers: the
-// record codec copies each particle into a 140-byte staging record and
-// appends it; the columnar codec streams whole columns into one
-// preallocated buffer — exactly one allocation per batch.
+// BenchmarkExchangeEncode times the exchange-path serializer: whole
+// columns streamed into one buffer per batch, never released here
+// (BenchmarkPooledEncode recycles them).
 func BenchmarkExchangeEncode(b *testing.B) {
-	ps := benchParticles(1000)
 	var cols Batch
-	cols.AppendSlice(ps)
-	b.Run("aos", func(b *testing.B) {
-		b.SetBytes(int64(BatchBytes(len(ps))))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			EncodeBatch(ps)
-		}
-	})
-	b.Run("soa", func(b *testing.B) {
-		b.SetBytes(int64(BatchBytes(len(ps))))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cols.EncodeWire()
-		}
-	})
+	cols.AppendSlice(benchParticles(1000))
+	b.SetBytes(int64(BatchBytes(cols.Len())))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cols.EncodeWire()
+	}
 }
 
-// BenchmarkExchangeDecode compares the receive paths: the record codec
-// allocates a fresh particle slice per message; DecodeWireInto reuses
+// BenchmarkExchangeDecode times the receive path: DecodeWireInto reuses
 // the scratch batch's column capacity — zero allocations at steady
 // state.
 func BenchmarkExchangeDecode(b *testing.B) {
-	buf := EncodeBatch(benchParticles(1000))
-	b.Run("aos", func(b *testing.B) {
-		b.SetBytes(int64(len(buf)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeBatch(buf); err != nil {
-				b.Fatal(err)
-			}
+	var cols, scratch Batch
+	cols.AppendSlice(benchParticles(1000))
+	buf := cols.EncodeWire()
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := scratch.DecodeWireInto(buf); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("soa", func(b *testing.B) {
-		var scratch Batch
-		b.SetBytes(int64(len(buf)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := scratch.DecodeWireInto(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkSelectDonation(b *testing.B) {
 	s := NewColumnStore(geom.AxisX, 0, 100, 16)
-	s.AddSlice(benchParticles(10000))
+	addAll(s, benchParticles(10000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		donated, _ := s.DonateBatch(500, LowSide)

@@ -37,9 +37,16 @@ type ColumnStore struct {
 	// Scratch kept across frames so the steady-state frame allocates
 	// nothing proportional to the particle count: spare is the bin set
 	// Resize re-bins into and swaps with bins, moved holds the
-	// partitions' bin-to-bin movers.
-	spare []Batch
-	moved Batch
+	// partitions' bin-to-bin movers, sorted is DonateBatch's partial-bin
+	// sort buffer.
+	spare  []Batch
+	moved  Batch
+	sorted []Particle
+
+	// The batches the store hands out, cleared and refilled on every
+	// call: leavers is the result of PartitionBatch and
+	// PartitionOwnedBatch, donated of DonateBatch.
+	leavers, donated Batch
 }
 
 // NewColumnStore returns an empty columnar store for the interval
@@ -109,13 +116,6 @@ func (s *ColumnStore) Add(p Particle) {
 	i := s.binIndex(p.Pos.Component(s.axis))
 	s.bins[i].Append(p)
 	s.count++
-}
-
-// AddSlice stores every particle in ps.
-func (s *ColumnStore) AddSlice(ps []Particle) {
-	for i := range ps {
-		s.Add(ps[i])
-	}
 }
 
 // AddBatch stores every particle of b, moving columns directly.
@@ -193,9 +193,12 @@ func (s *ColumnStore) RemoveDead() int {
 // model (§3.1.5): the returned particles must be sent to their new owner
 // processes. Leavers are returned in store order; survivors keep their
 // relative order within a bin, and the re-binned ones are appended to
-// their new bins after the scan, again in store order.
+// their new bins after the scan, again in store order. The returned
+// batch is the store's own, valid until the next PartitionBatch or
+// PartitionOwnedBatch call.
 func (s *ColumnStore) PartitionBatch() *Batch {
-	out := &Batch{}
+	out := &s.leavers
+	out.Clear()
 	moved := &s.moved
 	moved.Clear()
 	for bi := range s.bins {
@@ -231,10 +234,11 @@ func (s *ColumnStore) PartitionBatch() *Batch {
 // keep reports false, re-binning survivors that moved between
 // sub-domains — PartitionBatch generalized from the axis-interval test
 // to an arbitrary ownership predicate (non-slab decompositions own
-// regions no single interval describes). Scan, output and re-add orders
-// are PartitionBatch's.
+// regions no single interval describes). Scan, output and re-add orders,
+// and the returned batch's lifetime, are PartitionBatch's.
 func (s *ColumnStore) PartitionOwnedBatch(keep func(geom.Vec3) bool) *Batch {
-	out := &Batch{}
+	out := &s.leavers
+	out.Clear()
 	moved := &s.moved
 	moved.Clear()
 	for bi := range s.bins {
@@ -328,9 +332,11 @@ func (sd Side) String() string {
 // donating edge: whole bins are consumed unsorted, in insertion order,
 // and only the bin the cut lands in is sorted along the axis — the
 // reason the store is binned at all. The kept remainder of that bin
-// stays in sorted order.
+// stays in sorted order. The returned batch is the store's own, valid
+// until the next DonateBatch call.
 func (s *ColumnStore) DonateBatch(n int, side Side) (*Batch, float64) {
-	donated := &Batch{}
+	donated := &s.donated
+	donated.Clear()
 	if n <= 0 {
 		if side == LowSide {
 			return donated, s.lo
@@ -349,16 +355,12 @@ func (s *ColumnStore) DonateBatch(n int, side Side) (*Batch, float64) {
 	}
 
 	remaining := n
-	order := make([]int, len(s.bins))
-	for i := range order {
-		if side == LowSide {
-			order[i] = i
-		} else {
-			order[i] = len(s.bins) - 1 - i
-		}
-	}
 	var lastDonatedC, firstKeptC float64
-	for _, bi := range order {
+	for k := range s.bins {
+		bi := k // walk the bins from the donating edge
+		if side == HighSide {
+			bi = len(s.bins) - 1 - k
+		}
 		b := &s.bins[bi]
 		if b.Len() == 0 {
 			continue
@@ -377,10 +379,11 @@ func (s *ColumnStore) DonateBatch(n int, side Side) (*Batch, float64) {
 			continue
 		}
 		// Partial bin: materialize, sort along the axis and split.
-		ps := make([]Particle, b.Len())
-		for i := range ps {
-			ps[i] = b.At(i)
+		ps := s.sorted[:0]
+		for i := 0; i < b.Len(); i++ {
+			ps = append(ps, b.At(i))
 		}
+		s.sorted = ps
 		sort.Slice(ps, func(i, j int) bool {
 			ci := ps[i].Pos.Component(s.axis)
 			cj := ps[j].Pos.Component(s.axis)

@@ -63,7 +63,7 @@ func TestColumnStoreMatchesStoreUnderRandomOps(t *testing.T) {
 			for i := range ps {
 				ps[i] = randP()
 			}
-			s.AddSlice(ps)
+			addAll(s, ps)
 		case 3:
 			drift := r.Range(-3, 3)
 			kill := r.Float64() < 0.3
@@ -147,7 +147,7 @@ func TestEachBatchOrderAndMutation(t *testing.T) {
 // every particle in store order, install the interval, clear, re-add.
 func gatherResize(s *ColumnStore, lo, hi float64) *ColumnStore {
 	ref := NewColumnStore(s.Axis(), lo, hi, s.NumBins())
-	ref.AddSlice(s.All())
+	addAll(ref, s.All())
 	return ref
 }
 
@@ -288,6 +288,66 @@ func TestResizeSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// The batches PartitionBatch, PartitionOwnedBatch and DonateBatch
+// return are the store's own: once warm, a partition or a whole-bin
+// donation allocates nothing, and the next call of the method refills
+// the very batch the previous one returned.
+func TestStoreBatchOutputsReusedWhenWarm(t *testing.T) {
+	s := mkStore(8)
+	fillUniform(s, 2000, 21)
+	r := geom.NewRNG(22)
+	for i := 0; i < 300; i++ { // leavers on both sides, clamped into the edge bins
+		x := r.Range(-30, 0)
+		if i%2 == 1 {
+			x = r.Range(100, 130)
+		}
+		s.Add(Particle{Pos: geom.V(x, 0, 0)})
+	}
+	inside := func(p geom.Vec3) bool { return p.X >= 0 && p.X < 100 }
+	partitions := []struct {
+		name string
+		run  func() *Batch
+	}{
+		{"PartitionBatch", s.PartitionBatch},
+		{"PartitionOwnedBatch", func() *Batch { return s.PartitionOwnedBatch(inside) }},
+	}
+	for _, p := range partitions {
+		cycle := func() { s.AddBatch(p.run()) } // the leavers come straight back
+		cycle()
+		if got := testing.AllocsPerRun(20, cycle); got != 0 {
+			t.Errorf("%s: %v allocations per warm call, want 0", p.name, got)
+		}
+		first := p.run()
+		if first.Len() != 300 {
+			t.Fatalf("%s: %d leavers, want 300", p.name, first.Len())
+		}
+		var leavers Batch
+		leavers.AppendBatch(first)
+		if second := p.run(); second != first || first.Len() != 0 {
+			t.Errorf("%s: the second call left the first result with %d particles, want it refilled with none", p.name, first.Len())
+		}
+		s.AddBatch(&leavers)
+	}
+
+	whole := s.BinCounts()[0] // the cut falls on bin 0's high edge
+	cycle := func() {
+		d, _ := s.DonateBatch(whole, LowSide)
+		s.Resize(0, 100)
+		s.AddBatch(d)
+	}
+	cycle()
+	if got := testing.AllocsPerRun(20, cycle); got != 0 {
+		t.Errorf("whole-bin DonateBatch: %v allocations per warm call, want 0", got)
+	}
+	first, _ := s.DonateBatch(whole, LowSide)
+	if first.Len() != whole {
+		t.Fatalf("DonateBatch gave %d particles, want %d", first.Len(), whole)
+	}
+	if second, _ := s.DonateBatch(0, LowSide); second != first || first.Len() != 0 {
+		t.Errorf("DonateBatch: the second call left the first result with %d particles, want it refilled with none", first.Len())
+	}
+}
+
 // ---------------------------------------------------------------------
 // Donation edge cases
 // ---------------------------------------------------------------------
@@ -299,7 +359,7 @@ func TestResizeSteadyStateZeroAlloc(t *testing.T) {
 func TestDonateWholeDomainDegenerateSliver(t *testing.T) {
 	for _, side := range []Side{LowSide, HighSide} {
 		s := mkStore(4)
-		s.AddSlice(benchParticles(50))
+		addAll(s, benchParticles(50))
 		want := s.All()
 
 		donated, boundary := s.DonateBatch(50, side)

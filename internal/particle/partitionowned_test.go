@@ -93,7 +93,7 @@ func TestPartitionOwnedArbitraryPredicate(t *testing.T) {
 	}
 	// Survivor binning must match a fresh store.
 	fresh := mkStore(8)
-	fresh.AddSlice(s.All())
+	addAll(fresh, s.All())
 	got, want := s.BinCounts(), fresh.BinCounts()
 	for i := range got {
 		if got[i] != want[i] {

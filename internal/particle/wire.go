@@ -8,14 +8,17 @@ import (
 	"pscluster/internal/bufpool"
 )
 
-// Columnar wire codec: the exact byte format of EncodeBatch/DecodeBatch
-// (4-byte count prefix + n × WireSize little-endian records), but
-// serialized by streaming whole columns through one buffer. EncodeWire
-// draws its buffer from the capacity-keyed wire pool — zero steady-state
-// allocations once the receiver releases payloads back — and
-// DecodeWireInto allocates nothing at steady state, against the
-// per-particle 140-byte staging copy and slice append of the record
-// codec.
+// Columnar wire codec. A particle batch travels as a 4-byte
+// little-endian count followed by that many WireSize-byte records; a
+// record holds, little-endian at these byte offsets, Pos 0, Up 24, Vel
+// 48, Color 72 (three float64 each), Age 96, Alpha 104, Size 112, a
+// uint32 flag word at 120 (bit 0 = Dead, every other bit must be zero),
+// Rand at 124, and eight reserved zero bytes at 132. The codec streams
+// whole columns through one buffer rather than writing a record at a
+// time. EncodeWire draws its buffer from the capacity-keyed wire pool —
+// zero steady-state allocations once the receiver releases payloads
+// back — and DecodeWireInto allocates nothing at steady state. The
+// record-at-a-time codec survives as the tests' oracle.
 
 // putF64Col writes one float64 column at byte offset off of every
 // record in buf (stride WireSize past the 4-byte header).
@@ -27,10 +30,9 @@ func putF64Col(buf []byte, off int, col []float64) {
 	}
 }
 
-// EncodeWire encodes the batch into one pooled buffer in the
-// EncodeBatch wire format; the bytes are identical to
-// EncodeBatch(b.All()). The buffer belongs to the message it is sent
-// in: its unique receiver returns it to the pool after decoding (see
+// EncodeWire encodes the batch into one pooled buffer in the wire
+// format. The buffer belongs to the message it is sent in: its unique
+// receiver returns it to the pool after decoding (see
 // transport.Message.Release).
 //
 //pslint:hotpath
@@ -85,8 +87,8 @@ func (b *Batch) EncodeWire() []byte {
 	return buf
 }
 
-// DecodeWire decodes an EncodeBatch/EncodeWire payload into a fresh
-// batch, accepting and rejecting exactly the inputs DecodeBatch does.
+// DecodeWire decodes an EncodeWire payload into a fresh batch,
+// accepting and rejecting exactly the inputs DecodeWireInto does.
 func DecodeWire(buf []byte) (*Batch, error) {
 	b := &Batch{}
 	if err := b.DecodeWireInto(buf); err != nil {
@@ -95,9 +97,9 @@ func DecodeWire(buf []byte) (*Batch, error) {
 	return b, nil
 }
 
-// DecodeWireInto decodes an EncodeBatch/EncodeWire payload into b,
-// reusing b's column capacity. The validation — exact length, known
-// flag bits, zero padding — matches DecodeBatch bit for bit.
+// DecodeWireInto decodes an EncodeWire payload into b, reusing b's
+// column capacity. It rejects a payload whose length disagrees with its
+// count, with unknown flag bits or with non-zero padding.
 //
 //pslint:hotpath
 func (b *Batch) DecodeWireInto(buf []byte) error {

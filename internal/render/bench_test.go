@@ -56,7 +56,7 @@ func BenchmarkSplatBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fb.Clear()
-				fb.SplatBatch(cam, ps)
+				splatAll(fb, cam, ps)
 			}
 		})
 	}
@@ -70,7 +70,7 @@ func BenchmarkPerspectiveSplat(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fb.Clear()
-		fb.SplatBatch(cam, ps)
+		splatAll(fb, cam, ps)
 	}
 }
 
@@ -81,7 +81,7 @@ func BenchmarkChecksum(b *testing.B) {
 	for _, d := range benchDensities {
 		b.Run(d.name, func(b *testing.B) {
 			fb := NewFramebuffer(256, 256)
-			fb.SplatBatch(benchCam(), d.batch(1000))
+			splatAll(fb, benchCam(), d.batch(1000))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchSink += fb.Checksum()
@@ -120,7 +120,7 @@ func BenchmarkFrameSparse(b *testing.B) {
 func BenchmarkWritePPM(b *testing.B) {
 	fb := NewFramebuffer(256, 256)
 	cam := benchCam()
-	fb.SplatBatch(cam, benchBatch(1000))
+	splatAll(fb, cam, benchBatch(1000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := fb.WritePPM(io.Discard); err != nil {

@@ -202,13 +202,6 @@ func (f *Framebuffer) splatPointOwned(cam Camera, pos, color geom.Vec3, alpha, s
 	}
 }
 
-// SplatBatch renders a batch of particles.
-func (f *Framebuffer) SplatBatch(cam Camera, ps []particle.Particle) {
-	for i := range ps {
-		f.Splat(cam, &ps[i])
-	}
-}
-
 // SplatColumns renders a columnar batch, reading only the rendering
 // columns — the image generator's ingest path for decoded render
 // records.

@@ -128,6 +128,13 @@ func TestZeroAlphaInvisible(t *testing.T) {
 	}
 }
 
+// splatAll renders every particle of ps, in order.
+func splatAll(f *Framebuffer, cam Camera, ps []particle.Particle) {
+	for i := range ps {
+		f.Splat(cam, &ps[i])
+	}
+}
+
 func TestChecksumOrderIndependent(t *testing.T) {
 	ps := []particle.Particle{
 		{Pos: geom.V(1, 2, 0), Color: geom.V(1, 0, 0), Alpha: 0.7, Size: 1},
@@ -135,7 +142,7 @@ func TestChecksumOrderIndependent(t *testing.T) {
 		{Pos: geom.V(5, -6, 0), Color: geom.V(0, 0, 1), Alpha: 0.9, Size: 1.5},
 	}
 	f1 := NewFramebuffer(64, 64)
-	f1.SplatBatch(testCam(), ps)
+	splatAll(f1, testCam(), ps)
 	f2 := NewFramebuffer(64, 64)
 	for i := len(ps) - 1; i >= 0; i-- {
 		f2.Splat(testCam(), &ps[i])

@@ -151,6 +151,24 @@ func TestRoundTripKeepsStoreActionRadiusForValidate(t *testing.T) {
 	}
 }
 
+// To the codec a rate is a plain number, so a negative one decodes;
+// Validate refuses it, naming the system and the action, before an
+// engine's generator can panic on it.
+func TestDecodedNegativeRateFailsValidate(t *testing.T) {
+	data := `{"mode":"infinite","frames":1,"dt":0.1,"systems":[{"actions":[
+		{"type":"source","rate":-5,"pos":{"type":"point","point":[0,0,0]}},{"type":"move"}]}]}`
+	scn, err := Decode([]byte(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, ok := scn.Systems[0].Actions[0].(*actions.Source); !ok || src.Rate != -5 {
+		t.Fatalf("decoded %#v, want a source of rate -5", scn.Systems[0].Actions[0])
+	}
+	if err := scn.Validate(); err == nil || !strings.Contains(err.Error(), `system 0 action "source"`) {
+		t.Fatalf("Validate = %v, want an error naming system 0's source", err)
+	}
+}
+
 func TestRoundTripProducesSameAnimation(t *testing.T) {
 	// The decoded scenario must run to the same frames as the original.
 	scn := fullScenario()

@@ -5,12 +5,17 @@
 #
 #   - every run must report correct:true, failed:0 (golden frame digests);
 #   - virtual_s and imbalance_mean must be equal, digit for digit;
-#   - allocs_per_frame may not rise by more than 2 %.
+#   - allocs_per_frame and alloc_mb_per_frame may not rise by more than
+#     their BENCHMARK.json bounds (2 % and 8 %): the object count misses
+#     one large allocation that the bytes show. The bytes spread up to
+#     8 % between runs of one tree on explosion_voronoi (a pooled wire
+#     buffer lost to a GC now and then), so rerun a failure on them
+#     before calling it a regression.
 #
 # The timing metrics (frames_per_s, cpu_ms_per_frame, setup_s) and
-# alloc_mb_per_frame / peak_rss_mb are printed side by side as advisory:
-# one run on a drifting box proves nothing about time — claim a timing
-# gain from alternated pairs (bench/README.md).
+# peak_rss_mb are printed side by side as advisory: one run on a
+# drifting box proves nothing about time — claim a timing gain from
+# alternated pairs (bench/README.md).
 #
 # The base is HEAD when the tree has uncommitted changes (check before
 # committing) and HEAD^ when it is clean (check the commit just made);
@@ -44,6 +49,11 @@ metric() { # $1 = result line, $2 = metric name
     printf '%s\n' "$1" | sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p"
 }
 
+bound() { # $1 = end-to-end metric name; prints its BENCHMARK.json bound
+    awk -v m="\"$1\"," '$1 == "\"name\":" && $2 == m { on = 1 }
+        on && $1 == "\"bound\":" { print $2; exit }' BENCHMARK.json
+}
+
 status=0
 flag() { echo "FAIL: $1"; status=1; }
 
@@ -65,11 +75,13 @@ for w in $workloads; do
         b=$(metric "$base" $m) c=$(metric "$change" $m)
         [ -n "$b" ] && [ "$b" = "$c" ] || flag "$w: $m moved: $b -> $c"
     done
-    b=$(metric "$base" allocs_per_frame) c=$(metric "$change" allocs_per_frame)
-    awk -v b="$b" -v c="$c" 'BEGIN { exit (c <= b * 1.02) ? 0 : 1 }' ||
-        flag "$w: allocs_per_frame rose more than 2 %: $b -> $c"
-    printf '   %-20s %14.6g -> %-14.6g (held: may not rise > 2 %%)\n' allocs_per_frame "$b" "$c"
-    for m in alloc_mb_per_frame frames_per_s cpu_ms_per_frame setup_s peak_rss_mb; do
+    for m in allocs_per_frame alloc_mb_per_frame; do
+        b=$(metric "$base" $m) c=$(metric "$change" $m) k=$(bound $m)
+        awk -v b="$b" -v c="$c" -v k="$k" 'BEGIN { exit (c <= b * (1 + k)) ? 0 : 1 }' ||
+            flag "$w: $m rose more than its bound $k: $b -> $c"
+        printf '   %-20s %14.6g -> %-14.6g (held: may not rise > %s)\n' $m "$b" "$c" "$k"
+    done
+    for m in frames_per_s cpu_ms_per_frame setup_s peak_rss_mb; do
         printf '   %-20s %14.6g -> %-14.6g (advisory)\n' $m "$(metric "$base" $m)" "$(metric "$change" $m)"
     done
 done
