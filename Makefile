@@ -3,7 +3,7 @@ GO ?= go
 # Coverage floor (percent of statements) for the engine package.
 CORE_COVER_FLOOR ?= 85
 
-.PHONY: all build vet lint lint-selftest test race race-obs bench bench-check bench-tables bench-smoke decomp-smoke fuzz-smoke serve-smoke net-smoke cover ci
+.PHONY: all build vet lint test race race-obs bench bench-check bench-tables bench-smoke decomp-smoke fuzz-smoke serve-smoke net-smoke cover ci
 
 all: ci
 
@@ -13,24 +13,18 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static invariants: build the pslint multichecker and run its six
-# analyzers (determinism, hotpathalloc, clockdiscipline, spanpairing,
-# bufownership, resourcelifetime — DESIGN.md §10/§15) over the whole
-# tree through the vet driver, timing the pass so lint wall-time
-# regressions show up in CI logs. Any unannotated finding fails the
-# build. PSLINT_JSON=1 switches the findings to JSON lines.
+# Static invariants: build the pslint multichecker and run its three
+# analyzers (determinism, bufownership, resourcelifetime — DESIGN.md
+# §10/§15) over the whole tree through the vet driver, timing the pass
+# so lint wall-time regressions show up in CI logs. Any unannotated
+# finding fails the build. PSLINT_JSON=1 switches the findings to JSON
+# lines. The analyzers' own fixture corpus and cmd/pslint's end-to-end
+# tests run under `make test`.
 lint:
 	$(GO) build -o bin/pslint ./cmd/pslint
 	@start=$$(date +%s); \
 	$(GO) vet -vettool=$(CURDIR)/bin/pslint ./...; status=$$?; \
 	echo "pslint wall time: $$(($$(date +%s)-start))s"; exit $$status
-
-# The analyzers' own proof: the fixture corpus under
-# internal/analyzers/testdata (flow-sensitive true positives, clean
-# shapes, suppressed cases) through the stdlib analyzertest harness,
-# plus cmd/pslint's end-to-end vet-protocol and output-format tests.
-lint-selftest:
-	$(GO) test ./internal/analyzers/... ./cmd/pslint/
 
 test:
 	$(GO) test ./...

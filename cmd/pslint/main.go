@@ -1,8 +1,8 @@
 // Command pslint is the engine's static-analysis multichecker: it runs
-// the six pslint analyzers (determinism, hotpathalloc,
-// clockdiscipline, spanpairing, bufownership, resourcelifetime — see
-// internal/analyzers and the "Static invariants" section of DESIGN.md)
-// over every package of the build, driven by the Go toolchain:
+// the three pslint analyzers (determinism, bufownership,
+// resourcelifetime — see internal/analyzers and the "Static invariants"
+// section of DESIGN.md) over every package of the build, driven by the
+// Go toolchain:
 //
 //	go build -o bin/pslint ./cmd/pslint
 //	go vet -vettool=bin/pslint ./...

@@ -36,8 +36,8 @@ func TestFindingOutputFormats(t *testing.T) {
 			name: "suppressed",
 			f: finding{
 				File: "internal/transport/net.go", Line: 12, Col: 9,
-				Analyzer: "resourcelifetime",
-				Message:  "conn c may reach this return without Close/Abort",
+				Analyzer:   "resourcelifetime",
+				Message:    "conn c may reach this return without Close/Abort",
 				Suppressed: true,
 			},
 			wantText: "internal/transport/net.go:12:9: resourcelifetime: conn c may reach this return without Close/Abort",
@@ -77,13 +77,24 @@ func TestFindingOutputFormats(t *testing.T) {
 	}
 }
 
-// TestVetToolCatchesWallClock is the suite's end-to-end proof: it
-// builds pslint, assembles a throwaway module whose internal/core
-// package deliberately calls time.Now(), and runs the real
-// `go vet -vettool=` pipeline over it. The vet run must fail and carry
-// the determinism diagnostic — exactly what `make lint` would do to a
-// PR that reintroduced a wall-clock read into the engine.
-func TestVetToolCatchesWallClock(t *testing.T) {
+// wallClockCore is an engine package that deliberately reads the wall
+// clock: pslint must refuse it.
+const wallClockCore = `package core
+
+import "time"
+
+// Frame deliberately reads the wall clock: pslint must refuse it.
+func Frame() float64 {
+	return float64(time.Now().UnixNano())
+}
+`
+
+// vetCore builds pslint, writes src as the internal/core package of a
+// throwaway module, and runs the real `go vet -vettool=` pipeline over
+// it with env added to the environment — exactly what `make lint` does
+// to the tree. It returns vet's combined output and its error.
+func vetCore(t *testing.T, src string, env ...string) ([]byte, error) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and vets a module; skipped in -short")
 	}
@@ -105,19 +116,39 @@ func TestVetToolCatchesWallClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeFile(t, filepath.Join(mod, "go.mod"), "module pscluster\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(corePkg, "core.go"), `package core
-
-import "time"
-
-// Frame deliberately reads the wall clock: pslint must refuse it.
-func Frame() float64 {
-	return float64(time.Now().UnixNano())
-}
-`)
+	writeFile(t, filepath.Join(corePkg, "core.go"), src)
 
 	vet := exec.Command(goTool, "vet", "-vettool="+pslint, "./...")
 	vet.Dir = mod
-	out, err := vet.CombinedOutput()
+	vet.Env = append(os.Environ(), env...)
+	return vet.CombinedOutput()
+}
+
+// jsonFindings parses the JSON-mode finding lines of a vet run's output.
+func jsonFindings(t *testing.T, out []byte) []finding {
+	t.Helper()
+	var fs []finding
+	for _, line := range strings.Split(string(out), "\n") {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, "{") {
+			continue
+		}
+		var f finding
+		if err := json.Unmarshal([]byte(line), &f); err != nil {
+			t.Fatalf("unparseable JSON line %q: %v", line, err)
+		}
+		fs = append(fs, f)
+	}
+	return fs
+}
+
+// TestVetToolCatchesWallClock is the suite's end-to-end proof: a
+// throwaway module whose internal/core package calls time.Now() must
+// fail the vet run with the determinism diagnostic — exactly what
+// `make lint` would do to a PR that reintroduced a wall-clock read into
+// the engine.
+func TestVetToolCatchesWallClock(t *testing.T) {
+	out, err := vetCore(t, wallClockCore)
 	if err == nil {
 		t.Fatalf("go vet passed; want the determinism analyzer to fail the build\noutput:\n%s", out)
 	}
@@ -132,54 +163,12 @@ func Frame() float64 {
 // arrives as a parseable JSON line carrying the analyzer name and the
 // suppressed flag.
 func TestVetToolJSONMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and vets a module; skipped in -short")
-	}
-	goTool := filepath.Join(runtime.GOROOT(), "bin", "go")
-	if _, err := os.Stat(goTool); err != nil {
-		t.Skipf("go tool not found: %v", err)
-	}
-
-	tmp := t.TempDir()
-	pslint := filepath.Join(tmp, "pslint")
-	build := exec.Command(goTool, "build", "-o", pslint, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building pslint: %v\n%s", err, out)
-	}
-
-	mod := filepath.Join(tmp, "mod")
-	corePkg := filepath.Join(mod, "internal", "core")
-	if err := os.MkdirAll(corePkg, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, filepath.Join(mod, "go.mod"), "module pscluster\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(corePkg, "core.go"), `package core
-
-import "time"
-
-// Frame deliberately reads the wall clock: pslint must refuse it.
-func Frame() float64 {
-	return float64(time.Now().UnixNano())
-}
-`)
-
-	vet := exec.Command(goTool, "vet", "-vettool="+pslint, "./...")
-	vet.Dir = mod
-	vet.Env = append(os.Environ(), "PSLINT_JSON=1")
-	out, err := vet.CombinedOutput()
+	out, err := vetCore(t, wallClockCore, "PSLINT_JSON=1")
 	if err == nil {
 		t.Fatalf("go vet passed; want the determinism analyzer to fail the build\noutput:\n%s", out)
 	}
 	var got *finding
-	for _, line := range strings.Split(string(out), "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, "{") {
-			continue
-		}
-		var f finding
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
-			t.Fatalf("unparseable JSON line %q: %v", line, err)
-		}
+	for _, f := range jsonFindings(t, out) {
 		if f.Analyzer == "determinism" {
 			got = &f
 		}
@@ -198,39 +187,43 @@ func Frame() float64 {
 	}
 }
 
+// TestVetToolJSONModeKeepsSuppressed: JSON mode emits every finding,
+// including one silenced by a reasoned directive, which prints
+// "suppressed":true and leaves the exit status clean.
+func TestVetToolJSONModeKeepsSuppressed(t *testing.T) {
+	out, err := vetCore(t, `package core
+
+// Total sums the values.
+func Total(m map[string]int) int {
+	n := 0
+	for _, v := range m { //pslint:nondeterministic-ok integer addition is order-independent
+		n += v
+	}
+	return n
+}
+`, "PSLINT_JSON=1")
+	if err != nil {
+		t.Fatalf("go vet failed on a suppressed-only package: %v\n%s", err, out)
+	}
+	fs := jsonFindings(t, out)
+	if len(fs) != 1 || fs[0].Analyzer != "determinism" || !fs[0].Suppressed ||
+		!strings.Contains(fs[0].Message, "map iteration") {
+		t.Fatalf("want one suppressed determinism map-iteration finding, got %+v\noutput:\n%s", fs, out)
+	}
+	if !strings.Contains(string(out), `"suppressed":true`) {
+		t.Errorf("JSON output does not carry \"suppressed\":true:\n%s", out)
+	}
+}
+
 // TestVetToolCleanPackage is the negative control: a compliant engine
 // package passes the full vet pipeline with exit status 0.
 func TestVetToolCleanPackage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and vets a module; skipped in -short")
-	}
-	goTool := filepath.Join(runtime.GOROOT(), "bin", "go")
-	if _, err := os.Stat(goTool); err != nil {
-		t.Skipf("go tool not found: %v", err)
-	}
-
-	tmp := t.TempDir()
-	pslint := filepath.Join(tmp, "pslint")
-	build := exec.Command(goTool, "build", "-o", pslint, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building pslint: %v\n%s", err, out)
-	}
-
-	mod := filepath.Join(tmp, "mod")
-	corePkg := filepath.Join(mod, "internal", "core")
-	if err := os.MkdirAll(corePkg, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, filepath.Join(mod, "go.mod"), "module pscluster\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(corePkg, "core.go"), `package core
+	out, err := vetCore(t, `package core
 
 // Step advances pure state: nothing for the suite to flag.
 func Step(t, dt float64) float64 { return t + dt }
 `)
-
-	vet := exec.Command(goTool, "vet", "-vettool="+pslint, "./...")
-	vet.Dir = mod
-	if out, err := vet.CombinedOutput(); err != nil {
+	if err != nil {
 		t.Fatalf("go vet failed on a clean package: %v\n%s", err, out)
 	}
 }

@@ -23,8 +23,6 @@ type BatchAction interface {
 // not one per particle. Every action a benchmark workload runs has a
 // kernel; the adapter serves the rest (Vortex, OrbitPoint, Jet, Grow,
 // TargetColor, …) and foreign ParticleActions.
-//
-//pslint:hotpath
 func ApplyToBatch(ctx *Context, a ParticleAction, b *particle.Batch) {
 	if ba, ok := a.(BatchAction); ok {
 		ba.ApplyBatch(ctx, b)
@@ -47,8 +45,6 @@ func ApplyToBatch(ctx *Context, a ParticleAction, b *particle.Batch) {
 // ApplyBatch implements BatchAction. The acceleration G·DT is loop
 // invariant; adding the hoisted value per particle performs the same
 // float operations as Apply.
-//
-//pslint:hotpath
 func (a *Gravity) ApplyBatch(ctx *Context, b *particle.Batch) {
 	g := a.G.Scale(ctx.DT)
 	for i := range b.Vel {
@@ -60,8 +56,6 @@ func (a *Gravity) ApplyBatch(ctx *Context, b *particle.Batch) {
 // re-seeded from each particle's saved stream — the draws and float
 // operations are Apply's, without its per-particle NewRNG, and with
 // nothing allocated.
-//
-//pslint:hotpath
 func (a *RandomAccel) ApplyBatch(ctx *Context, b *particle.Batch) {
 	r := &ctx.scratch
 	for i := range b.Vel {
@@ -72,8 +66,6 @@ func (a *RandomAccel) ApplyBatch(ctx *Context, b *particle.Batch) {
 }
 
 // ApplyBatch implements BatchAction.
-//
-//pslint:hotpath
 func (a *Damping) ApplyBatch(ctx *Context, b *particle.Batch) {
 	f := 1 - a.Coeff*ctx.DT
 	if f < 0 {
@@ -85,8 +77,6 @@ func (a *Damping) ApplyBatch(ctx *Context, b *particle.Batch) {
 }
 
 // ApplyBatch implements BatchAction.
-//
-//pslint:hotpath
 func (a *Bounce) ApplyBatch(ctx *Context, b *particle.Batch) {
 	n := a.Plane.Normal
 	for i := range b.Vel {
@@ -102,8 +92,6 @@ func (a *Bounce) ApplyBatch(ctx *Context, b *particle.Batch) {
 }
 
 // ApplyBatch implements BatchAction.
-//
-//pslint:hotpath
 func (a *Sink) ApplyBatch(_ *Context, b *particle.Batch) {
 	for i := range b.Pos {
 		if a.Domain.Within(b.Pos[i]) == a.KillInside {
@@ -113,8 +101,6 @@ func (a *Sink) ApplyBatch(_ *Context, b *particle.Batch) {
 }
 
 // ApplyBatch implements BatchAction.
-//
-//pslint:hotpath
 func (a *SinkBelow) ApplyBatch(_ *Context, b *particle.Batch) {
 	for i := range b.Pos {
 		if b.Pos[i].Component(a.Axis) < a.Threshold {
@@ -124,8 +110,6 @@ func (a *SinkBelow) ApplyBatch(_ *Context, b *particle.Batch) {
 }
 
 // ApplyBatch implements BatchAction.
-//
-//pslint:hotpath
 func (a *KillOld) ApplyBatch(_ *Context, b *particle.Batch) {
 	for i := range b.Age {
 		if b.Age[i] > a.MaxAge {
@@ -136,8 +120,6 @@ func (a *KillOld) ApplyBatch(_ *Context, b *particle.Batch) {
 
 // ApplyBatch implements BatchAction. Speed·DT is loop invariant; the
 // falloff division stays per particle, as in Apply.
-//
-//pslint:hotpath
 func (a *Explosion) ApplyBatch(ctx *Context, b *particle.Batch) {
 	base := a.Speed * ctx.DT
 	for i := range b.Vel {
@@ -151,8 +133,6 @@ func (a *Explosion) ApplyBatch(ctx *Context, b *particle.Batch) {
 }
 
 // ApplyBatch implements BatchAction.
-//
-//pslint:hotpath
 func (a *Fade) ApplyBatch(ctx *Context, b *particle.Batch) {
 	step := a.Rate * ctx.DT
 	for i := range b.Alpha {
@@ -165,8 +145,6 @@ func (a *Fade) ApplyBatch(ctx *Context, b *particle.Batch) {
 }
 
 // ApplyBatch implements BatchAction.
-//
-//pslint:hotpath
 func (a *Move) ApplyBatch(ctx *Context, b *particle.Batch) {
 	for i := range b.Pos {
 		b.Pos[i] = b.Pos[i].Add(b.Vel[i].Scale(ctx.DT))

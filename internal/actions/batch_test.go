@@ -123,9 +123,9 @@ func TestApplyToBatchAdapterFallback(t *testing.T) {
 }
 
 // The allocation budget per ApplyToBatch call — per bin pass, whatever
-// the particle count: the adapter's one hoisted record, RandomAccel's
-// one hoisted RNG value (both escape through an interface call), and
-// nothing for a kernel that calls no interface.
+// the particle count: the adapter's one hoisted record (it escapes
+// through the interface call), and nothing for a columnar kernel. The
+// fused kernels get the same zero budget, one per fused signature.
 func TestApplyToBatchAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		act ParticleAction
@@ -134,12 +134,28 @@ func TestApplyToBatchAllocBudget(t *testing.T) {
 		{&Vortex{Axis: geom.V(0, 1, 0), Strength: 3}, 1},
 		{&RandomAccel{Domain: geom.SphereDomain{OuterR: 2}}, 0},
 		{&Explosion{Center: explosionCenter, Speed: 12, Falloff: 0.7}, 0},
+		{&Gravity{G: geom.V(0, -9.8, 0)}, 0},
+		{&Damping{Coeff: 0.4}, 0},
+		{&Bounce{Plane: geom.NewPlane(geom.V(0, -2, 0), geom.V(0, 1, 0)), Elasticity: 0.5}, 0},
+		{&Sink{Domain: geom.SphereDomain{OuterR: 3}, KillInside: true}, 0},
+		{&SinkBelow{Axis: geom.AxisY, Threshold: 0}, 0},
+		{&KillOld{MaxAge: 0.5}, 0},
+		{&Fade{Rate: 4}, 0},
+		{&Move{}, 0},
 	} {
 		b := randBatch(1000, 9)
 		c := ctx()
 		if got := testing.AllocsPerRun(20, func() { ApplyToBatch(c, tc.act, b) }); got > tc.max {
 			t.Errorf("%s: %v allocations per 1000-particle ApplyToBatch, want at most %v",
 				tc.act.Name(), got, tc.max)
+		}
+	}
+	for _, chain := range fusableChains() {
+		k := FusePlan(chain, true)[0].Fused
+		b := randBatch(1000, 9)
+		c := ctx()
+		if got := testing.AllocsPerRun(20, func() { k(c, b) }); got != 0 {
+			t.Errorf("fused %s: %v allocations per 1000-particle pass, want 0", chainName(chain), got)
 		}
 	}
 }

@@ -47,8 +47,6 @@ func (g *cellList) find(k [3]int) uint {
 }
 
 // build files every position of pos under its cell of the given size.
-//
-//pslint:hotpath
 func (g *cellList) build(pos []geom.Vec3, cell float64) {
 	// Load factor <= 1/8. Most of the 27 cells around a particle are
 	// empty, and in a sparse table an empty cell is told from its first
@@ -106,8 +104,6 @@ func (g *cellList) members(id int32) []int32 {
 // into ids, in dx, dy, dz order, and returns how many there are. The
 // key arithmetic wraps like the keys themselves, so a coordinate too
 // large for an int still finds the cells it was filed next to.
-//
-//pslint:hotpath
 func (g *cellList) around(k [3]int, ids *[27]int32) int {
 	n := 0
 	for dx := -1; dx <= 1; dx++ {
@@ -161,8 +157,6 @@ type StoreScratch struct {
 // gather copies the store's Pos and Vel columns into the flat scratch
 // columns, bins ascending, so that index i is the i-th particle in
 // store order whichever bin holds it.
-//
-//pslint:hotpath
 func (sc *StoreScratch) gather(st *particle.ColumnStore) (pos, vel []geom.Vec3) {
 	pos, vel = sc.pos[:0], sc.vel[:0]
 	for bi, nb := 0, st.NumBins(); bi < nb; bi++ {
@@ -176,8 +170,6 @@ func (sc *StoreScratch) gather(st *particle.ColumnStore) (pos, vel []geom.Vec3) 
 // scatter writes the flat columns back to the bin slots gather read
 // them from. Nothing is re-binned: a particle keeps its slot wherever
 // the action moved it, and the exchange scan re-bins it.
-//
-//pslint:hotpath
 func (sc *StoreScratch) scatter(st *particle.ColumnStore) {
 	off := 0
 	for bi, nb := 0, st.NumBins(); bi < nb; bi++ {
@@ -243,8 +235,6 @@ func (a *CollideParticles) ApplyWithGhosts(_ *Context, sc *StoreScratch, st *par
 }
 
 // sweepOwn resolves the pairs within pos/vel and returns their work.
-//
-//pslint:hotpath
 func (a *CollideParticles) sweepOwn(g *cellList, pos, vel []geom.Vec3) float64 {
 	var work float64
 	var ids [27]int32
@@ -311,8 +301,6 @@ func pairOrdered(pp, pv, qp, qv geom.Vec3) bool {
 // filed in g, moving only the particle, and returns the work. A
 // particle whose cell lies outside the ghost cells' reach has no ghost
 // among its 27 cells and is skipped without a lookup.
-//
-//pslint:hotpath
 func (a *CollideParticles) sweepGhosts(g *cellList, pos, vel []geom.Vec3, ghosts *particle.Batch) float64 {
 	var work float64
 	var ids [27]int32
@@ -366,8 +354,6 @@ func (a *MatchVelocity) Kind() Kind { return KindStore }
 func (a *MatchVelocity) Cost() float64 { return 2.0 }
 
 // ApplyStore implements StoreAction.
-//
-//pslint:hotpath
 func (a *MatchVelocity) ApplyStore(ctx *Context, sc *StoreScratch, st *particle.ColumnStore) float64 {
 	pos, vel := sc.gather(st)
 	g := &sc.own

@@ -181,7 +181,6 @@ type fusedGravityDampingMove struct {
 	d *Damping
 }
 
-//pslint:hotpath
 func (k *fusedGravityDampingMove) apply(ctx *Context, b *particle.Batch) {
 	g := k.g.G.Scale(ctx.DT)
 	f := 1 - k.d.Coeff*ctx.DT
@@ -211,7 +210,6 @@ type fusedGravityDamping struct {
 	d *Damping
 }
 
-//pslint:hotpath
 func (k *fusedGravityDamping) apply(ctx *Context, b *particle.Batch) {
 	g := k.g.G.Scale(ctx.DT)
 	f := 1 - k.d.Coeff*ctx.DT
@@ -235,7 +233,6 @@ func makeGravityMove(acts []Action) Kernel {
 
 type fusedGravityMove struct{ g *Gravity }
 
-//pslint:hotpath
 func (k *fusedGravityMove) apply(ctx *Context, b *particle.Batch) {
 	g := k.g.G.Scale(ctx.DT)
 	for i := range b.Vel {
@@ -258,7 +255,6 @@ func makeDampingMove(acts []Action) Kernel {
 
 type fusedDampingMove struct{ d *Damping }
 
-//pslint:hotpath
 func (k *fusedDampingMove) apply(ctx *Context, b *particle.Batch) {
 	f := 1 - k.d.Coeff*ctx.DT
 	if f < 0 {
@@ -288,7 +284,6 @@ type fusedKillFadeMove struct {
 	f  *Fade
 }
 
-//pslint:hotpath
 func (k *fusedKillFadeMove) apply(ctx *Context, b *particle.Batch) {
 	step := k.f.Rate * ctx.DT
 	for i := range b.Age {
@@ -322,7 +317,6 @@ type fusedKillFade struct {
 	f  *Fade
 }
 
-//pslint:hotpath
 func (k *fusedKillFade) apply(ctx *Context, b *particle.Batch) {
 	step := k.f.Rate * ctx.DT
 	for i := range b.Age {
@@ -353,7 +347,6 @@ type fusedKillSinkMove struct {
 	s  *SinkBelow
 }
 
-//pslint:hotpath
 func (k *fusedKillSinkMove) apply(ctx *Context, b *particle.Batch) {
 	for i := range b.Age {
 		if b.Age[i] > k.ko.MaxAge {
@@ -382,7 +375,6 @@ type fusedKillSink struct {
 	s  *SinkBelow
 }
 
-//pslint:hotpath
 func (k *fusedKillSink) apply(_ *Context, b *particle.Batch) {
 	for i := range b.Age {
 		if b.Age[i] > k.ko.MaxAge {
@@ -406,7 +398,6 @@ func makeFadeMove(acts []Action) Kernel {
 
 type fusedFadeMove struct{ f *Fade }
 
-//pslint:hotpath
 func (k *fusedFadeMove) apply(ctx *Context, b *particle.Batch) {
 	step := k.f.Rate * ctx.DT
 	for i := range b.Alpha {
@@ -432,7 +423,6 @@ func makeSinkMove(acts []Action) Kernel {
 
 type fusedSinkMove struct{ s *SinkBelow }
 
-//pslint:hotpath
 func (k *fusedSinkMove) apply(ctx *Context, b *particle.Batch) {
 	for i := range b.Pos {
 		if b.Pos[i].Component(k.s.Axis) < k.s.Threshold {

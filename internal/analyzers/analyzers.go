@@ -1,13 +1,12 @@
-// Package analyzers is the engine's static-analysis suite: six
-// checkers that mechanically enforce the invariants the paper's model
-// depends on — bit-deterministic runs (virtual Clock advancement, no
-// wall-clock reads, ordered iteration), allocation-free hot paths,
-// paired observability spans, and — through the flow-sensitive engine
-// in cfg.go/dataflow.go — the pooled-buffer ownership contract and the
-// teardown discipline of fabric resources. The suite is run over the
-// whole tree by cmd/pslint through `go vet -vettool=` (see
-// `make lint`), and each analyzer carries its own testdata tree
-// exercised by the analyzertest harness.
+// Package analyzers is the engine's static-analysis suite: three
+// checkers for the invariants the paper's model depends on that no
+// run-time test catches — no wall-clock reads, global rand draws or
+// unordered map iteration in the engine packages, and, through the
+// flow-sensitive engine in cfg.go/dataflow.go, the pooled-buffer
+// ownership contract and the teardown discipline of fabric resources.
+// The suite is run over the whole tree by cmd/pslint through
+// `go vet -vettool=` (see `make lint`), and each analyzer carries its
+// own testdata tree exercised by the analyzertest harness.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis —
 // an Analyzer with a Run(*Pass) hook reporting position-tagged
@@ -18,15 +17,12 @@
 // directives, each of which must carry a reason:
 //
 //	//pslint:nondeterministic-ok <reason>   (determinism)
-//	//pslint:clock-ok <reason>              (clockdiscipline)
-//	//pslint:span-ok <reason>               (spanpairing)
 //	//pslint:own-ok <reason>                (bufownership)
 //	//pslint:lifetime-ok <reason>           (resourcelifetime)
 //
-// hot-path functions opt in to the allocation checks with a
-// //pslint:hotpath line in their doc comment, functions returning a
-// pooled wire buffer declare it with //pslint:pooled, and functions
-// acquiring a closeable resource declare it with //pslint:acquires.
+// Functions returning a pooled wire buffer declare it with
+// //pslint:pooled in their doc comment, and functions acquiring a
+// closeable resource declare it with //pslint:acquires.
 //
 // Suppressed findings are not discarded: they are emitted with
 // Diagnostic.Suppressed set, so drivers can either hide them (the vet
@@ -113,18 +109,15 @@ func (p *Pass) FlagAt(pos token.Pos, alt []token.Pos, directive, format string, 
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		HotpathAlloc,
-		ClockDiscipline,
-		SpanPairing,
 		BufOwnership,
 		ResourceLifetime,
 	}
 }
 
 // enginePackages are the packages whose code drives the simulation
-// model itself; the determinism and clock-discipline invariants apply
-// only here. Matched by the path tail so both the real module paths
-// (pscluster/internal/core) and the bare testdata paths (core) qualify.
+// model itself; the determinism invariant applies only here. Matched by
+// the path tail so both the real module paths (pscluster/internal/core)
+// and the bare testdata paths (core) qualify.
 var enginePackages = map[string]bool{
 	"core":        true,
 	"particle":    true,

@@ -6,16 +6,16 @@ import (
 )
 
 // Determinism enforces the model's bit-reproducibility invariant in the
-// engine packages (internal/core, internal/particle, internal/actions,
-// internal/loadbalance): a run is a pure function of the scenario, so
-// engine code must not read host wall time (time.Now/Since/Until), must
-// not draw from the unseeded process-global math/rand source, and must
-// not iterate a map in unordered key order — Go randomizes map
-// iteration per run, so anything fed from such a loop (donation orders,
-// trace events, wire payloads) would differ between bit-identical
-// inputs. A map range is allowed when it only collects keys for
-// sorting, or when the site carries //pslint:nondeterministic-ok with a
-// reason.
+// five engine packages (internal/core, internal/particle,
+// internal/actions, internal/loadbalance, internal/domain): a run is a
+// pure function of the scenario, so engine code must not read host wall
+// time (time.Now/Since/Until), must not draw from the unseeded
+// process-global math/rand source, and must not iterate a map in
+// unordered key order — Go randomizes map iteration per run, so
+// anything fed from such a loop (donation orders, trace events, wire
+// payloads) would differ between bit-identical inputs. A map range is
+// allowed when it only collects keys for sorting, or when the site
+// carries //pslint:nondeterministic-ok with a reason.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads, global rand and unordered map iteration " +
@@ -66,10 +66,7 @@ func checkDeterminismCall(pass *Pass, call *ast.CallExpr) {
 	switch funcPkgPath(fn) {
 	case "time":
 		if wallClockFuncs[fn.Name()] && recvTypeName(fn) == "" {
-			if pass.suppressed(call.Pos(), "nondeterministic-ok") {
-				return
-			}
-			pass.Reportf(call.Pos(),
+			pass.Flag(call.Pos(), "nondeterministic-ok",
 				"determinism: time.%s reads the host wall clock; engine code must use the virtual Clock",
 				fn.Name())
 		}
@@ -82,10 +79,7 @@ func checkDeterminismCall(pass *Pass, call *ast.CallExpr) {
 		if recvTypeName(fn) != "" || seededRandCtors[fn.Name()] {
 			return
 		}
-		if pass.suppressed(call.Pos(), "nondeterministic-ok") {
-			return
-		}
-		pass.Reportf(call.Pos(),
+		pass.Flag(call.Pos(), "nondeterministic-ok",
 			"determinism: %s.%s draws from the process-global rand source; use a seeded *rand.Rand",
 			funcPkgPath(fn), fn.Name())
 	}
@@ -102,10 +96,7 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 	if isKeyCollectLoop(pass, rng) {
 		return
 	}
-	if pass.suppressed(rng.Pos(), "nondeterministic-ok") {
-		return
-	}
-	pass.Reportf(rng.Pos(),
+	pass.Flag(rng.Pos(), "nondeterministic-ok",
 		"determinism: map iteration order is randomized per run; sort the keys first "+
 			"or annotate //pslint:nondeterministic-ok <reason>")
 }

@@ -10,24 +10,24 @@ import (
 //
 //	//pslint:<name> <reason>
 //
-// Suppression directives (nondeterministic-ok, clock-ok, span-ok) apply
-// to findings on the directive's own line or on the line directly
+// Suppression directives (nondeterministic-ok, own-ok, lifetime-ok)
+// apply to findings on the directive's own line or on the line directly
 // below it, so both trailing and preceding placement work:
 //
 //	for k := range m { // pslint:nondeterministic-ok keys drained into a sorted slice
 //
-//	//pslint:clock-ok cost charged by the applyAction caller
-//	func applyToSet(...)
+//	//pslint:nondeterministic-ok values are summed; the order cannot reach the output
+//	for _, v := range m {
 //
-// A suppression without a reason does not suppress — the analyzer
-// reports the missing reason instead, so every silenced finding
-// documents why the invariant may be broken there.
+// A suppression without a reason earns its own "needs a reason"
+// finding, so every silenced finding documents why the invariant may be
+// broken there.
 
 const directivePrefix = "pslint:"
 
 // directive is one parsed //pslint: comment.
 type directive struct {
-	name   string // "hotpath", "nondeterministic-ok", ...
+	name   string // "pooled", "nondeterministic-ok", ...
 	reason string // text after the name, "" when absent
 	line   int    // line the comment sits on
 	pos    token.Pos
@@ -108,37 +108,8 @@ func (p *Pass) suppression(pos token.Pos, name string) (directive, bool) {
 	return directive{}, false
 }
 
-// suppressed reports whether a finding at pos is silenced by the named
-// directive. A directive without a reason does not silence: the
-// analyzer reports the bare annotation instead, keeping "why is this
-// allowed" in the source next to every suppression.
-func (p *Pass) suppressed(pos token.Pos, name string) bool {
-	d, ok := p.suppression(pos, name)
-	if !ok {
-		return false
-	}
-	if d.reason == "" {
-		p.Reportf(pos, "//pslint:%s needs a reason: state why this site may break the invariant", name)
-		// Still suppress the underlying finding: the annotation marks it
-		// as reviewed, the missing reason is the actionable diagnostic.
-		return true
-	}
-	return true
-}
-
-// funcDoc returns the doc comment of the innermost function declaration
-// enclosing pos, plus the declaration itself.
-func enclosingFunc(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos <= fd.End() {
-			return fd
-		}
-	}
-	return nil
-}
-
 // hasDirective reports whether the function's doc comment carries the
-// named directive (e.g. //pslint:hotpath).
+// named directive (e.g. //pslint:pooled).
 func hasDirective(fd *ast.FuncDecl, name string) bool {
 	if fd == nil || fd.Doc == nil {
 		return false

@@ -47,7 +47,7 @@ func mapOrder(m map[string]float64) {
 		sink += m[k]
 	}
 
-	for _, v := range m { //pslint:nondeterministic-ok values are summed, addition order is commutative here
+	for _, v := range m { //pslint:nondeterministic-ok values are summed, addition order is commutative here // want-suppressed `map iteration`
 		sink += v
 	}
 

@@ -64,7 +64,6 @@ func (c *calcProc) exchangeGhostBand(si int, radius float64) (*particle.Batch, e
 	return c.tradeGhostBands(neighbors, bands)
 }
 
-//pslint:hotpath
 func (c *calcProc) exchangeGhostBandSlab(si int, radius float64) (*particle.Batch, error) {
 	st := c.stores[si]
 	lo, hi := st.Bounds()
@@ -113,8 +112,6 @@ func (c *calcProc) ghostBands(n int) []particle.Batch {
 
 // tradeGhostBands sends bands[i] to neighbors[i], all of them, then
 // receives every neighbor's band in the same ascending order.
-//
-//pslint:hotpath
 func (c *calcProc) tradeGhostBands(neighbors []int, bands []particle.Batch) (*particle.Batch, error) {
 	for ni, n := range neighbors {
 		c.ep.SendScaled(rankCalc0+n, transport.TagGhosts, bands[ni].EncodeWire(), c.scn.Ratio)
@@ -130,8 +127,6 @@ func (c *calcProc) tradeGhostBands(neighbors []int, bands []particle.Batch) (*pa
 
 // recvGhostsInto receives calculator from's ghost band and appends it
 // to dst. The pooled payload is released on every path.
-//
-//pslint:hotpath
 func (c *calcProc) recvGhostsInto(from int, dst *particle.Batch) error {
 	msg := c.ep.Recv(rankCalc0+from, transport.TagGhosts)
 	err := c.wire.DecodeWireInto(msg.Payload)

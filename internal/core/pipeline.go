@@ -64,14 +64,14 @@ func runProgram(p proc, prog []step) error {
 		// Correlation stamping is unconditional: outbound CorrIDs are a
 		// pure function of (frame, rank, send order), observed or not.
 		ep.SetFrame(frame)
-		rec.BeginFrame(frame, ep.Clock().Now()) //pslint:span-ok a step error aborts the whole run and the profile is discarded
+		rec.BeginFrame(frame, ep.Clock().Now())
 
 		p.beginFrame(frame)
 		for i := range prog {
 			s := &prog[i]
 			emit, err := s.run()
 			if err != nil {
-				return err
+				return err // the run aborts and its profile is discarded
 			}
 			if !emit || s.phase == "" {
 				continue

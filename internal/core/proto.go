@@ -210,7 +210,6 @@ func decodeCountedSeq(dst [][]byte, b []byte, what string, size func([]byte) int
 // The combined payload comes from the wire pool (its receiver releases
 // it) and every consumed slot buffer goes straight back.
 //
-//pslint:hotpath
 //pslint:pooled
 func encodeCountedSeq(slots [][]byte) []byte {
 	size := 4
@@ -300,8 +299,6 @@ func decodeBoundarySys(b []byte) (sys, edge int, value float64, err error) {
 const renderRecordSize = 32
 
 // putRenderRecord writes one 32-byte render record at b[off:].
-//
-//pslint:hotpath
 func putRenderRecord(b []byte, off int, pos, color geom.Vec3, alpha, size float64) {
 	le := binary.LittleEndian
 	le.PutUint32(b[off:], math.Float32bits(float32(pos.X)))
@@ -316,8 +313,6 @@ func putRenderRecord(b []byte, off int, pos, color geom.Vec3, alpha, size float6
 
 // encodeRenderRecords appends a columnar batch's render records at
 // b[off:], returning the next offset.
-//
-//pslint:hotpath
 func encodeRenderRecords(b []byte, off int, batch *particle.Batch) int {
 	for i := range batch.Pos {
 		putRenderRecord(b, off, batch.Pos[i], batch.Color[i], batch.Alpha[i], batch.Size[i])
@@ -332,7 +327,6 @@ func encodeRenderRecords(b []byte, off int, batch *particle.Batch) int {
 // sequential and parallel checksums agree bit-for-bit. The buffer is
 // pooled: its send's receiver releases it.
 //
-//pslint:hotpath
 //pslint:pooled
 func encodeRenderSet(st *particle.ColumnStore) []byte {
 	b := bufpool.Get(4 + st.Len()*renderRecordSize)
@@ -349,8 +343,6 @@ func encodeRenderSet(st *particle.ColumnStore) []byte {
 // decodeRenderColumnsInto unpacks compact render records into a
 // reusable batch, truncating it first — the image generator's
 // per-message decode scratch.
-//
-//pslint:hotpath
 func decodeRenderColumnsInto(cols *particle.Batch, b []byte) error {
 	if len(b) < 4 {
 		return fmt.Errorf("core: render batch of %d bytes has no header", len(b))

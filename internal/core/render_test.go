@@ -10,6 +10,7 @@ import (
 	"pscluster/internal/bufpool"
 	"pscluster/internal/geom"
 	"pscluster/internal/particle"
+	"pscluster/internal/transport"
 )
 
 // rasterSnow is miniSnow with rasterization on, at a small frame of
@@ -110,7 +111,8 @@ func TestPipelinedRenderPPMBytesIdentical(t *testing.T) {
 
 // The render send path's acceptance bar (ROADMAP item 4 holdover):
 // once the pool is warm, encoding a store's render records — and the
-// batched schedule's combine — allocates nothing.
+// batched schedule's combine — allocates nothing. Neither do the image
+// generator's decode and the calculators' slab ghost trade.
 func TestRenderSendPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		// The race runtime makes sync.Pool drop a fraction of Puts on
@@ -146,5 +148,62 @@ func TestRenderSendPathZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("framed render pack send path: %v allocs/op, want 0", allocs)
+	}
+
+	// The image generator's decode into its scratch batch.
+	blob := encodeRenderSet(st)
+	var cols particle.Batch
+	decode := func() {
+		if err := decodeRenderColumnsInto(&cols, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if allocs = testing.AllocsPerRun(200, decode); allocs != 0 {
+		t.Errorf("decodeRenderColumnsInto: %v allocs/op, want 0", allocs)
+	}
+	bufpool.Put(blob)
+
+	// A slab ghost trade between two calculators. The router's inboxes
+	// buffer every send, so one goroutine plays both: calculator 1 sends
+	// its band, calculator 0 trades (sends its own, receives 1's), and
+	// calculator 1 receives 0's.
+	scn := straddlePair()
+	if err := scn.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cl := testCluster(2)
+	place, err := cl.Place(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := transport.NewRouter(place, cl.Net)
+	var calcs [2]*calcProc
+	for i := range calcs {
+		if calcs[i], err = newCalcProc(&scn, place, 2, i, router.Endpoint(rankCalc0+i)); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 50; k++ {
+			calcs[i].stores[0].Add(mkParticle(float64(i*50+k)/50 - 1)) // x in [-1, 1)
+		}
+	}
+	c0, c1 := calcs[0], calcs[1]
+	band := c1.stores[0].Bin(0)
+	trade := func() {
+		c1.ep.SendScaled(rankCalc0, transport.TagGhosts, band.EncodeWire(), 1)
+		if _, err := c0.exchangeGhostBandSlab(0, 2); err != nil {
+			t.Fatal(err)
+		}
+		c1.ghosts.Clear()
+		if err := c1.recvGhostsInto(0, &c1.ghosts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trade()
+	if band.Len() == 0 || c0.ghosts.Len() == 0 || c1.ghosts.Len() == 0 {
+		t.Fatal("the trade moved no ghosts")
+	}
+	if allocs = testing.AllocsPerRun(200, trade); allocs != 0 {
+		t.Errorf("slab ghost trade: %v allocs/op, want 0", allocs)
 	}
 }

@@ -617,9 +617,8 @@ func (g *imageGenProc) chargeBlob(blob []byte) {
 // actions with a columnar kernel stream it, the rest go through
 // ApplyToBatch's record adapter. Either way the per-particle operations
 // and their order are those of an Apply loop in store order. It
-// returns the non-empty bins and the particles the pass touched.
-//
-//pslint:clock-ok every caller (applyRun, runScripted) charges Cost×len×Ratio right after the kernel
+// returns the non-empty bins and the particles the pass touched; the
+// callers charge Cost×len×Ratio after the pass.
 func applyToSet(st *particle.ColumnStore, ctx *actions.Context, act actions.ParticleAction) (bins, particles int) {
 	st.EachBatch(func(b *particle.Batch) {
 		actions.ApplyToBatch(ctx, act, b)

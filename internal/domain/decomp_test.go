@@ -171,7 +171,8 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 
 // Ownership must be total (any point in R³ maps to a valid rank) and
 // agree with the band asymmetry: a point is never in its own cell's
-// band toward a neighbor that owns it.
+// band toward a neighbor that owns it. OwnerOf runs per particle per
+// exchange, so it must not allocate either.
 func TestOwnershipTotal(t *testing.T) {
 	decomps := map[string]Decomposition{
 		"slab":    mustSlab(t, 4),
@@ -187,6 +188,10 @@ func TestOwnershipTotal(t *testing.T) {
 					t.Fatalf("%s: owner %d for %v outside [0,%d)", name, o, p, d.N())
 				}
 			}
+		}
+		owner := 0
+		if n := testing.AllocsPerRun(20, func() { owner += d.OwnerOf(geom.V(3, -4, 1)) }); n != 0 {
+			t.Errorf("%s: OwnerOf allocates %v objects per call, want 0", name, n)
 		}
 	}
 }
@@ -370,6 +375,9 @@ func TestEdgesIsView(t *testing.T) {
 	e := tab.Edges()
 	if &e[0] != &tab.edges[0] {
 		t.Error("Edges() copies the slice")
+	}
+	if n := testing.AllocsPerRun(20, func() { e = tab.Edges() }); n != 0 {
+		t.Errorf("Edges() allocates %v objects per call, want 0", n)
 	}
 }
 

@@ -68,8 +68,6 @@ func (t *Table) Axis() geom.Axis { return t.axis }
 // not mutate or retain the slice across SetBoundary/Rebalance calls;
 // the encode hot paths call this once per LB round per system, so a
 // defensive copy here is pure garbage.
-//
-//pslint:hotpath
 func (t *Table) Edges() []float64 { return t.edges }
 
 // Bounds returns the [lo, hi) interval of domain i.

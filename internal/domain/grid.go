@@ -90,8 +90,6 @@ func (g *Grid) cell(rank int) (col, row int) { return rank % g.Cols(), rank / g.
 
 // OwnerOf returns the rank of the grid cell containing p. Called once
 // per particle per exchange in the non-slab migration path.
-//
-//pslint:hotpath
 func (g *Grid) OwnerOf(p geom.Vec3) int {
 	col := ownerIn(g.colCuts, p.Component(g.axisA))
 	row := ownerIn(g.rowCuts, p.Component(g.axisB))

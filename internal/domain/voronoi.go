@@ -69,8 +69,6 @@ func (v *Voronoi) Sites() []geom.Vec3 { return v.sites }
 // OwnerOf returns the rank of the nearest site (squared distance,
 // strict comparison: ties go to the lowest rank). Called once per
 // particle per exchange in the non-slab migration path.
-//
-//pslint:hotpath
 func (v *Voronoi) OwnerOf(p geom.Vec3) int {
 	best := 0
 	bestD := p.Sub(v.sites[0]).Len2()

@@ -29,6 +29,29 @@ func record(rank, frame int, start, end float64, sent float64) obs.FrameRecord {
 
 func TestRingWindowKeepsLastN(t *testing.T) {
 	r := NewRing(4)
+	// Every call must hand the lock back, on an empty window too: a held
+	// lock would block the rank's next Push forever.
+	unlocked := func(op string) {
+		t.Helper()
+		if !r.mu.TryLock() {
+			t.Fatalf("%s left the ring locked", op)
+		}
+		r.mu.Unlock()
+	}
+	if n := r.Len(); n != 0 {
+		t.Fatalf("fresh ring Len=%d, want 0", n)
+	}
+	unlocked("Len on an empty window")
+	if got := r.Snapshot(); len(got) != 0 {
+		t.Fatalf("fresh ring snapshot holds %d records, want 0", len(got))
+	}
+	unlocked("Snapshot of an empty window")
+	r.Push(obs.FrameRecord{Rank: 2, Frame: -1})
+	if n := r.Len(); n != 1 {
+		t.Fatalf("Len=%d after one Push, want 1", n)
+	}
+	unlocked("Push")
+
 	for f := 0; f < 10; f++ {
 		r.Push(obs.FrameRecord{Rank: 2, Frame: f})
 	}

@@ -8,9 +8,9 @@ import (
 
 // Ring is the flight recorder's fixed-capacity frame window for one
 // rank: the last N published FrameRecords, oldest evicted first. Writes
-// and reads are guarded by the BeginWrite/EndWrite span pair — one
-// uncontended lock acquisition per frame on the publish path, so the
-// recorder stays cheap enough to leave on for every run.
+// and reads take the ring's lock — one uncontended acquisition per
+// frame on the publish path, so the recorder stays cheap enough to
+// leave on for every run.
 type Ring struct {
 	mu   sync.Mutex
 	buf  []obs.FrameRecord
@@ -26,19 +26,10 @@ func NewRing(capacity int) *Ring {
 	return &Ring{buf: make([]obs.FrameRecord, capacity)}
 }
 
-// BeginWrite opens a write (or consistent-read) span on the ring. Every
-// BeginWrite must be paired with an EndWrite on the same ring — the
-// spanpairing lint enforces the discipline, exactly as it does for the
-// Recorder's frame and region spans.
-func (r *Ring) BeginWrite() { r.mu.Lock() }
-
-// EndWrite closes the span opened by BeginWrite.
-func (r *Ring) EndWrite() { r.mu.Unlock() }
-
 // Push files one frame record, evicting the oldest when full.
 func (r *Ring) Push(fr obs.FrameRecord) {
-	r.BeginWrite()
-	defer r.EndWrite()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.buf[r.next] = fr
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
@@ -48,8 +39,8 @@ func (r *Ring) Push(fr obs.FrameRecord) {
 
 // Snapshot copies the window, oldest to newest.
 func (r *Ring) Snapshot() []obs.FrameRecord {
-	r.BeginWrite()
-	defer r.EndWrite()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]obs.FrameRecord, 0, r.n)
 	start := r.next - r.n
 	if start < 0 {
@@ -63,8 +54,8 @@ func (r *Ring) Snapshot() []obs.FrameRecord {
 
 // Len returns how many records the window currently holds.
 func (r *Ring) Len() int {
-	r.BeginWrite()
-	defer r.EndWrite()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.n
 }
 

@@ -73,7 +73,8 @@ func TestPooledEncodeBatchMatchesWire(t *testing.T) {
 }
 
 // The send path's acceptance bar: once the pool is warm, encoding a
-// batch for the wire allocates nothing.
+// batch for the wire allocates nothing, and neither does decoding it
+// into a warm scratch batch on the receive side.
 func TestEncodeSendPathZeroAlloc(t *testing.T) {
 	b := poolBatch(256)
 	// Warm the size class (and the header pool) once.
@@ -86,6 +87,19 @@ func TestEncodeSendPathZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("EncodeWire send path: %v allocs/op, want 0", allocs)
 	}
+
+	wire := b.EncodeWire()
+	var dec Batch
+	decode := func() {
+		if err := dec.DecodeWireInto(wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(200, decode); allocs != 0 {
+		t.Errorf("DecodeWireInto receive path: %v allocs/op, want 0", allocs)
+	}
+	bufpool.Put(wire)
 }
 
 // BenchmarkPooledEncode is the allocation half of the hostparallel

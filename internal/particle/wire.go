@@ -22,8 +22,6 @@ import (
 
 // putF64Col writes one float64 column at byte offset off of every
 // record in buf (stride WireSize past the 4-byte header).
-//
-//pslint:hotpath
 func putF64Col(buf []byte, off int, col []float64) {
 	for i, v := range col {
 		binary.LittleEndian.PutUint64(buf[4+i*WireSize+off:], math.Float64bits(v))
@@ -34,8 +32,6 @@ func putF64Col(buf []byte, off int, col []float64) {
 // format. The buffer belongs to the message it is sent in: its unique
 // receiver returns it to the pool after decoding (see
 // transport.Message.Release).
-//
-//pslint:hotpath
 func (b *Batch) EncodeWire() []byte {
 	n := b.Len()
 	buf := bufpool.Get(BatchBytes(n))
@@ -100,8 +96,6 @@ func DecodeWire(buf []byte) (*Batch, error) {
 // DecodeWireInto decodes an EncodeWire payload into b, reusing b's
 // column capacity. It rejects a payload whose length disagrees with its
 // count, with unknown flag bits or with non-zero padding.
-//
-//pslint:hotpath
 func (b *Batch) DecodeWireInto(buf []byte) error {
 	if len(buf) < 4 {
 		return fmt.Errorf("particle: short batch header: %d bytes", len(buf))

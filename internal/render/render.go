@@ -97,8 +97,6 @@ func NewFramebuffer(w, h int) *Framebuffer {
 
 // Clear zeroes every pixel a splat may have written and forgets the
 // spans; its cost follows the frame being erased, not the resolution.
-//
-//pslint:hotpath
 func (f *Framebuffer) Clear() {
 	for y, d := range f.dirty {
 		if d.lo < d.hi {
@@ -119,8 +117,6 @@ func (f *Framebuffer) Splat(cam Camera, p *particle.Particle) {
 
 // splatPoint is the splat body shared by the record and columnar entry
 // points.
-//
-//pslint:hotpath
 func (f *Framebuffer) splatPoint(cam Camera, pos, color geom.Vec3, alpha, size float64) {
 	f.splatPointOwned(cam, pos, color, alpha, size, 0, 1)
 }
@@ -138,8 +134,6 @@ const (
 // splatter — the ownership filter only skips whole rows — so summing
 // the stride-1 result over all owners reproduces the serial image bit
 // for bit.
-//
-//pslint:hotpath
 func (f *Framebuffer) splatPointOwned(cam Camera, pos, color geom.Vec3, alpha, size float64, owner, stride int) {
 	x, y, scale, ok := cam.Project(pos)
 	if !ok {
@@ -205,8 +199,6 @@ func (f *Framebuffer) splatPointOwned(cam Camera, pos, color geom.Vec3, alpha, s
 // SplatColumns renders a columnar batch, reading only the rendering
 // columns — the image generator's ingest path for decoded render
 // records.
-//
-//pslint:hotpath
 func (f *Framebuffer) SplatColumns(cam Camera, b *particle.Batch) {
 	for i := range b.Pos {
 		f.splatPoint(cam, b.Pos[i], b.Color[i], b.Alpha[i], b.Size[i])
@@ -215,8 +207,6 @@ func (f *Framebuffer) SplatColumns(cam Camera, b *particle.Batch) {
 
 // SplatColumnsOwned renders a columnar batch into only the rows owned
 // by worker `owner` of `stride` — the render plane's per-worker ingest.
-//
-//pslint:hotpath
 func (f *Framebuffer) SplatColumnsOwned(cam Camera, b *particle.Batch, owner, stride int) {
 	for i := range b.Pos {
 		f.splatPointOwned(cam, b.Pos[i], b.Color[i], b.Alpha[i], b.Size[i], owner, stride)
@@ -273,8 +263,6 @@ func quantize(v float64) uint16 {
 // bits each (big-endian uint16) so that the different floating-point
 // accumulation orders of sequential and parallel runs agree. Pixels
 // outside the dirty spans are known zero and are folded in as runs.
-//
-//pslint:hotpath
 func (f *Framebuffer) Checksum() uint64 {
 	h := fnvOffset
 	zeros := 0 // untouched pixels not yet folded into h
@@ -352,8 +340,6 @@ func tone(v float64) byte {
 // toneRows tone-maps rows [y0, y1) into their slots of buf. Only the
 // dirty span of a row is mapped; the rest is tone(0) == 0, written
 // explicitly because the pooled buf arrives with old contents.
-//
-//pslint:hotpath
 func (f *Framebuffer) toneRows(buf []byte, y0, y1 int) {
 	for y := y0; y < y1; y++ {
 		row := y * f.W

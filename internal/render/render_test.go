@@ -421,17 +421,21 @@ func TestClearLeavesNoStaleState(t *testing.T) {
 	}
 }
 
-// Checksum and Clear are plain loops over the framebuffer's own memory.
+// The splats, Checksum, the tone-map and Clear are plain loops over the
+// framebuffer's own memory.
 func TestChecksumClearZeroAlloc(t *testing.T) {
 	f := NewFramebuffer(64, 41)
 	b := edgeBatch()
 	var cam Camera = squareCam(64, 41) // boxed once, outside the measured frame
+	buf := make([]byte, 3*f.W*f.H)
 	if n := testing.AllocsPerRun(20, func() {
 		f.SplatColumns(cam, b)
+		f.SplatColumnsOwned(cam, b, 1, 2)
 		benchSink += f.Checksum()
+		f.toneRows(buf, 0, f.H)
 		f.Clear()
 	}); n != 0 {
-		t.Errorf("splat + Checksum + Clear allocate %v objects per frame, want 0", n)
+		t.Errorf("splat + Checksum + tone-map + Clear allocate %v objects per frame, want 0", n)
 	}
 }
 
