@@ -115,4 +115,4 @@ cover:
 	  'BEGIN { exit (p + 0 >= f + 0) ? 0 : 1 }' || \
 	  { echo "internal/core coverage below floor"; exit 1; }
 
-ci: build vet lint test race
+ci: build vet lint test race bench-smoke

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"pscluster/internal/cluster"
@@ -10,12 +9,12 @@ import (
 )
 
 // This file is the multi-process runner: RunNode executes ONE rank of
-// the Figure-2 pipeline over a caller-supplied Fabric, where runParallel
-// executes every rank over one virtual router. cmd/psnode wraps it into
-// a role launcher; the process constructors, the compiled step programs
-// and the cost model are shared with the in-process runner, so a
-// multi-process run over the net fabric reproduces the in-process run's
-// checksums, virtual clocks and traffic totals bit for bit.
+// the Figure-2 pipeline over a caller-supplied Fabric. It builds the
+// rank with newRank and drives it with runRank, the constructor and
+// driver runParallel launches once per rank over one virtual router, so
+// a multi-process run over the net fabric reproduces the in-process
+// run's checksums, virtual clocks and traffic totals bit for bit.
+// cmd/psnode wraps it into a role launcher.
 
 // Role names as they appear in cluster config files and psnode flags,
 // re-exported from the cluster package (which owns the config format).
@@ -74,12 +73,6 @@ type NodeResult struct {
 	LBRounds int
 }
 
-// runnableProc is a process role the runner can drive end to end.
-type runnableProc interface {
-	proc
-	run() error
-}
-
 // RunNode executes rank's role of the scenario over fab, blocking until
 // the run completes or aborts. The fabric must already be connected to
 // every peer (for the net fabric: listening, with the peer table set);
@@ -109,39 +102,15 @@ func RunNode(scn Scenario, cl *cluster.Cluster, nCalc, rank int, fab transport.F
 		return nil, err
 	}
 
-	var p runnableProc
-	switch rank {
-	case rankManager:
-		m, err := newManagerProc(&scn, place, nCalc, fab)
-		if err != nil {
-			return nil, err
-		}
-		if sink != nil {
-			m.rec = obs.NewRecorder(rank, "manager")
-		}
-		p = m
-	case rankImageGen:
-		g := newImageGenProc(&scn, place, nCalc, fab)
-		if sink != nil {
-			g.rec = obs.NewRecorder(rank, "image generator")
-		}
-		p = g
-	default:
-		c, err := newCalcProc(&scn, place, nCalc, rank-rankCalc0, fab)
-		if err != nil {
-			return nil, err
-		}
-		if sink != nil {
-			c.rec = obs.NewRecorder(rank, fmt.Sprintf("calculator %d", rank-rankCalc0))
-		}
-		p = c
+	var rec *obs.Recorder
+	if sink != nil {
+		rec = rankRecorder(rank, sink)
 	}
-	if rec := p.recorder(); rec != nil {
-		fab.SetObserver(rec)
-		rec.AttachSink(sink)
+	p, err := newRank(&scn, place, nCalc, rank, fab, rec)
+	if err != nil {
+		return nil, err
 	}
-
-	if err := runNodeProc(fab, p); err != nil {
+	if err := runRank(p); err != nil {
 		return nil, err
 	}
 
@@ -159,31 +128,7 @@ func RunNode(scn Scenario, cl *cluster.Cluster, nCalc, rank int, fab transport.F
 		nr.FrameChecksums = q.checksums
 		nr.FrameTimes = q.frameTimes
 	case *calcProc:
-		for _, st := range q.stores {
-			nr.CalcLoad += st.Len()
-		}
+		nr.CalcLoad = storedLen(q.stores)
 	}
 	return nr, nil
-}
-
-// runNodeProc drives one role with the same abort discipline as the
-// in-process launcher: an error or panic aborts the fabric so no peer
-// blocks forever; ErrAborted propagates as itself (a peer tore the run
-// down), everything else is wrapped as this rank's failure.
-func runNodeProc(fab transport.Fabric, p runnableProc) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok && errors.Is(e, transport.ErrAborted) {
-				err = e
-			} else {
-				err = fmt.Errorf("core: rank %d panicked: %v", p.rank(), r)
-			}
-			fab.Abort()
-		}
-	}()
-	if err := p.run(); err != nil {
-		fab.Abort()
-		return err
-	}
-	return nil
 }

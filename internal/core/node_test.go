@@ -1,10 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pscluster/internal/transport"
 )
@@ -137,5 +142,82 @@ func TestRunNodeValidatesInputs(t *testing.T) {
 	}
 	if _, err := RunNode(scn, cl, 0, 0, fab, nil); err == nil {
 		t.Error("zero calculators accepted")
+	}
+}
+
+// finishesWithin runs fn and fails the test if it has not returned
+// within a minute: a launcher that mishandles a failing rank hangs
+// rather than reporting anything.
+func finishesWithin(t *testing.T, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("run did not tear down after a rank failed")
+	}
+}
+
+// A rank that fails as it starts must tear the whole run down: the
+// in-process launchers return that rank's own error rather than
+// ErrAborted, and under RunNode the failing rank reports its error
+// while every other rank returns ErrAborted instead of blocking.
+func TestFailingRankAbortsRun(t *testing.T) {
+	// An output directory under a regular file cannot be created, so
+	// the image generator fails before its first frame.
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scn := miniSnow(StaticLB, FiniteSpace)
+	scn.Render.Rasterize = true
+	scn.Render.OutputDir = filepath.Join(file, "frames")
+	const nCalc = 2
+	cl := testCluster(4)
+	ownFailure := func(err error) bool {
+		return err != nil && !errors.Is(err, transport.ErrAborted) &&
+			strings.Contains(err.Error(), "creating output dir")
+	}
+
+	finishesWithin(t, func() {
+		if _, err := RunParallel(scn, cl, nCalc); !ownFailure(err) {
+			t.Errorf("RunParallel: %v, want the image generator's output-dir error", err)
+		}
+	})
+	finishesWithin(t, func() {
+		if _, err := RunSimsBaseline(scn, cl, nCalc); !ownFailure(err) {
+			t.Errorf("RunSimsBaseline: %v, want the image generator's output-dir error", err)
+		}
+	})
+
+	place, err := cl.Place(nCalc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := transport.NewRouter(place, cl.Net)
+	errs := make([]error, NumRanks(nCalc))
+	finishesWithin(t, func() {
+		var wg sync.WaitGroup
+		for r := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[r] = RunNode(scn, cl, nCalc, r, router.Endpoint(r), nil)
+			}()
+		}
+		wg.Wait()
+	})
+	for r, err := range errs {
+		if r == rankImageGen {
+			if !ownFailure(err) {
+				t.Errorf("RunNode rank %d: %v, want its output-dir error", r, err)
+			}
+		} else if !errors.Is(err, transport.ErrAborted) {
+			t.Errorf("RunNode rank %d: %v, want ErrAborted", r, err)
+		}
 	}
 }

@@ -73,83 +73,98 @@ func runParallel(scn Scenario, cl *cluster.Cluster, nCalc int, profiled bool, si
 	}
 	router := transport.NewRouter(place, cl.Net)
 
-	mgr, err := newManagerProc(&scn, place, nCalc, router.Endpoint(rankManager))
-	if err != nil {
-		return nil, nil, err
-	}
-	img := newImageGenProc(&scn, place, nCalc, router.Endpoint(rankImageGen))
-	calcs := make([]*calcProc, nCalc)
-	for i := range calcs {
-		c, err := newCalcProc(&scn, place, nCalc, i, router.Endpoint(rankCalc0+i))
-		if err != nil {
+	// Observability: one recorder per process goroutine, attached to its
+	// endpoint; zero synchronization while running, merged after
+	// runRanks returns.
+	ranks := make([]rankProc, NumRanks(nCalc))
+	var recs []*obs.Recorder
+	for r := range ranks {
+		var rec *obs.Recorder
+		if profiled {
+			rec = rankRecorder(r, sink)
+			recs = append(recs, rec)
+		}
+		if ranks[r], err = newRank(&scn, place, nCalc, r, router.Endpoint(r), rec); err != nil {
 			return nil, nil, err
 		}
-		calcs[i] = c
 	}
-
-	// Observability: one recorder per process goroutine, attached to its
-	// endpoint; zero synchronization while running, merged after the
-	// WaitGroup barrier below.
-	if profiled {
-		mgr.rec = obs.NewRecorder(rankManager, "manager")
-		mgr.ep.SetObserver(mgr.rec)
-		img.rec = obs.NewRecorder(rankImageGen, "image generator")
-		img.ep.SetObserver(img.rec)
-		for i, c := range calcs {
-			c.rec = obs.NewRecorder(rankCalc0+i, fmt.Sprintf("calculator %d", i))
-			c.ep.SetObserver(c.rec)
-		}
-		if sink != nil {
-			mgr.rec.AttachSink(sink)
-			img.rec.AttachSink(sink)
-			for _, c := range calcs {
-				c.rec.AttachSink(sink)
-			}
-		}
-	}
-
-	fns := []func() error{mgr.run, img.run}
-	for _, c := range calcs {
-		fns = append(fns, c.run)
-	}
-	if err := runRanks(router, fns...); err != nil {
+	if err := runRanks(ranks); err != nil {
 		return nil, nil, err
 	}
 
-	res := assembleResult(&scn, mgr, img, calcs)
+	res := assembleResult(&scn, ranks)
 	var prof *obs.Profile
 	if profiled {
-		prof = assembleProfile(res, mgr, img, calcs)
+		prof = assembleProfile(res, recs, ranks)
 	}
 	return res, prof, nil
 }
 
-// runRanks runs fns[r] as rank r's process, each on its own goroutine,
-// and waits for all of them. Any error or panic aborts the router so no
-// peer blocks forever. It returns the lowest rank's own failure;
+// rankProc is a process role the launcher can drive end to end.
+type rankProc interface {
+	endpoint() transport.Fabric
+	rank() int
+	run() error
+}
+
+// newRank builds rank's role of the fixed process layout (paper §3.1.1)
+// over fab: the in-process runner calls it once per rank over one
+// virtual router, RunNode once over its own fabric, so both build
+// bit-identical process state. A non-nil rec observes fab and records
+// the rank's spans.
+func newRank(scn *Scenario, place *cluster.Placement, nCalc, rank int, fab transport.Fabric, rec *obs.Recorder) (rankProc, error) {
+	if rec != nil {
+		fab.SetObserver(rec)
+	}
+	switch rank {
+	case rankManager:
+		m, err := newManagerProc(scn, place, nCalc, fab)
+		if err != nil {
+			return nil, err
+		}
+		m.rec = rec
+		return m, nil
+	case rankImageGen:
+		g := newImageGenProc(scn, place, nCalc, fab)
+		g.rec = rec
+		return g, nil
+	default:
+		c, err := newCalcProc(scn, place, nCalc, rank-rankCalc0, fab)
+		if err != nil {
+			return nil, err
+		}
+		c.rec = rec
+		return c, nil
+	}
+}
+
+// rankRecorder returns a recorder for rank, labelled by its role, that
+// publishes to sink when sink is non-nil.
+func rankRecorder(rank int, sink obs.FrameSink) *obs.Recorder {
+	label := fmt.Sprintf("calculator %d", rank-rankCalc0)
+	switch rank {
+	case rankManager:
+		label = "manager"
+	case rankImageGen:
+		label = "image generator"
+	}
+	rec := obs.NewRecorder(rank, label)
+	rec.AttachSink(sink)
+	return rec
+}
+
+// runRanks runs every rank on its own goroutine through runRank and
+// waits for all of them. It returns the lowest rank's own failure;
 // ErrAborted — a rank torn down by somebody else's failure — only when
 // nothing else was reported.
-func runRanks(router *transport.Router, fns ...func() error) error {
-	errs := make([]error, len(fns))
+func runRanks(ranks []rankProc) error {
+	errs := make([]error, len(ranks))
 	var wg sync.WaitGroup
-	for rank, fn := range fns {
+	for i, p := range ranks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if e, ok := p.(error); ok && errors.Is(e, transport.ErrAborted) {
-						errs[rank] = e
-					} else {
-						errs[rank] = fmt.Errorf("core: process %d panicked: %v", rank, p)
-					}
-					router.Abort()
-				}
-			}()
-			if err := fn(); err != nil {
-				errs[rank] = err
-				router.Abort()
-			}
+			errs[i] = runRank(p)
 		}()
 	}
 	wg.Wait()
@@ -166,18 +181,35 @@ func runRanks(router *transport.Router, fns ...func() error) error {
 	return aborted
 }
 
+// runRank drives one rank to completion. An error or panic aborts the
+// rank's fabric, which unblocks its peers' pending operations so the
+// whole run tears down rather than hangs. ErrAborted — a peer tore the
+// run down — passes through as itself; anything else is reported as
+// this rank's failure.
+func runRank(p rankProc) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if e, ok := r.(error); ok && errors.Is(e, transport.ErrAborted) {
+				err = e
+			} else {
+				err = fmt.Errorf("core: rank %d panicked: %v", p.rank(), r)
+			}
+		}
+		if err != nil {
+			p.endpoint().Abort()
+		}
+	}()
+	return p.run()
+}
+
 // assembleProfile merges the per-process recorders and adds the
 // run-level metrics the recorders cannot see on their own.
-func assembleProfile(res *Result, mgr *managerProc, img *imageGenProc, calcs []*calcProc) *obs.Profile {
-	recs := []*obs.Recorder{mgr.rec, img.rec}
-	for _, c := range calcs {
-		recs = append(recs, c.rec)
-	}
+func assembleProfile(res *Result, recs []*obs.Recorder, ranks []rankProc) *obs.Profile {
 	p := obs.NewProfile(recs...)
 	reg := p.Registry
 
 	var orders, evals int
-	for _, b := range mgr.balancers {
+	for _, b := range ranks[rankManager].(*managerProc).balancers {
 		orders += b.Stat.Orders
 		evals += b.Stat.Evaluations
 	}
@@ -203,13 +235,14 @@ func assembleProfile(res *Result, mgr *managerProc, img *imageGenProc, calcs []*
 	}
 	// Per-rank compute-pass totals: every (bin, kernel) application the
 	// calculator's per-particle passes made, as counted by notePasses.
-	for i, c := range calcs {
+	for _, p := range ranks[rankCalc0:] {
+		c := p.(*calcProc)
 		reg.Counter("pscluster_compute_bin_passes_total",
 			"bin-batch kernel applications per calculator",
-			"rank", strconv.Itoa(rankCalc0+i)).Add(float64(c.binPasses))
+			"rank", strconv.Itoa(c.rank())).Add(float64(c.binPasses))
 		reg.Counter("pscluster_compute_particle_passes_total",
 			"particle kernel applications per calculator (stored scale)",
-			"rank", strconv.Itoa(rankCalc0+i)).Add(float64(c.particlePasses))
+			"rank", strconv.Itoa(c.rank())).Add(float64(c.particlePasses))
 	}
 	for rank, t := range res.PerProcTime {
 		reg.Gauge("pscluster_proc_time_seconds",
@@ -220,7 +253,13 @@ func assembleProfile(res *Result, mgr *managerProc, img *imageGenProc, calcs []*
 }
 
 // assembleResult merges per-process state into one Result.
-func assembleResult(scn *Scenario, mgr *managerProc, img *imageGenProc, calcs []*calcProc) *Result {
+func assembleResult(scn *Scenario, ranks []rankProc) *Result {
+	mgr := ranks[rankManager].(*managerProc)
+	img := ranks[rankImageGen].(*imageGenProc)
+	calcs := make([]*calcProc, len(ranks)-rankCalc0)
+	for i := range calcs {
+		calcs[i] = ranks[rankCalc0+i].(*calcProc)
+	}
 	res := &Result{
 		Frames:         scn.Frames,
 		FrameChecksums: img.checksums,
@@ -228,32 +267,12 @@ func assembleResult(scn *Scenario, mgr *managerProc, img *imageGenProc, calcs []
 		LBRounds:       mgr.lbRounds,
 		FrameImbalance: mgr.imbalance,
 	}
-	res.PerProcTime = append(res.PerProcTime, mgr.ep.Clock().Now(), img.ep.Clock().Now())
-	for _, c := range calcs {
-		res.PerProcTime = append(res.PerProcTime, c.ep.Clock().Now())
-	}
-	for _, t := range res.PerProcTime {
-		if t > res.Time {
-			res.Time = t
-		}
-	}
-	res.MsgsSent = mgr.ep.Stats().MsgsSent + img.ep.Stats().MsgsSent
-	res.BytesSent = mgr.ep.Stats().BytesSent + img.ep.Stats().BytesSent
-	res.MsgsRecv = mgr.ep.Stats().MsgsRecv + img.ep.Stats().MsgsRecv
-	res.BytesRecv = mgr.ep.Stats().BytesRecv + img.ep.Stats().BytesRecv
+	tallyRanks(res, ranks)
 	exchanged, calcMoved := 0, 0
 	for _, c := range calcs {
 		exchanged += c.exchangedStored
 		calcMoved += c.lbMovedStored
-		res.MsgsSent += c.ep.Stats().MsgsSent
-		res.BytesSent += c.ep.Stats().BytesSent
-		res.MsgsRecv += c.ep.Stats().MsgsRecv
-		res.BytesRecv += c.ep.Stats().BytesRecv
-		load := 0
-		for _, st := range c.stores {
-			load += st.Len()
-		}
-		res.CalcLoads = append(res.CalcLoads, load)
+		res.CalcLoads = append(res.CalcLoads, storedLen(c.stores))
 	}
 	res.ExchangedParticles = int(float64(exchanged) * scn.Ratio)
 	res.ExchangedBytes = int(float64(exchanged*particle.WireSize) * scn.Ratio)
@@ -277,6 +296,33 @@ func assembleResult(scn *Scenario, mgr *managerProc, img *imageGenProc, calcs []
 		}
 	}
 	return res
+}
+
+// tallyRanks fills res's per-process clocks, run time and traffic
+// totals from the launched ranks' endpoints, in rank order.
+func tallyRanks(res *Result, ranks []rankProc) {
+	for _, p := range ranks {
+		ep := p.endpoint()
+		t := ep.Clock().Now()
+		res.PerProcTime = append(res.PerProcTime, t)
+		if t > res.Time {
+			res.Time = t
+		}
+		st := ep.Stats()
+		res.MsgsSent += st.MsgsSent
+		res.BytesSent += st.BytesSent
+		res.MsgsRecv += st.MsgsRecv
+		res.BytesRecv += st.BytesRecv
+	}
+}
+
+// storedLen returns the particles held across stores.
+func storedLen(stores []*particle.ColumnStore) int {
+	n := 0
+	for _, st := range stores {
+		n += st.Len()
+	}
+	return n
 }
 
 // calcRankList returns the calculator ranks for an nCalc-calculator
@@ -319,11 +365,7 @@ func newDecomps(scn *Scenario, nCalc int) ([]domain.Decomposition, error) {
 	return ds, nil
 }
 
-// newManagerProc builds the manager-role process state over fab. The
-// constructors are shared between the in-process runner (runParallel,
-// every role over one virtual router) and the multi-process runner
-// (RunNode, one role per OS process over a net fabric): both build
-// bit-identical process state.
+// newManagerProc builds the manager-role process state over fab.
 func newManagerProc(scn *Scenario, place *cluster.Placement, nCalc int, fab transport.Fabric) (*managerProc, error) {
 	decomps, err := newDecomps(scn, nCalc)
 	if err != nil {
@@ -371,11 +413,6 @@ func newImageGenProc(scn *Scenario, place *cluster.Placement, nCalc int, fab tra
 		scn: scn, ep: fab, rate: place.Rate(rankImageGen),
 		calcRanks: calcRankList(nCalc),
 	}
-}
-
-// billed inflates a payload size by the representation ratio.
-func billed(payloadLen int, ratio float64) int {
-	return transport.Billed(payloadLen, ratio)
 }
 
 // groupOwnerBatches refills groups, one batch per calculator, with b's

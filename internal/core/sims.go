@@ -51,12 +51,11 @@ func RunSimsBaseline(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, err
 	}
 	router := transport.NewRouter(place, cl.Net)
 
-	mgr := &simsManager{
-		scn: &scn, ep: router.Endpoint(rankManager), rate: place.Rate(rankManager), nCalc: nCalc,
+	ranks := []rankProc{
+		&simsManager{scn: &scn, ep: router.Endpoint(rankManager), rate: place.Rate(rankManager), nCalc: nCalc},
+		newImageGenProc(&scn, place, nCalc, router.Endpoint(rankImageGen)),
 	}
-	img := newImageGenProc(&scn, place, nCalc, router.Endpoint(rankImageGen))
 	calcs := make([]*simsCalc, nCalc)
-	fns := []func() error{mgr.run, img.run}
 	for i := range calcs {
 		calcs[i] = &simsCalc{
 			scn: &scn, idx: i, ep: router.Endpoint(rankCalc0 + i),
@@ -66,37 +65,24 @@ func RunSimsBaseline(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, err
 		for si := range calcs[i].sets {
 			calcs[i].sets[si] = particle.NewColumnStore(scn.Axis, 0, 1, 1)
 		}
-		fns = append(fns, calcs[i].run)
+		ranks = append(ranks, calcs[i])
 	}
-	if err := runRanks(router, fns...); err != nil {
+	if err := runRanks(ranks); err != nil {
 		return nil, err
 	}
 
+	img := ranks[rankImageGen].(*imageGenProc)
 	res := &Result{Frames: scn.Frames, FrameChecksums: img.checksums, FrameTimes: img.frameTimes}
-	res.PerProcTime = append(res.PerProcTime, mgr.ep.Clock().Now(), img.ep.Clock().Now())
-	res.MsgsSent = mgr.ep.Stats().MsgsSent + img.ep.Stats().MsgsSent
-	res.BytesSent = mgr.ep.Stats().BytesSent + img.ep.Stats().BytesSent
+	tallyRanks(res, ranks)
 	ghosts := 0
 	for _, c := range calcs {
-		res.PerProcTime = append(res.PerProcTime, c.ep.Clock().Now())
-		res.MsgsSent += c.ep.Stats().MsgsSent
-		res.BytesSent += c.ep.Stats().BytesSent
 		ghosts += c.ghostsSent
-		load := 0
-		for _, set := range c.sets {
-			load += set.Len()
-		}
-		res.CalcLoads = append(res.CalcLoads, load)
+		res.CalcLoads = append(res.CalcLoads, storedLen(c.sets))
 	}
 	// For the baseline, "exchanged" is the ghost broadcast volume — the
 	// traffic the model's locality avoids.
 	res.ExchangedParticles = int(float64(ghosts) * scn.Ratio)
 	res.ExchangedBytes = int(float64(ghosts*particle.WireSize) * scn.Ratio)
-	for _, t := range res.PerProcTime {
-		if t > res.Time {
-			res.Time = t
-		}
-	}
 	if scn.CollectParticles {
 		res.FinalParticles = make([][]particle.Particle, len(scn.Systems))
 		for si := range scn.Systems {
@@ -118,6 +104,9 @@ type simsManager struct {
 	rate  float64
 	nCalc int
 }
+
+func (m *simsManager) endpoint() transport.Fabric { return m.ep }
+func (m *simsManager) rank() int                  { return rankManager }
 
 func (m *simsManager) run() error {
 	scn := m.scn
@@ -146,8 +135,7 @@ func (m *simsManager) run() error {
 				}
 				for c := 0; c < m.nCalc; c++ {
 					payload := dealt[c].EncodeWire()
-					m.ep.SendSized(rankCalc0+c, transport.TagParticles, payload,
-						billed(len(payload), scn.Ratio))
+					m.ep.SendScaled(rankCalc0+c, transport.TagParticles, payload, scn.Ratio)
 				}
 			}
 		}
@@ -185,6 +173,9 @@ func (c *simsCalc) recvBatch(rank int) (*particle.Batch, error) {
 	msg.Release()
 	return &c.wire, err
 }
+
+func (c *simsCalc) endpoint() transport.Fabric { return c.ep }
+func (c *simsCalc) rank() int                  { return rankCalc0 + c.idx }
 
 func (c *simsCalc) run() error {
 	scn := c.scn
@@ -252,8 +243,7 @@ func (c *simsCalc) broadcastGhosts(st *particle.ColumnStore) error {
 		}
 		c.ghostsSent += st.Len()
 		payload := st.Bin(0).EncodeWire()
-		c.ep.SendSized(rankCalc0+p, transport.TagParticles, payload,
-			billed(len(payload), c.scn.Ratio))
+		c.ep.SendScaled(rankCalc0+p, transport.TagParticles, payload, c.scn.Ratio)
 	}
 	c.ghosts.Clear()
 	for p := 0; p < c.nCalc; p++ {

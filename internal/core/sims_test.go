@@ -62,6 +62,31 @@ func collisionScenario() Scenario {
 	return scn
 }
 
+// Everything the baseline sends is consumed, ghost broadcasts
+// included, so its receive totals must equal its send totals.
+func TestSimsSendRecvTotalsBalance(t *testing.T) {
+	for name, scn := range map[string]Scenario{
+		"independent": miniSnow(StaticLB, FiniteSpace),
+		"collide":     collisionScenario(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			res, err := RunSimsBaseline(scn, testCluster(4), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MsgsSent == 0 {
+				t.Fatal("no traffic recorded")
+			}
+			if res.MsgsRecv != res.MsgsSent {
+				t.Errorf("messages: sent %d, received %d", res.MsgsSent, res.MsgsRecv)
+			}
+			if res.BytesRecv != res.BytesSent {
+				t.Errorf("bytes: sent %d, received %d", res.BytesSent, res.BytesRecv)
+			}
+		})
+	}
+}
+
 func TestSimsGhostBroadcastDwarfsModelExchange(t *testing.T) {
 	// The paper's motivation for domains (§3.1.4): without locality,
 	// collision detection forces each process to see every particle.
