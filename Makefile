@@ -3,7 +3,7 @@ GO ?= go
 # Coverage floor (percent of statements) for the engine package.
 CORE_COVER_FLOOR ?= 85
 
-.PHONY: all build vet lint test race race-obs bench bench-check bench-tables bench-smoke decomp-smoke fuzz-smoke serve-smoke net-smoke cover ci
+.PHONY: all build vet lint test race race-obs bench bench-check bench-pairs bench-tables bench-smoke decomp-smoke fuzz-smoke serve-smoke net-smoke cover ci
 
 all: ci
 
@@ -53,6 +53,17 @@ bench:
 # bounds (2 % / 8 %); timing is printed as advisory. ~3 min.
 bench-check:
 	sh scripts/bench_check.sh
+
+# A timing claim's evidence: W=<workload> run PAIRS=10 times on a
+# temporary checkout of BASE (default as bench-check) and on this tree,
+# alternated, the side that goes first swapped every pair. Prints each
+# side's median and quartiles of frames_per_s and cpu_ms_per_frame, the
+# pairs the tree won, and whether ROADMAP's claim rule (≥ 9 wins in 10,
+# medians further apart than the base's IQR) holds; fails on any run
+# that is not correct:true, failed:0. Each run lasts BENCHMARK.json's
+# run_seconds; SEED overrides the seed. ~6 min at the defaults.
+bench-pairs:
+	sh scripts/bench_pairs.sh
 
 # Full paper-table benchmark suite (slow; regenerates every experiment).
 bench-tables:

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"pscluster/internal/bufpool"
@@ -340,19 +339,31 @@ func encodeRenderSet(st *particle.ColumnStore) []byte {
 	return b
 }
 
+// renderBatchLen checks a render batch's count header against its
+// length and returns the record count. Every ingest path runs it, so
+// the image generator rejects the same malformed blobs whether it
+// rasterizes them or only hashes them.
+func renderBatchLen(b []byte) (int, error) {
+	if len(b) < 4 {
+		return 0, fmt.Errorf("core: render batch of %d bytes has no header", len(b))
+	}
+	n := int(binary.LittleEndian.Uint32(b))
+	if len(b)-4 != n*renderRecordSize {
+		return 0, fmt.Errorf("core: render batch of %d records needs %d bytes, have %d",
+			n, n*renderRecordSize, len(b)-4)
+	}
+	return n, nil
+}
+
 // decodeRenderColumnsInto unpacks compact render records into a
 // reusable batch, truncating it first — the image generator's
 // per-message decode scratch.
 func decodeRenderColumnsInto(cols *particle.Batch, b []byte) error {
-	if len(b) < 4 {
-		return fmt.Errorf("core: render batch of %d bytes has no header", len(b))
+	n, err := renderBatchLen(b)
+	if err != nil {
+		return err
 	}
-	n := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	if len(b) != n*renderRecordSize {
-		return fmt.Errorf("core: render batch of %d records needs %d bytes, have %d",
-			n, n*renderRecordSize, len(b))
-	}
 	cols.Clear()
 	cols.Grow(n)
 	le := binary.LittleEndian
@@ -372,20 +383,47 @@ func decodeRenderColumnsInto(cols *particle.Batch, b []byte) error {
 	return nil
 }
 
+// FNV-1a, 64 bit: the per-record hash of the render checksum.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
 // hashRenderRecords returns an order-independent digest of a render
-// batch: the modular sum of per-record FNV hashes. Both engines use it
-// as the frame checksum when rasterization is off; because addition
+// batch: the modular sum of per-record FNV-1a hashes. Both engines use
+// it as the frame checksum when rasterization is off; because addition
 // commutes, the arrival order of calculator batches cannot change it.
+// A trailing partial record is not hashed.
+//
+// Each record's hash is a chain of 32 dependent multiplies, so four
+// records are hashed in lock-step, one byte of each per step: four
+// independent chains the CPU overlaps. The per-record hashes, and so
+// the sum, are exactly the one-record loop's, which takes the 0–3
+// records left over.
 func hashRenderRecords(b []byte) uint64 {
 	if len(b) < 4 {
 		return 0
 	}
 	b = b[4:]
+	const rs = renderRecordSize
 	var sum uint64
-	for off := 0; off+renderRecordSize <= len(b); off += renderRecordSize {
-		h := fnv.New64a()
-		h.Write(b[off : off+renderRecordSize])
-		sum += h.Sum64()
+	for ; len(b) >= 4*rs; b = b[4*rs:] {
+		r0, r1, r2, r3 := b[0:rs:rs], b[rs:2*rs:2*rs], b[2*rs:3*rs:3*rs], b[3*rs:4*rs:4*rs]
+		h0, h1, h2, h3 := fnvOffset, fnvOffset, fnvOffset, fnvOffset
+		for i := 0; i < rs; i++ {
+			h0 = (h0 ^ uint64(r0[i])) * fnvPrime
+			h1 = (h1 ^ uint64(r1[i])) * fnvPrime
+			h2 = (h2 ^ uint64(r2[i])) * fnvPrime
+			h3 = (h3 ^ uint64(r3[i])) * fnvPrime
+		}
+		sum += h0 + h1 + h2 + h3
+	}
+	for ; len(b) >= rs; b = b[rs:] {
+		h := fnvOffset
+		for _, c := range b[:rs:rs] {
+			h = (h ^ uint64(c)) * fnvPrime
+		}
+		sum += h
 	}
 	return sum
 }

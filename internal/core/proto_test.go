@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -347,6 +349,19 @@ func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 		},
 			[][]byte{nil, {1}, {1, 0, 0, 0}, okRender[:len(okRender)-1],
 				append(append([]byte(nil), okRender...), 0)}},
+		// The image generator without a framebuffer: an unframed group
+		// passes the payload through whole, and the blob is only checked,
+		// never decoded — yet it is the one chargeBlob bills and hashes.
+		{"render-ingest-unrasterized", func(b []byte) error {
+			blobs, err := (sysGroup{hi: 1}).unpack(nil, b, 1, "render batch", renderSlotSize)
+			if err != nil {
+				return err
+			}
+			return new(imageGenProc).splatBlob(blobs[0])
+		},
+			[][]byte{{1, 0, 0},
+				append([]byte{2, 0, 0, 0}, make([]byte, renderRecordSize)...),     // count says 2, 1 record
+				append([]byte{1, 0, 0, 0}, make([]byte, renderRecordSize+5)...)}}, // trailing partial record
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -398,4 +413,51 @@ func FuzzDecodeOrder(f *testing.F) {
 			t.Fatalf("re-encode mismatch for %x", b)
 		}
 	})
+}
+
+// fnvRenderRecords is hashRenderRecords' oracle: one hash/fnv FNV-1a
+// hasher per whole record, the modular sum of their digests.
+func fnvRenderRecords(b []byte) uint64 {
+	if len(b) < 4 {
+		return 0
+	}
+	b = b[4:]
+	var sum uint64
+	for off := 0; off+renderRecordSize <= len(b); off += renderRecordSize {
+		h := fnv.New64a()
+		h.Write(b[off : off+renderRecordSize])
+		sum += h.Sum64()
+	}
+	return sum
+}
+
+// randomRenderBlob is a render batch of n records of random bytes, its
+// header saying n, followed by extra bytes of a partial record.
+func randomRenderBlob(r *geom.RNG, n, extra int) []byte {
+	b := make([]byte, 4+n*renderRecordSize+extra)
+	binary.LittleEndian.PutUint32(b, uint32(n))
+	for i := 4; i < len(b); i++ {
+		b[i] = byte(r.Uint64())
+	}
+	return b
+}
+
+// The four-lane checksum is the per-record hash/fnv sum on every
+// length: each remainder of the lane loop, a frame-sized batch, and
+// blobs too short to hold a record or ending in a partial one.
+func TestHashRenderRecordsMatchesFNV(t *testing.T) {
+	r := geom.NewRNG(38)
+	blobs := map[string][]byte{"nil": nil, "3 bytes": {1, 2, 3}, "8003 records": randomRenderBlob(r, 8003, 0)}
+	for n := 0; n <= 9; n++ {
+		blobs[fmt.Sprintf("%d records", n)] = randomRenderBlob(r, n, 0)
+	}
+	for _, extra := range []int{1, 17, renderRecordSize - 1} {
+		blobs[fmt.Sprintf("5 records + %d bytes", extra)] = randomRenderBlob(r, 5, extra)
+		blobs[fmt.Sprintf("8 records + %d bytes", extra)] = randomRenderBlob(r, 8, extra)
+	}
+	for name, b := range blobs {
+		if got, want := hashRenderRecords(b), fnvRenderRecords(b); got != want {
+			t.Errorf("%s: hashRenderRecords %x, hash/fnv %x", name, got, want)
+		}
+	}
 }

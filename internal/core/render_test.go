@@ -162,6 +162,14 @@ func TestRenderSendPathZeroAlloc(t *testing.T) {
 	if allocs = testing.AllocsPerRun(200, decode); allocs != 0 {
 		t.Errorf("decodeRenderColumnsInto: %v allocs/op, want 0", allocs)
 	}
+
+	// The image generator's checksum when it does not rasterize.
+	var sum uint64
+	hash := func() { sum += hashRenderRecords(blob) }
+	hash()
+	if allocs = testing.AllocsPerRun(200, hash); allocs != 0 {
+		t.Errorf("hashRenderRecords: %v allocs/op, want 0", allocs)
+	}
 	bufpool.Put(blob)
 
 	// A slab ghost trade between two calculators. The router's inboxes

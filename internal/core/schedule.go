@@ -382,22 +382,22 @@ func (c *calcProc) addWire(si int, payload []byte) error {
 }
 
 // closeCompute ends system si's compute phase: the steering script's
-// entries for this frame, the dead removed, and the pre-exchange load
-// the report rescales from.
+// entries for this frame, and the pre-exchange load the report rescales
+// from — the live particles only. The dead stay in the store until the
+// exchange scan (partitionOut) drops them, so the store is compacted
+// once per frame, not twice.
 func (c *calcProc) closeCompute(si int) {
 	c.runScripted(si)
-	st := c.stores[si]
-	st.RemoveDead()
-	c.fs.oldLoad[si] = st.Len()
+	c.fs.oldLoad[si] = c.stores[si].Live()
 }
 
 // chargeExchangeScan charges the preparation of the structures for the
 // exchange (Figure 2): out-of-domain detection, sub-domain re-binning
 // and exchange packing, a per-particle cost the sequential baseline
-// does not pay.
+// does not pay. It bills the live particles closeCompute counted.
 func (c *calcProc) chargeExchangeScan(si int) {
 	scn := c.scn
-	scanWork := scn.ExchangeScanWork * float64(c.stores[si].Len()) * scn.Ratio
+	scanWork := scn.ExchangeScanWork * float64(c.fs.oldLoad[si]) * scn.Ratio
 	c.ep.Clock().AdvanceWork(scanWork, c.rate)
 	c.fs.work[si] += scanWork
 }
@@ -522,10 +522,11 @@ func (c *calcProc) ownerAllToAll(g sysGroup, tag transport.Tag, moved *int) erro
 }
 
 // partitionOut removes and returns the particles that left this
-// calculator's domain. The slab path keeps the historical axis-interval
-// scan (bit-identical to the pre-strategy engine, including which side
-// of a collapsed domain a particle leaves from); other decompositions
-// test ownership directly, since their domains are not axis intervals.
+// calculator's domain, and drops the frame's dead in the same scan. The
+// slab path keeps the historical axis-interval scan (bit-identical to
+// the pre-strategy engine, including which side of a collapsed domain a
+// particle leaves from); other decompositions test ownership directly,
+// since their domains are not axis intervals.
 func (c *calcProc) partitionOut(si int) *particle.Batch {
 	st := c.stores[si]
 	d := c.decomps[si]
@@ -587,11 +588,14 @@ func (g *imageGenProc) generateImage() error {
 }
 
 // splatBlob is the host-side half of the historical ingestBlob: decode
-// one render batch into the reusable scratch and splat it. No clock or
-// hash state is touched — chargeBlob does the model-visible half.
+// one render batch into the reusable scratch and splat it. Without a
+// framebuffer it only checks the blob's header against its length, so
+// chargeBlob never bills or hashes a malformed one. No clock or hash
+// state is touched — chargeBlob does the model-visible half.
 func (g *imageGenProc) splatBlob(blob []byte) error {
 	if g.fb == nil {
-		return nil
+		_, err := renderBatchLen(blob)
+		return err
 	}
 	if err := decodeRenderColumnsInto(&g.wire, blob); err != nil {
 		return err

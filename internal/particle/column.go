@@ -187,15 +187,32 @@ func (s *ColumnStore) RemoveDead() int {
 	return removed
 }
 
+// Live returns the number of stored particles whose Dead flag is clear:
+// what Len will be once the dead are dropped, by RemoveDead or by a
+// partition. It reads only the Dead column.
+func (s *ColumnStore) Live() int {
+	dead := 0
+	for bi := range s.bins {
+		for _, d := range s.bins[bi].Dead {
+			if d {
+				dead++
+			}
+		}
+	}
+	return s.count - dead
+}
+
 // PartitionBatch removes and returns every particle whose axis
 // coordinate has left the domain interval, and re-bins the particles
 // that moved between sub-domains. This is the end-of-frame step of the
 // model (§3.1.5): the returned particles must be sent to their new owner
-// processes. Leavers are returned in store order; survivors keep their
-// relative order within a bin, and the re-binned ones are appended to
-// their new bins after the scan, again in store order. The returned
-// batch is the store's own, valid until the next PartitionBatch or
-// PartitionOwnedBatch call.
+// processes. Dead particles are dropped in the same scan — neither
+// returned, re-binned nor kept — so the result and the store are
+// exactly those of RemoveDead followed by PartitionBatch. Leavers are
+// returned in store order; survivors keep their relative order within a
+// bin, and the re-binned ones are appended to their new bins after the
+// scan, again in store order. The returned batch is the store's own,
+// valid until the next PartitionBatch or PartitionOwnedBatch call.
 func (s *ColumnStore) PartitionBatch() *Batch {
 	out := &s.leavers
 	out.Clear()
@@ -205,6 +222,9 @@ func (s *ColumnStore) PartitionBatch() *Batch {
 		b := &s.bins[bi]
 		kept := 0
 		for i := 0; i < b.Len(); i++ {
+			if b.Dead[i] {
+				continue
+			}
 			c := b.Pos[i].Component(s.axis)
 			switch {
 			case c < s.lo || c >= s.hi:
@@ -234,8 +254,9 @@ func (s *ColumnStore) PartitionBatch() *Batch {
 // keep reports false, re-binning survivors that moved between
 // sub-domains — PartitionBatch generalized from the axis-interval test
 // to an arbitrary ownership predicate (non-slab decompositions own
-// regions no single interval describes). Scan, output and re-add orders,
-// and the returned batch's lifetime, are PartitionBatch's.
+// regions no single interval describes). Dropping the dead, scan,
+// output and re-add orders, and the returned batch's lifetime, are
+// PartitionBatch's; keep is never called on a dead particle.
 func (s *ColumnStore) PartitionOwnedBatch(keep func(geom.Vec3) bool) *Batch {
 	out := &s.leavers
 	out.Clear()
@@ -245,6 +266,9 @@ func (s *ColumnStore) PartitionOwnedBatch(keep func(geom.Vec3) bool) *Batch {
 		b := &s.bins[bi]
 		kept := 0
 		for i := 0; i < b.Len(); i++ {
+			if b.Dead[i] {
+				continue
+			}
 			switch {
 			case !keep(b.Pos[i]):
 				out.AppendIndex(b, i)

@@ -97,14 +97,16 @@ func FuzzDecodeParticleBatch(f *testing.F) {
 }
 
 // FuzzStoreOperations drives the sub-domain store with arbitrary
-// particle coordinates and donation sizes: invariants must hold for any
-// input.
+// particle coordinates, donation sizes and kill masks (particle i of the
+// store order dies when bit i%64 of kill is set): invariants must hold
+// for any input, and a partition that meets the dead must leave what
+// RemoveDead then partition leaves.
 func FuzzStoreOperations(f *testing.F) {
-	f.Add(int64(1), uint16(10), uint16(3), false)
-	f.Add(int64(42), uint16(500), uint16(100), true)
-	f.Add(int64(7), uint16(1), uint16(0), false)
+	f.Add(int64(1), uint16(10), uint16(3), false, uint64(0))
+	f.Add(int64(42), uint16(500), uint16(100), true, uint64(0x8421_8421_8421_8421))
+	f.Add(int64(7), uint16(1), uint16(0), false, ^uint64(0))
 
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, donateRaw uint16, high bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, donateRaw uint16, high bool, kill uint64) {
 		n := int(nRaw)%1000 + 1
 		donate := int(donateRaw) % (n + 10)
 		s := NewColumnStore(geom.AxisX, -50, 50, 8)
@@ -126,9 +128,20 @@ func FuzzStoreOperations(f *testing.F) {
 		if lo, hi := s.Bounds(); hi < lo {
 			t.Fatalf("store bounds inverted: [%g, %g)", lo, hi)
 		}
+		i := 0
+		s.EachBatch(func(b *Batch) {
+			for j := range b.Dead {
+				b.Dead[j] = kill>>(i%64)&1 == 1
+				i++
+			}
+		})
+		live := s.Live()
 		out := s.PartitionBatch()
-		if out.Len()+s.Len()+donated.Len() != n {
-			t.Fatal("partition lost particles")
+		if out.Len()+s.Len() != live || s.Live() != s.Len() {
+			t.Fatalf("partition of %d live particles: %d out, %d kept (%d live)", live, out.Len(), s.Len(), s.Live())
+		}
+		for _, pp := range partitionPredicates {
+			checkPartitionDropsDead(t, uint64(seed), kill, n, pp.part)
 		}
 	})
 }

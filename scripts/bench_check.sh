@@ -19,35 +19,15 @@
 #
 # The base is HEAD when the tree has uncommitted changes (check before
 # committing) and HEAD^ when it is clean (check the commit just made);
-# BASE=<rev> overrides. The base tree is unpacked with `git archive`, so
-# an interrupted run leaves nothing behind in .git. Each tree builds its
-# own psperf into its own .bench_build/. Run via `make bench-check`.
+# BASE=<rev> overrides (scripts/bench_base.sh unpacks it). Run via
+# `make bench-check`.
 set -eu
 
-root=$(cd "$(dirname "$0")/.." && pwd)
-cd "$root"
-
-if [ -z "${BASE:-}" ]; then
-    if [ -n "$(git status --porcelain)" ]; then BASE=HEAD; else BASE='HEAD^'; fi
-fi
-base_rev=$(git rev-parse --verify --short "$BASE^{commit}")
-
-workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT INT TERM
-mkdir "$workdir/base"
-git archive "$base_rev" | tar -x -C "$workdir/base"
+. "$(dirname "$0")/bench_base.sh"
 
 workloads=$(awk '/"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 }
     on && /"name"/ { gsub(/[",]/, ""); print $2 }' BENCHMARK.json)
 [ -n "$workloads" ] || { echo "FAIL: no workloads found in BENCHMARK.json"; exit 1; }
-
-run() { # $1 = tree, $2 = workload; prints the result line (psperf's last stdout line)
-    bash "$1/bench/run.sh" --workload "$2" --seed 1 --seconds 5 --trace 0 2>>"$workdir/stderr" | tail -n 1
-}
-
-metric() { # $1 = result line, $2 = metric name
-    printf '%s\n' "$1" | sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p"
-}
 
 bound() { # $1 = end-to-end metric name; prints its BENCHMARK.json bound
     awk -v m="\"$1\"," '$1 == "\"name\":" && $2 == m { on = 1 }
@@ -61,14 +41,11 @@ echo "base $base_rev vs working tree, seed 1, one run per workload"
 for w in $workloads; do
     echo "== $w"
     : >"$workdir/stderr"
-    base=$(run "$workdir/base" "$w")
-    change=$(run "$root" "$w")
+    base=$(run "$workdir/base" "$w" 1 5)
+    change=$(run "$root" "$w" 1 5)
     ok=1
     for side in "$base" "$change"; do
-        case $side in
-        '{"correct":true,'*'"failed":0,'*) ;;
-        *) ok=0; flag "$w: not correct:true, failed:0: $side" ;;
-        esac
+        correct "$side" || { ok=0; flag "$w: not correct:true, failed:0: $side"; }
     done
     [ "$ok" -eq 1 ] || { cat "$workdir/stderr"; continue; }
     for m in virtual_s imbalance_mean; do
