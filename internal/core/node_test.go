@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pscluster/internal/cluster"
 	"pscluster/internal/transport"
 )
 
@@ -194,6 +195,21 @@ func TestFailingRankAbortsRun(t *testing.T) {
 		}
 	})
 
+	for r, err := range runNodeRanks(t, scn, cl, nCalc) {
+		if r == rankImageGen {
+			if !ownFailure(err) {
+				t.Errorf("RunNode rank %d: %v, want its output-dir error", r, err)
+			}
+		} else if !errors.Is(err, transport.ErrAborted) {
+			t.Errorf("RunNode rank %d: %v, want ErrAborted", r, err)
+		}
+	}
+}
+
+// runNodeRanks runs every rank of scn through RunNode over one virtual
+// router, each on its own goroutine, and returns the ranks' errors.
+func runNodeRanks(t *testing.T, scn Scenario, cl *cluster.Cluster, nCalc int) []error {
+	t.Helper()
 	place, err := cl.Place(nCalc)
 	if err != nil {
 		t.Fatal(err)
@@ -211,13 +227,60 @@ func TestFailingRankAbortsRun(t *testing.T) {
 		}
 		wg.Wait()
 	})
-	for r, err := range errs {
-		if r == rankImageGen {
-			if !ownFailure(err) {
-				t.Errorf("RunNode rank %d: %v, want its output-dir error", r, err)
+	return errs
+}
+
+// A frame write that fails mid-run tears the run down too. The image
+// generator hashes and writes each frame after it has released the
+// frame's barrier, so when frame 2's file cannot be created the other
+// ranks are already computing frame 3: they must be unblocked, and the
+// image generator's own error must be the run's error. With pipelined
+// frames nobody waits for the image generator, so the other ranks may
+// also have finished cleanly.
+func TestFailingFrameWriteAbortsRun(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			dir := t.TempDir()
+			// A directory where frame 2's file belongs: os.Create fails.
+			if err := os.Mkdir(filepath.Join(dir, "frame-0002.ppm"), 0o755); err != nil {
+				t.Fatal(err)
 			}
-		} else if !errors.Is(err, transport.ErrAborted) {
-			t.Errorf("RunNode rank %d: %v, want ErrAborted", r, err)
-		}
+			scn := miniSnow(StaticLB, FiniteSpace)
+			scn.Render.Rasterize = true
+			scn.Render.OutputDir = dir
+			scn.PipelineFrames = pipelined
+			const nCalc = 2
+			cl := testCluster(4)
+			ownFailure := func(err error) bool {
+				return err != nil && !errors.Is(err, transport.ErrAborted) &&
+					strings.Contains(err.Error(), "creating frame file")
+			}
+
+			finishesWithin(t, func() {
+				if _, err := RunParallel(scn, cl, nCalc); !ownFailure(err) {
+					t.Errorf("RunParallel: %v, want the image generator's frame-file error", err)
+				}
+			})
+			finishesWithin(t, func() {
+				if _, err := RunSimsBaseline(scn, cl, nCalc); !ownFailure(err) {
+					t.Errorf("RunSimsBaseline: %v, want the image generator's frame-file error", err)
+				}
+			})
+			for r, err := range runNodeRanks(t, scn, cl, nCalc) {
+				switch {
+				case r == rankImageGen:
+					if !ownFailure(err) {
+						t.Errorf("RunNode rank %d: %v, want its frame-file error", r, err)
+					}
+				case errors.Is(err, transport.ErrAborted), pipelined && err == nil:
+					// torn down, or finished before the failure
+				default:
+					t.Errorf("RunNode rank %d: %v, want ErrAborted", r, err)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(dir, "frame-0001.ppm")); err != nil {
+				t.Errorf("frame 1 was not written before the failure: %v", err)
+			}
+		})
 	}
 }

@@ -214,8 +214,9 @@ func compileCalc(c *calcProc, pol lbPolicy) []step {
 }
 
 // compileImage builds the image generator's frame program: gather and
-// splat every render batch, generate the image, then deliver the frame
-// (and, for synchronous frames, release everyone's barrier).
+// splat every render batch, bill the image, then deliver the frame (for
+// synchronous frames, release everyone's barrier) and only then hash
+// and write it.
 func compileImage(g *imageGenProc) []step {
 	scn := g.scn
 	groups := scn.Schedule.groups(len(scn.Systems))
@@ -255,9 +256,6 @@ func compileImage(g *imageGenProc) []step {
 		})},
 		{phase: "image-generation", sys: -1, traced: true, run: always(func() error {
 			g.ep.Clock().AdvanceWork(scn.Render.FrameOverhead, g.rate)
-			if err := g.generateImage(); err != nil {
-				return err
-			}
 			g.frameTimes = append(g.frameTimes, g.ep.Clock().Now())
 			return nil
 		})},
@@ -269,7 +267,11 @@ func compileImage(g *imageGenProc) []step {
 					g.ep.Send(r, transport.TagFrameDone, nil)
 				}
 			}
-			return nil
+			// The image is billed above; hashing it (and writing the PPM)
+			// after the release runs while the calculators compute the next
+			// frame. No clock moves, and the next Clear waits for it on this
+			// goroutine.
+			return g.generateImage()
 		})},
 	}
 }

@@ -111,8 +111,9 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 			// this engine is its own receiver, so it releases it.
 			batch := encodeRenderSet(st)
 			clock.AdvanceWork(scn.Render.CostPerParticle*float64(st.Len())*scn.Ratio, rate)
-			frameSum += hashRenderRecords(batch)
-			if fb != nil {
+			if fb == nil {
+				frameSum += hashRenderRecords(batch)
+			} else {
 				if err := decodeRenderColumnsInto(&wire, batch); err != nil {
 					bufpool.Put(batch)
 					return nil, err

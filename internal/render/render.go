@@ -134,7 +134,20 @@ const (
 // splatter — the ownership filter only skips whole rows — so summing
 // the stride-1 result over all owners reproduces the serial image bit
 // for bit.
+//
+// A pixel at offset (dx, dy) from the truncated centre gets weight
+// w = (1 − (dx²+dy²)·inv)·alpha and is written only if w > 0. A splat
+// whose alpha is not > 0 (zero, negative or NaN) draws nothing: for a
+// negative alpha w > 0 would hold only outside the disc. For alpha > 0,
+// w is non-increasing in |dx| along a row — dx²+dy² is an exact integer
+// and every rounding step after it is monotone — so the pixels a row
+// writes are exactly |dx| ≤ k for the largest k ≤ ir with w(k) > 0.
+// Each row finds that k with the same expression, then accumulates over
+// [cx−k, cx+k] clipped to the image with no test per pixel.
 func (f *Framebuffer) splatPointOwned(cam Camera, pos, color geom.Vec3, alpha, size float64, owner, stride int) {
+	if !(alpha > 0) {
+		return
+	}
 	x, y, scale, ok := cam.Project(pos)
 	if !ok {
 		return
@@ -168,30 +181,38 @@ func (f *Framebuffer) splatPointOwned(cam Camera, pos, color geom.Vec3, alpha, s
 		return
 	}
 	y0, y1 := max(cy-ir, 0), min(cy+ir, f.H-1)
-	if off := (owner - y0%stride + stride) % stride; off != 0 {
-		y0 += off
+	if stride > 1 {
+		if off := (owner - y0%stride + stride) % stride; off != 0 {
+			y0 += off
+		}
 	}
-	box := span{int32(x0), int32(x1 + 1)}
 	for py := y0; py <= y1; py += stride {
 		dy := py - cy
-		row := f.pix[py*f.W+x0 : py*f.W+x1+1]
-		dx := x0 - cx
+		k := ir
+		for k >= 0 && !((1-float64(k*k+dy*dy)*inv)*alpha > 0) {
+			k--
+		}
+		// k < 0 (no pixel of the row is inside the disc) leaves lo > hi.
+		lo, hi := max(cx-k, x0), min(cx+k, x1)
+		if lo > hi {
+			continue
+		}
+		row := f.pix[py*f.W+lo : py*f.W+hi+1]
+		dx := lo - cx
 		for i := range row {
 			d2 := float64(dx*dx + dy*dy)
 			w := (1 - d2*inv) * alpha
-			if w > 0 {
-				p := &row[i]
-				p.X += color.X * w
-				p.Y += color.Y * w
-				p.Z += color.Z * w
-			}
+			p := &row[i]
+			p.X += color.X * w
+			p.Y += color.Y * w
+			p.Z += color.Z * w
 			dx++
 		}
-		// Widen the row's span by the clipped box, once per row.
+		// Widen the row's span by the columns written, once per row.
 		if d := &f.dirty[py]; d.lo == d.hi {
-			*d = box
+			*d = span{int32(lo), int32(hi + 1)}
 		} else {
-			d.lo, d.hi = min(d.lo, box.lo), max(d.hi, box.hi)
+			d.lo, d.hi = min(d.lo, int32(lo)), max(d.hi, int32(hi+1))
 		}
 	}
 }

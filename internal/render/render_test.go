@@ -128,6 +128,22 @@ func TestZeroAlphaInvisible(t *testing.T) {
 	}
 }
 
+// A splat whose alpha is not > 0 draws nothing. For a negative alpha
+// the weight (1 − d²/r²)·alpha is positive only outside the disc, so
+// the box scan used to leave the centre dark and light the box corners.
+func TestNegativeAlphaDrawsNothing(t *testing.T) {
+	cam := squareCam(32, 32)
+	for _, alpha := range []float64{-0.5, -1e-300, math.Inf(-1)} {
+		f := NewFramebuffer(32, 32)
+		// 2.5 px at 1.6 px per unit.
+		p := particle.Particle{Pos: geom.V(0.3, -0.2, 0), Color: geom.V(1, 1, 1), Alpha: alpha, Size: 2.5 / 1.6}
+		f.Splat(cam, &p)
+		if !allZero(f) || !spansEmpty(f) {
+			t.Errorf("alpha %v: the splat left pixels or spans", alpha)
+		}
+	}
+}
+
 // splatAll renders every particle of ps, in order.
 func splatAll(f *Framebuffer, cam Camera, ps []particle.Particle) {
 	for i := range ps {
@@ -469,4 +485,155 @@ func TestWritePPMSparseMatchesFullScan(t *testing.T) {
 			t.Errorf("%s: toneRows left scratch bytes outside the spans", name)
 		}
 	}
+}
+
+// splatBoxScan is the splatter before each row found its disc, kept as
+// the oracle for splatPointOwned: it scans the disc's whole clipped
+// bounding box, writes the pixels whose weight is > 0, and widens every
+// row it visits by the box. It follows the same alpha rule. written[y]
+// is widened by the columns it actually wrote in row y.
+func (f *Framebuffer) splatBoxScan(cam Camera, pos, color geom.Vec3, alpha, size float64, owner, stride int, written []span) {
+	if !(alpha > 0) {
+		return
+	}
+	x, y, scale, ok := cam.Project(pos)
+	if !ok {
+		return
+	}
+	r := size * scale
+	if math.IsNaN(r) || math.IsInf(r, 0) ||
+		!(x >= -splatReach && x <= float64(f.W+splatReach) &&
+			y >= -splatReach && y <= float64(f.H+splatReach)) {
+		return
+	}
+	r = min(max(r, 0.5), maxSplatRadius)
+	cx, cy := int(x), int(y)
+	ir := int(r) + 1
+	inv := 1 / (r * r)
+	x0, x1 := max(cx-ir, 0), min(cx+ir, f.W-1)
+	if x0 > x1 {
+		return
+	}
+	y0, y1 := max(cy-ir, 0), min(cy+ir, f.H-1)
+	if off := (owner - y0%stride + stride) % stride; off != 0 {
+		y0 += off
+	}
+	widen := func(d *span, lo, hi int32) {
+		if d.lo == d.hi {
+			*d = span{lo, hi}
+		} else {
+			d.lo, d.hi = min(d.lo, lo), max(d.hi, hi)
+		}
+	}
+	for py := y0; py <= y1; py += stride {
+		dy := py - cy
+		for px := x0; px <= x1; px++ {
+			dx := px - cx
+			d2 := float64(dx*dx + dy*dy)
+			w := (1 - d2*inv) * alpha
+			if w > 0 {
+				p := &f.pix[py*f.W+px]
+				p.X += color.X * w
+				p.Y += color.Y * w
+				p.Z += color.Z * w
+				widen(&written[py], int32(px), int32(px+1))
+			}
+		}
+		widen(&f.dirty[py], int32(x0), int32(x1+1))
+	}
+}
+
+// testSplat is one splat of the exact-disc tests.
+type testSplat struct {
+	pos         geom.Vec3
+	alpha, size float64
+}
+
+// splatColor has a channel of each kind: plain, negative and saturating.
+var splatColor = geom.V(0.9, -0.3, 7)
+
+// checkBoxScan splats ss at stride through every owner, once with
+// splatPointOwned and once with the box-scan oracle, into fresh w×h
+// frames. The pixels must match bit for bit, and every row's span must
+// contain the columns the oracle wrote and lie inside its box.
+func checkBoxScan(t *testing.T, cam Camera, w, h, stride int, ss []testSplat) {
+	t.Helper()
+	got, want := NewFramebuffer(w, h), NewFramebuffer(w, h)
+	written := make([]span, h)
+	for owner := range stride {
+		for _, s := range ss {
+			got.splatPointOwned(cam, s.pos, splatColor, s.alpha, s.size, owner, stride)
+			want.splatBoxScan(cam, s.pos, splatColor, s.alpha, s.size, owner, stride, written)
+		}
+	}
+	for i, g := range got.pix {
+		o := want.pix[i]
+		if math.Float64bits(g.X) != math.Float64bits(o.X) ||
+			math.Float64bits(g.Y) != math.Float64bits(o.Y) ||
+			math.Float64bits(g.Z) != math.Float64bits(o.Z) {
+			t.Fatalf("%T %dx%d stride %d %v: pixel (%d,%d) = %v, box scan %v",
+				cam, w, h, stride, ss, i%w, i/w, g, o)
+		}
+	}
+	inside := func(a, b span) bool { return a.lo == a.hi || b.lo <= a.lo && a.hi <= b.hi }
+	for y, d := range got.dirty {
+		if !inside(written[y], d) || !inside(d, want.dirty[y]) {
+			t.Fatalf("%T %dx%d stride %d %v: row %d span %v, written %v, box %v",
+				cam, w, h, stride, ss, y, d, written[y], want.dirty[y])
+		}
+	}
+}
+
+// splatCams are the two cameras over a w×h view of the [-10, 10] cube.
+func splatCams(w, h int) []Camera {
+	return []Camera{squareCam(w, h), PerspectiveCamera{Eye: geom.V(0, 0, 25),
+		Look: geom.V(0, 0, 0), Up: geom.V(0, 1, 0), FOV: 1, W: w, H: h}}
+}
+
+// The exact-disc splat is the box scan, bit for bit: radii from the
+// 0.5 px clamp to the 64 px clamp, alphas positive, subnormal, zero,
+// NaN and negative, centres straddling every edge and corner, both
+// cameras, strides 1, 2, 3 and 8.
+func TestSplatMatchesBoxScan(t *testing.T) {
+	const w, h = 37, 23
+	pxs := []float64{-66, -3.5, -0.5, 0.2, 1, w / 2.0, w - 1.2, w - 0.01, w + 0.6, w + 4}
+	pys := []float64{-66, -2.7, -0.3, 0.4, h / 2.0, h - 0.9, h + 0.2, h + 5.5}
+	radii := []float64{1e-3, 0.5, 0.73, 1, 2.5, 3, 6.2, 17, 63.99, 64, 1e6}
+	alphas := []float64{0.8, 1, 3, 5e-324, 1e-300, 0, math.NaN(), -0.5}
+	for _, cam := range splatCams(w, h) {
+		for _, stride := range []int{1, 2, 3, 8} {
+			for _, rpx := range radii {
+				for _, alpha := range alphas {
+					for _, py := range pys {
+						for _, px := range pxs {
+							// Pixel to world for the ortho camera at 1.85 px per
+							// unit; the perspective camera sees the same points.
+							pos := geom.V(-10+px/w*20, 10-py/h*20, 0)
+							checkBoxScan(t, cam, w, h, stride, []testSplat{{pos, alpha, rpx / (w / 20.0)}})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzSplatMatchesBoxScan checks the exact-disc splat against the box
+// scan on arbitrary frames, splats, cameras and strides. A fixed splat
+// lands first, so the fuzzed one also widens spans that are already set.
+func FuzzSplatMatchesBoxScan(f *testing.F) {
+	f.Add(uint8(37), uint8(23), 0.3, -0.2, 0.0, 1.4, 0.8, false, uint8(0))
+	f.Add(uint8(64), uint8(64), -9.9, 9.9, 0.0, 5.0, 1.0, true, uint8(2))
+	f.Add(uint8(1), uint8(17), 10.4, 0.0, 1.0, 0.001, 5e-324, false, uint8(7))
+	f.Fuzz(func(t *testing.T, w, h uint8, x, y, z, size, alpha float64, persp bool, stride uint8) {
+		fw, fh := 1+int(w%64), 1+int(h%64)
+		cam := splatCams(fw, fh)[0]
+		if persp {
+			cam = splatCams(fw, fh)[1]
+		}
+		checkBoxScan(t, cam, fw, fh, 1+int(stride%8), []testSplat{
+			{geom.V(1, -1, 0), 0.7, 2},
+			{geom.V(x, y, z), alpha, size},
+		})
+	})
 }
