@@ -61,7 +61,9 @@ bench-check:
 # pairs the tree won, and whether ROADMAP's claim rule (≥ 9 wins in 10,
 # medians further apart than the base's IQR) holds; fails on any run
 # that is not correct:true, failed:0. Each run lasts BENCHMARK.json's
-# run_seconds; SEED overrides the seed. ~6 min at the defaults.
+# run_seconds; SEED overrides the seed. ~6 min at the defaults. W=all
+# does every BENCHMARK.json workload in turn (~35 min) and ends with
+# one summary line per workload.
 bench-pairs:
 	sh scripts/bench_pairs.sh
 

@@ -91,8 +91,15 @@ func main() {
 		return
 	}
 
-	cfg := scales[*scale]
+	if err := writeTables(os.Stdout, *table, scales[*scale], *format); err != nil {
+		fmt.Fprintf(os.Stderr, "psbench: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// writeTables writes what -table selects to w in the given format: the
+// paper's tables and text results, then Figures 1 and 2.
+func writeTables(w io.Writer, table string, cfg experiments.Config, format string) error {
 	type job struct {
 		id  string
 		run func(experiments.Config) (*stats.Table, error)
@@ -110,7 +117,7 @@ func main() {
 		{"A1", experiments.Ablations},
 	}
 
-	want := strings.ToUpper(*table)
+	want := strings.ToUpper(table)
 	ran := false
 	for _, j := range jobs {
 		if want != "ALL" && want != strings.ToUpper(j.id) {
@@ -119,38 +126,37 @@ func main() {
 		ran = true
 		t, err := j.run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "psbench: table %s: %v\n", j.id, err)
-			os.Exit(1)
+			return fmt.Errorf("table %s: %w", j.id, err)
 		}
-		switch *format {
+		switch format {
 		case "csv":
-			err = t.WriteCSV(os.Stdout)
+			err = t.WriteCSV(w)
 		case "json":
-			err = t.WriteJSON(os.Stdout)
+			err = t.WriteJSON(w)
 		default:
-			err = t.Format(os.Stdout)
-			fmt.Println()
+			err = t.Format(w)
+			fmt.Fprintln(w)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "psbench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 	}
 	if want == "ALL" || want == "F1" {
 		ran = true
-		printFigure1()
+		if err := printFigure1(w); err != nil {
+			return fmt.Errorf("figure 1: %w", err)
+		}
 	}
 	if want == "ALL" || want == "F2" {
 		ran = true
-		if err := printFigure2(cfg, *format); err != nil {
-			fmt.Fprintf(os.Stderr, "psbench: figure 2: %v\n", err)
-			os.Exit(1)
+		if err := printFigure2(w, cfg, format); err != nil {
+			return fmt.Errorf("figure 2: %w", err)
 		}
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "psbench: unknown table %q\n", *table)
-		os.Exit(1)
+		return fmt.Errorf("unknown table %q", table)
 	}
+	return nil
 }
 
 // scales maps -scale to the experiment configuration it selects;
@@ -174,19 +180,19 @@ func validateFlags(scale, format string) error {
 
 // printFigure1 reproduces the paper's Figure 1: the initial equal-size
 // division of the space [-10, 10] into four domains.
-func printFigure1() {
-	fmt.Println("F1 — Figure 1: initial equal-size domains, space [-10, 10], 4 calculators")
+func printFigure1(w io.Writer) error {
+	fmt.Fprintln(w, "F1 — Figure 1: initial equal-size domains, space [-10, 10], 4 calculators")
 	tab, err := domain.NewEqual(geom.AxisX, -10, 10, 4)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
+		return err
 	}
-	fmt.Printf("  %v\n", tab)
+	fmt.Fprintf(w, "  %v\n", tab)
 	for i := 0; i < tab.N(); i++ {
 		lo, hi := tab.Bounds(i)
-		fmt.Printf("  P%d: [%g, %g)\n", i+1, lo, hi)
+		fmt.Fprintf(w, "  P%d: [%g, %g)\n", i+1, lo, hi)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }
 
 // printFigure2 reproduces the paper's Figure 2: the phase sequence of
@@ -194,7 +200,7 @@ func printFigure1() {
 // format the document embeds the run's full metrics snapshot, so the
 // machine-readable output carries the observability data alongside the
 // phase events.
-func printFigure2(cfg experiments.Config, format string) error {
+func printFigure2(w io.Writer, cfg experiments.Config, format string) error {
 	scn := experiments.Snow(cfg, core.FiniteSpace, core.DynamicLB)
 	scn.Frames = 1
 	scn.Trace = true
@@ -238,18 +244,18 @@ func printFigure2(cfg experiments.Config, format string) error {
 				Role: role(ev.Proc), Phase: ev.Phase, T: ev.T,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
 	}
-	fmt.Println("F2 — Figure 2: simulation phases of one frame (traced from a live run)")
+	fmt.Fprintln(w, "F2 — Figure 2: simulation phases of one frame (traced from a live run)")
 	for _, ev := range res.Events {
 		if ev.System > 0 { // one system is enough to show the structure
 			continue
 		}
-		fmt.Printf("  t=%9.6fs  %-16s %s\n", ev.T, role(ev.Proc), ev.Phase)
+		fmt.Fprintf(w, "  t=%9.6fs  %-16s %s\n", ev.T, role(ev.Proc), ev.Phase)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 

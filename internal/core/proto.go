@@ -297,17 +297,20 @@ func decodeBoundarySys(b []byte) (sys, edge int, value float64, err error) {
 // (f32 each).
 const renderRecordSize = 32
 
-// putRenderRecord writes one 32-byte render record at b[off:].
+// putRenderRecord writes one 32-byte render record at b[off:]. The
+// record is sliced once, with its capacity capped, so the eight stores
+// at constant offsets need one bounds check between them.
 func putRenderRecord(b []byte, off int, pos, color geom.Vec3, alpha, size float64) {
+	r := b[off : off+renderRecordSize : off+renderRecordSize]
 	le := binary.LittleEndian
-	le.PutUint32(b[off:], math.Float32bits(float32(pos.X)))
-	le.PutUint32(b[off+4:], math.Float32bits(float32(pos.Y)))
-	le.PutUint32(b[off+8:], math.Float32bits(float32(pos.Z)))
-	le.PutUint32(b[off+12:], math.Float32bits(float32(color.X)))
-	le.PutUint32(b[off+16:], math.Float32bits(float32(color.Y)))
-	le.PutUint32(b[off+20:], math.Float32bits(float32(color.Z)))
-	le.PutUint32(b[off+24:], math.Float32bits(float32(alpha)))
-	le.PutUint32(b[off+28:], math.Float32bits(float32(size)))
+	le.PutUint32(r[0:], math.Float32bits(float32(pos.X)))
+	le.PutUint32(r[4:], math.Float32bits(float32(pos.Y)))
+	le.PutUint32(r[8:], math.Float32bits(float32(pos.Z)))
+	le.PutUint32(r[12:], math.Float32bits(float32(color.X)))
+	le.PutUint32(r[16:], math.Float32bits(float32(color.Y)))
+	le.PutUint32(r[20:], math.Float32bits(float32(color.Z)))
+	le.PutUint32(r[24:], math.Float32bits(float32(alpha)))
+	le.PutUint32(r[28:], math.Float32bits(float32(size)))
 }
 
 // encodeRenderRecords appends a columnar batch's render records at

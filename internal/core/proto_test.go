@@ -461,3 +461,54 @@ func TestHashRenderRecordsMatchesFNV(t *testing.T) {
 		}
 	}
 }
+
+// putRenderRecordPerField is putRenderRecord as it was spelled, each of
+// the eight stores re-slicing b at its own offset: the oracle for the
+// once-sliced record.
+func putRenderRecordPerField(b []byte, off int, pos, color geom.Vec3, alpha, size float64) {
+	le := binary.LittleEndian
+	le.PutUint32(b[off:], math.Float32bits(float32(pos.X)))
+	le.PutUint32(b[off+4:], math.Float32bits(float32(pos.Y)))
+	le.PutUint32(b[off+8:], math.Float32bits(float32(pos.Z)))
+	le.PutUint32(b[off+12:], math.Float32bits(float32(color.X)))
+	le.PutUint32(b[off+16:], math.Float32bits(float32(color.Y)))
+	le.PutUint32(b[off+20:], math.Float32bits(float32(color.Z)))
+	le.PutUint32(b[off+24:], math.Float32bits(float32(alpha)))
+	le.PutUint32(b[off+28:], math.Float32bits(float32(size)))
+}
+
+// The render encode writes the oracle's bytes for every value the
+// float32 narrowing treats specially: NaN, ±Inf, −0, float64 and
+// float32 subnormals, and values past float32's range.
+func TestEncodeRenderRecordsMatchesPerFieldOracle(t *testing.T) {
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		5e-324, 1e-310, 1e-40, -1e-45, 1e40, -1e40, math.MaxFloat64}
+	r := geom.NewRNG(41)
+	val := func() float64 {
+		if r.Intn(3) == 0 {
+			return special[r.Intn(len(special))]
+		}
+		return r.Range(-100, 100)
+	}
+	for _, n := range []int{0, 1, 7, 1000} {
+		var batch particle.Batch
+		for i := 0; i < n; i++ {
+			batch.Append(particle.Particle{
+				Pos:   geom.V(val(), val(), val()),
+				Color: geom.V(val(), val(), val()),
+				Alpha: val(), Size: val(),
+			})
+		}
+		got := make([]byte, 4+n*renderRecordSize)
+		want := make([]byte, len(got))
+		if end := encodeRenderRecords(got, 4, &batch); end != len(got) {
+			t.Fatalf("%d records: encodeRenderRecords ended at %d, want %d", n, end, len(got))
+		}
+		for i := 0; i < n; i++ {
+			putRenderRecordPerField(want, 4+i*renderRecordSize, batch.Pos[i], batch.Color[i], batch.Alpha[i], batch.Size[i])
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d records: encodeRenderRecords differs from the per-field oracle", n)
+		}
+	}
+}

@@ -111,12 +111,14 @@ func (d DiscDomain) basis() (Vec3, Vec3) {
 	return u, n.Cross(u)
 }
 
-// Generate draws a uniform point on the annulus.
+// Generate draws a uniform point on the annulus, taking the angle's
+// sine and cosine from one math.Sincos as RNG.UnitVec does.
 func (d DiscDomain) Generate(r *RNG) Vec3 {
 	u, v := d.basis()
 	rad := math.Sqrt(r.Range(d.InnerR*d.InnerR, d.OuterR*d.OuterR))
 	t := r.Range(0, 2*math.Pi)
-	return d.Center.Add(u.Scale(rad * math.Cos(t))).Add(v.Scale(rad * math.Sin(t)))
+	sin, cos := math.Sincos(t)
+	return d.Center.Add(u.Scale(rad * cos)).Add(v.Scale(rad * sin))
 }
 
 // Within reports whether p lies on the annulus (within a small tolerance

@@ -64,12 +64,16 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
 }
 
-// UnitVec returns a uniformly distributed unit vector.
+// UnitVec returns a uniformly distributed unit vector. The angle's sine
+// and cosine come from one math.Sincos: one range reduction instead of
+// two, and on amd64 the same bits as math.Sin and math.Cos for every
+// angle Range can return (DESIGN §2).
 func (r *RNG) UnitVec() Vec3 {
 	z := r.Range(-1, 1)
 	t := r.Range(0, 2*math.Pi)
 	s := math.Sqrt(1 - z*z)
-	return Vec3{s * math.Cos(t), s * math.Sin(t), z}
+	sin, cos := math.Sincos(t)
+	return Vec3{s * cos, s * sin, z}
 }
 
 // InBox returns a uniformly distributed point in box b.

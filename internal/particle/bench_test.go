@@ -41,6 +41,39 @@ func BenchmarkStorePartition(b *testing.B) {
 	}
 }
 
+// BenchmarkStorePartitionOwned is BenchmarkStorePartition under a
+// Voronoi-shaped ownership predicate, as the Voronoi decomposition
+// partitions: the store keeps what lies nearer its own site than the
+// two neighbouring ones. The drift alternates direction so the
+// population stays around the store's region.
+func BenchmarkStorePartitionOwned(b *testing.B) {
+	s := NewColumnStore(geom.AxisX, 0, 100, 16)
+	addAll(s, benchParticles(10000))
+	own, others := geom.V(50, 0, 0), []geom.Vec3{geom.V(-50, 0, 0), geom.V(150, 0, 0)}
+	keep := func(p geom.Vec3) bool {
+		d := p.Sub(own).Len2()
+		for _, o := range others {
+			if p.Sub(o).Len2() < d {
+				return false
+			}
+		}
+		return true
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dx := 0.05
+		if i%2 == 1 {
+			dx = -dx
+		}
+		s.EachBatch(func(b *Batch) {
+			for i := range b.Pos {
+				b.Pos[i].X += dx
+			}
+		})
+		s.AddBatch(s.PartitionOwnedBatch(keep)) // keep the population stable
+	}
+}
+
 // BenchmarkExchangeEncode times the exchange-path serializer: whole
 // columns streamed into one buffer per batch, never released here
 // (BenchmarkPooledEncode recycles them).

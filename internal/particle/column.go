@@ -2,6 +2,7 @@ package particle
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pscluster/internal/geom"
@@ -42,6 +43,11 @@ type ColumnStore struct {
 	spare  []Batch
 	moved  Batch
 	sorted []Particle
+
+	// edges are the bins' exact boundaries, built by binEdges for the
+	// interval (edgeLo, edgeHi) and rebuilt when lo or hi has moved.
+	edges          []float64
+	edgeLo, edgeHi float64
 
 	// The batches the store hands out, cleared and refilled on every
 	// call: leavers is the result of PartitionBatch and
@@ -98,7 +104,13 @@ func (s *ColumnStore) BinCounts() []int {
 }
 
 // binIndex maps an axis coordinate to a bin, clamping coordinates at the
-// domain edges into the edge bins so that Add never loses a particle.
+// domain edges into the edge bins so that Add never loses a particle. It
+// is the one definition of a bin: the partitions' exact edges
+// (binEdges) are derived from it. The clamp comes after the conversion
+// to int, which Go leaves to the implementation when f*n is NaN or past
+// int's range: on amd64 such a coordinate — +Inf, or any c > lo in a
+// store whose interval DonateBatch collapsed to a point — lands in
+// bin 0, not the last bin (ROADMAP item 15).
 func (s *ColumnStore) binIndex(c float64) int {
 	f := (c - s.lo) / (s.hi - s.lo)
 	i := int(f * float64(len(s.bins)))
@@ -109,6 +121,70 @@ func (s *ColumnStore) binIndex(c float64) int {
 		i = len(s.bins) - 1
 	}
 	return i
+}
+
+// binEdges returns the bins' exact boundaries e[0..n] for the current
+// interval: e[0] = lo, e[n] = hi, and e[k] the least float64 in
+// [lo, hi] that binIndex files in bin k or above (hi if there is none).
+// On [lo, hi] every step of binIndex — subtract lo, divide by
+// hi − lo > 0, multiply by n, truncate, clamp — rounds monotonically,
+// so a coordinate c in [lo, hi) is in bin k exactly when
+// e[k] <= c < e[k+1]. The partitions test that instead of dividing per
+// particle; a NaN c fails it. A collapsed interval (lo == hi) has only
+// empty edge intervals. The edges are cached against the (lo, hi) they
+// were built for, which NewColumnStore, Resize and DonateBatch change.
+func (s *ColumnStore) binEdges() []float64 {
+	if s.edges != nil && s.edgeLo == s.lo && s.edgeHi == s.hi {
+		return s.edges
+	}
+	n := len(s.bins)
+	if s.edges == nil {
+		s.edges = make([]float64, n+1)
+	}
+	e := s.edges
+	e[0], e[n] = s.lo, s.hi
+	for k := 1; k < n; k++ {
+		e[k] = s.leastInBin(k)
+	}
+	s.edgeLo, s.edgeHi = s.lo, s.hi
+	return e
+}
+
+// leastInBin returns the least float64 c in [lo, hi] with
+// binIndex(c) >= k, or hi if there is none, for k >= 1. It bisects over
+// the floats' ordered bit patterns, at most 64 steps, keeping
+// binIndex(a) < k <= binIndex(b); binIndex(lo) is 0.
+func (s *ColumnStore) leastInBin(k int) float64 {
+	if s.binIndex(s.hi) < k {
+		return s.hi
+	}
+	a, b := orderedBits(s.lo), orderedBits(s.hi)
+	for uint64(b-a) > 1 {
+		m := a + int64(uint64(b-a)/2)
+		if s.binIndex(fromOrderedBits(m)) >= k {
+			b = m
+		} else {
+			a = m
+		}
+	}
+	return fromOrderedBits(b)
+}
+
+// orderedBits maps a non-NaN float64 to an int64 that orders as the
+// float does, −0 and +0 both to 0; fromOrderedBits inverts it (to +0).
+func orderedBits(x float64) int64 {
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return -int64(b &^ (1 << 63))
+	}
+	return int64(b)
+}
+
+func fromOrderedBits(o int64) float64 {
+	if o < 0 {
+		return math.Float64frombits(uint64(-o) | 1<<63)
+	}
+	return math.Float64frombits(uint64(o))
 }
 
 // Add stores one particle, binning it by its axis coordinate.
@@ -218,8 +294,10 @@ func (s *ColumnStore) PartitionBatch() *Batch {
 	out.Clear()
 	moved := &s.moved
 	moved.Clear()
+	e := s.binEdges()
 	for bi := range s.bins {
 		b := &s.bins[bi]
+		elo, ehi := e[bi], e[bi+1]
 		kept := 0
 		for i := 0; i < b.Len(); i++ {
 			if b.Dead[i] {
@@ -227,18 +305,21 @@ func (s *ColumnStore) PartitionBatch() *Batch {
 			}
 			c := b.Pos[i].Component(s.axis)
 			switch {
+			case c >= elo && c < ehi:
+				// Inside [lo, hi) and still in bin bi (binEdges).
 			case c < s.lo || c >= s.hi:
 				out.AppendIndex(b, i)
+				continue
 			case s.binIndex(c) != bi:
 				// Moved to another sub-domain: re-add after the scan to
 				// avoid disturbing the bins being compacted.
 				moved.AppendIndex(b, i)
-			default:
-				if kept != i {
-					b.copyElem(kept, i)
-				}
-				kept++
+				continue
 			}
+			if kept != i {
+				b.copyElem(kept, i)
+			}
+			kept++
 		}
 		b.Truncate(kept)
 	}
@@ -262,24 +343,30 @@ func (s *ColumnStore) PartitionOwnedBatch(keep func(geom.Vec3) bool) *Batch {
 	out.Clear()
 	moved := &s.moved
 	moved.Clear()
+	e := s.binEdges()
 	for bi := range s.bins {
 		b := &s.bins[bi]
+		elo, ehi := e[bi], e[bi+1]
 		kept := 0
 		for i := 0; i < b.Len(); i++ {
 			if b.Dead[i] {
 				continue
 			}
+			c := b.Pos[i].Component(s.axis)
 			switch {
 			case !keep(b.Pos[i]):
 				out.AppendIndex(b, i)
-			case s.binIndex(b.Pos[i].Component(s.axis)) != bi:
+				continue
+			case c >= elo && c < ehi:
+				// Still in bin bi (binEdges).
+			case s.binIndex(c) != bi:
 				moved.AppendIndex(b, i)
-			default:
-				if kept != i {
-					b.copyElem(kept, i)
-				}
-				kept++
+				continue
 			}
+			if kept != i {
+				b.copyElem(kept, i)
+			}
+			kept++
 		}
 		b.Truncate(kept)
 	}

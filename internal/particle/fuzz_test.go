@@ -1,6 +1,7 @@
 package particle
 
 import (
+	"bytes"
 	"testing"
 
 	"pscluster/internal/geom"
@@ -80,7 +81,9 @@ func FuzzDecodeParticleBatch(f *testing.F) {
 			t.Fatalf("decoded lengths differ: %d vs %d", len(rec), cols.Len())
 		}
 		for i := range rec {
-			if rec[i] != cols.At(i) {
+			// Compare the bits through the record codec: a NaN field
+			// is never == itself, and −0 == +0.
+			if !bytes.Equal(EncodeBatch(rec[i:i+1]), EncodeBatch([]Particle{cols.At(i)})) {
 				t.Fatalf("decoded particle %d differs", i)
 			}
 		}
