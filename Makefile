@@ -59,7 +59,9 @@ bench-check:
 # alternated, the side that goes first swapped every pair. Prints each
 # side's median and quartiles of frames_per_s and cpu_ms_per_frame, the
 # pairs the tree won, and whether ROADMAP's claim rule (≥ 9 wins in 10,
-# medians further apart than the base's IQR) holds; fails on any run
+# medians further apart than the base's IQR) holds; for
+# alloc_mb_per_frame and peak_rss_mb, each side's median, the relative
+# change and the BENCHMARK.json bound (no claim rule). Fails on any run
 # that is not correct:true, failed:0. Each run lasts BENCHMARK.json's
 # run_seconds; SEED overrides the seed. ~6 min at the defaults. W=all
 # does every BENCHMARK.json workload in turn (~35 min) and ends with

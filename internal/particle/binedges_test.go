@@ -260,3 +260,42 @@ func FuzzBinEdges(f *testing.F) {
 		checkInterval(t, lo, hi, 1+int(n%64), seed)
 	})
 }
+
+// binIndex files a coordinate far outside the interval, an infinity or
+// a NaN in the edge bin its sign points to (NaN in bin 0), however the
+// platform converts an out-of-range float to int; a store whose
+// interval DonateBatch collapsed to lo == hi files every c > lo in its
+// last bin.
+func TestBinIndexClampsFarCoordinates(t *testing.T) {
+	check := func(s *ColumnStore, c float64, want int) {
+		t.Helper()
+		if got := s.binIndex(c); got != want {
+			lo, hi := s.Bounds()
+			t.Errorf("[%v, %v) with %d bins: binIndex(%v) = %d, want %d", lo, hi, s.NumBins(), c, got, want)
+		}
+	}
+	s := mkStore(8) // [0, 100)
+	for _, tc := range []struct {
+		c    float64
+		want int
+	}{
+		{math.Inf(1), 7}, {1e300, 7}, {150, 7}, {99.9, 7},
+		{50, 4}, {0, 0}, {-5, 0}, {-1e300, 0}, {math.Inf(-1), 0}, {math.NaN(), 0},
+	} {
+		check(s, tc.c, tc.want)
+	}
+
+	// Both particles sit past hi, so donating one from the low side
+	// moves lo up to hi.
+	col := mkStore(8)
+	addAll(col, []Particle{{Pos: geom.V(150, 0, 0)}, {Pos: geom.V(150, 0, 0)}})
+	col.DonateBatch(1, LowSide)
+	lo, hi := col.Bounds()
+	if lo != hi {
+		t.Fatalf("donation left [%v, %v), want a collapsed interval", lo, hi)
+	}
+	check(col, hi+1, 7)
+	check(col, math.Inf(1), 7)
+	check(col, lo, 0)
+	check(col, lo-1, 0)
+}

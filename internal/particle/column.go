@@ -106,19 +106,23 @@ func (s *ColumnStore) BinCounts() []int {
 // binIndex maps an axis coordinate to a bin, clamping coordinates at the
 // domain edges into the edge bins so that Add never loses a particle. It
 // is the one definition of a bin: the partitions' exact edges
-// (binEdges) are derived from it. The clamp comes after the conversion
-// to int, which Go leaves to the implementation when f*n is NaN or past
-// int's range: on amd64 such a coordinate — +Inf, or any c > lo in a
-// store whose interval DonateBatch collapsed to a point — lands in
-// bin 0, not the last bin (ROADMAP item 15).
+// (binEdges) are derived from it. The clamp tests x in float and keeps
+// int(x) only for x inside (0, n), because Go leaves the conversion to
+// the implementation when its operand is NaN or past int's range: +Inf,
+// a coordinate far past hi and any c > lo in a store whose interval
+// DonateBatch collapsed to a point all land in the last bin on every
+// architecture; −Inf and NaN land in bin 0.
 func (s *ColumnStore) binIndex(c float64) int {
-	f := (c - s.lo) / (s.hi - s.lo)
-	i := int(f * float64(len(s.bins)))
-	if i < 0 {
-		i = 0
+	n := len(s.bins)
+	x := (c - s.lo) / (s.hi - s.lo) * float64(n)
+	// Both overrides compile to conditional moves on amd64, so a scan
+	// that clamps many particles into the edge bins mispredicts nothing.
+	i := int(x)
+	if x >= float64(n) {
+		i = n - 1
 	}
-	if i >= len(s.bins) {
-		i = len(s.bins) - 1
+	if !(x > 0) {
+		i = 0
 	}
 	return i
 }

@@ -30,12 +30,17 @@ func foldInts(h hash.Hash, ns ...int) {
 	}
 }
 
-// randomOpsDigest is the SHA-256 the array-of-structs Store produced for
-// the op sequence below at commit 31af470, the last one that had it:
-// every partition and donation output and, after each of the 400 steps,
-// the store's bounds, bin counts and full particle sequence, all fields
-// bit-exact. ColumnStore matched it step for step there.
-const randomOpsDigest = "723f6f9715560188f4b7c79dd77c11b578eb4b02b1779051153c5f8b2c352940"
+// randomOpsDigest is the SHA-256 of the op sequence below: every
+// partition and donation output and, after each of the 400 steps, the
+// store's bounds, bin counts and full particle sequence, all fields
+// bit-exact. Until binIndex clamped in float it was
+// 723f6f9715560188f4b7c79dd77c11b578eb4b02b1779051153c5f8b2c352940, the
+// digest the array-of-structs Store produced at commit 31af470 (the
+// last that had it) and ColumnStore matched step for step. The sequence
+// collapses intervals by donation and then files particles past them,
+// which amd64's int conversion of +Inf had put in bin 0 instead of the
+// last bin.
+const randomOpsDigest = "61e80269c1830b783ab409a87d372daa36077c04ac473dcb194d888e9bd274d0"
 
 // The ordering contract behind the engine's bit-identity, frozen: any
 // operation sequence leaves the store in the state — particle order,

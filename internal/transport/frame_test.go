@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -153,6 +155,123 @@ func FuzzDecodeNetFrame(f *testing.F) {
 		reenc := encodeWholeFrame(&m)
 		if !bytes.Equal(reenc, data[:n]) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", reenc, data[:n])
+		}
+	})
+}
+
+// frameStream builds a byte stream of frames from spec, four bytes
+// (a, b, c, d) per frame, at most 16 frames. a picks the tag (numTags,
+// an unknown one, included) and the receiver; b and c the payload
+// length, up to 32 KiB so that a payload can outgrow the read buffer;
+// d the sender, a billed surplus and the frame's fate: d>>4 == 0 flips
+// header byte b mod frameHeaderSize, d>>4 == 1 cuts the stream inside
+// the frame, anything else leaves it whole.
+func frameStream(spec []byte) []byte {
+	var out []byte
+	for i := 0; i+4 <= len(spec) && i < 4*16; i += 4 {
+		a, b, c, d := spec[i], spec[i+1], spec[i+2], spec[i+3]
+		payload := make([]byte, int(b)|int(c&0x7f)<<8)
+		for k := range payload {
+			payload[k] = byte(i + k)
+		}
+		frame := encodeWholeFrame(&Message{
+			From: int(d & 7), To: int(a >> 5), Tag: Tag(a) % (numTags + 1),
+			Payload: payload, Ready: float64(b), Bytes: len(payload) + int(d>>3&1),
+			Corr: MakeCorr(i, int(d&7), int(c)),
+		})
+		switch d >> 4 {
+		case 0:
+			frame[int(b)%frameHeaderSize] ^= d | 1
+		case 1:
+			return append(out, frame[:int(c)%len(frame)]...)
+		}
+		out = append(out, frame...)
+	}
+	return out
+}
+
+// chunkReader hands out a stream in the chunk sizes cuts picks, in
+// turn, and counts the reads of each frame so the fuzz target can check
+// readFrame's wait hook: every read of a frame comes after the hook,
+// and the hook runs only for a frame that needs a read.
+type chunkReader struct {
+	t     *testing.T
+	data  []byte
+	cuts  []byte
+	next  int
+	waits int // wait calls in the current frame
+	reads int // Read calls in the current frame
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if c.waits == 0 {
+		c.t.Fatal("read before the wait hook ran")
+	}
+	c.reads++
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := len(p)
+	if len(c.cuts) > 0 {
+		cut := c.cuts[c.next%len(c.cuts)]
+		c.next++
+		n = min(n, 1<<(cut&15)+int(cut>>4))
+	}
+	n = copy(p, c.data[:min(n, len(c.data))])
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// FuzzNetFrameStream feeds the socket reader's decode loop a stream of
+// valid and corrupt frames through reads of arbitrary sizes. It must
+// produce exactly the messages repeated DecodeNetFrame produces on the
+// whole stream, stop with an error at the same frame (io.EOF only when
+// the stream ends cleanly between frames), and call its wait hook at
+// most once per frame, before any read and only when it reads. Its seed
+// corpus lives in testdata/fuzz/FuzzNetFrameStream.
+func FuzzNetFrameStream(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec, cuts []byte) {
+		stream := frameStream(spec)
+		var want []Message
+		clean := true
+		for off := 0; off < len(stream); {
+			m, n, err := DecodeNetFrame(stream[off:])
+			if err != nil {
+				clean = false
+				break
+			}
+			want = append(want, m)
+			off += n
+		}
+
+		cr := &chunkReader{t: t, data: stream, cuts: cuts}
+		r := bufio.NewReaderSize(cr, netReadBuf)
+		var hdr [frameHeaderSize]byte
+		wait := func() { cr.waits++ }
+		for i := 0; ; i++ {
+			cr.waits, cr.reads = 0, 0
+			m, err := readFrame(r, &hdr, wait)
+			if cr.waits > 1 || (cr.waits == 1) != (cr.reads > 0) {
+				t.Fatalf("frame %d: %d wait calls for %d reads", i, cr.waits, cr.reads)
+			}
+			if err != nil {
+				if i != len(want) {
+					t.Fatalf("frame %d: %v, but DecodeNetFrame decodes %d frames", i, err, len(want))
+				}
+				if (err == io.EOF) != clean {
+					t.Fatalf("frame %d: error %v, stream ends cleanly: %v", i, err, clean)
+				}
+				return
+			}
+			if i >= len(want) {
+				t.Fatalf("decoded frame %d, DecodeNetFrame stops after %d", i, len(want))
+			}
+			w := want[i]
+			if m.From != w.From || m.To != w.To || m.Tag != w.Tag || m.Ready != w.Ready ||
+				m.Bytes != w.Bytes || m.Corr != w.Corr || !bytes.Equal(m.Payload, w.Payload) {
+				t.Fatalf("frame %d: decoded %+v, want %+v", i, m, w)
+			}
+			m.Release()
 		}
 	})
 }

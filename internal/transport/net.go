@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -29,13 +30,22 @@ import (
 // virtual Endpoint, so consumption order is deterministic regardless of
 // arrival interleaving.
 //
-// Failure semantics: every frame read and write runs under a deadline
-// once started (idle waits between frames are unbounded — that is the
-// normal state of a blocked phase). A decode error, a stalled frame or
-// a dead peer fails the fabric: the first error is recorded, Abort
-// fires, and every blocked or future Send/Recv panics with that error
-// (or ErrAborted when the teardown was deliberate), which the engine's
-// process wrappers recover.
+// Each inbound connection is read through one buffered reader, so a
+// burst of frames costs one read system call.
+//
+// Failure semantics: every frame write runs under a deadline, and so
+// does every frame read that has to wait: once a frame has started and
+// the reader needs more bytes than its buffer holds, it arms a deadline
+// IOTimeout ahead, at most once per frame and never carried over from
+// an earlier frame; a frame that arrived whole in the buffer costs no
+// deadline call. At a frame boundary with the buffer empty the reader
+// clears any armed deadline and blocks without one — idle waits between
+// frames are unbounded, the normal state of a blocked phase; an EOF
+// there is a quiet end, an EOF inside a frame is an error. A decode
+// error, a stalled frame or a dead peer fails the fabric: the first
+// error is recorded, Abort fires, and every blocked or future Send/Recv
+// panics with that error (or ErrAborted when the teardown was
+// deliberate), which the engine's process wrappers recover.
 type NetFabric struct {
 	endpointCore
 	nRanks int
@@ -78,9 +88,9 @@ type NetOptions struct {
 	// included — process start-up order is arbitrary, so early sends
 	// retry until the peer's listener is up. Default 10s.
 	DialTimeout time.Duration
-	// IOTimeout is the per-frame read/write deadline: once a frame
-	// starts, the rest of it must arrive (or drain) within this window.
-	// Default 30s.
+	// IOTimeout bounds each frame's I/O: a frame must drain within it
+	// once written, and arrive whole within it once its reader first
+	// has to wait for more of its bytes. Default 30s.
 	IOTimeout time.Duration
 	// InboxDepth is the inbound message buffer, matching the virtual
 	// router's inbox capacity by default.
@@ -164,6 +174,12 @@ func (f *NetFabric) acceptLoop() {
 	}
 }
 
+// netReadBuf is each inbound connection's read buffer. At the fabric's
+// message sizes a burst of frames then costs one read system call, and
+// a frame rarely straddles a refill; 64 KiB saves almost no further
+// reads and costs every connection four times the memory.
+const netReadBuf = 16 << 10
+
 // readConn decodes frames off one inbound connection into the inbox.
 // Payloads are copied into pool-backed buffers owned uniquely by this
 // receiver, so the existing Release discipline applies unconditionally
@@ -171,47 +187,47 @@ func (f *NetFabric) acceptLoop() {
 // loop quietly; anything else fails the fabric.
 func (f *NetFabric) readConn(c net.Conn) {
 	defer f.readerWG.Done()
+	r := bufio.NewReaderSize(c, netReadBuf)
 	var hdr [frameHeaderSize]byte
-	for {
-		// Idle waits between frames are unbounded: block for the first
-		// header byte with no deadline. Abort and Close unblock this
-		// read by closing the connection.
-		c.SetReadDeadline(time.Time{})
-		if _, err := io.ReadFull(c, hdr[:1]); err != nil {
-			if err != io.EOF {
-				f.fail(fmt.Errorf("transport: rank %d frame read: %w", f.rank, err))
-			}
-			return
-		}
-		// A frame has started: the rest of it must arrive promptly.
+	// armed says a read deadline is set on c; readFrame calls arm
+	// before a frame's first read that may wait.
+	armed := false
+	arm := func() {
 		c.SetReadDeadline(time.Now().Add(f.opts.IOTimeout))
-		if _, err := io.ReadFull(c, hdr[1:]); err != nil {
-			f.fail(fmt.Errorf("transport: rank %d frame header: %w", f.rank, err))
-			return
+		armed = true
+	}
+	for {
+		if r.Buffered() == 0 {
+			// Idle waits between frames are unbounded: clear a deadline
+			// an earlier frame armed and block for the next byte.
+			// Abort and Close unblock this read by closing c.
+			if armed {
+				c.SetReadDeadline(time.Time{})
+				armed = false
+			}
+			if _, err := r.Peek(1); err != nil {
+				if err != io.EOF {
+					f.fail(fmt.Errorf("transport: rank %d frame read: %w", f.rank, err))
+				}
+				return
+			}
 		}
-		m, plen, err := decodeFrameHeader(hdr[:])
+		m, err := readFrame(r, &hdr, arm)
 		if err != nil {
 			f.fail(err)
 			return
 		}
 		if m.To != f.rank {
+			m.Release()
 			f.fail(fmt.Errorf("transport: rank %d received frame addressed to rank %d",
 				f.rank, m.To))
 			return
 		}
 		if m.From < 0 || m.From >= f.nRanks || m.From == f.rank {
+			m.Release()
 			f.fail(fmt.Errorf("transport: rank %d received frame from invalid rank %d",
 				f.rank, m.From))
 			return
-		}
-		if plen > 0 {
-			payload := bufpool.Get(plen)
-			if _, err := io.ReadFull(c, payload); err != nil {
-				bufpool.Put(payload)
-				f.fail(fmt.Errorf("transport: rank %d frame payload: %w", f.rank, err))
-				return
-			}
-			m.Payload = payload
 		}
 		select {
 		case f.inbox <- m:
@@ -220,6 +236,47 @@ func (f *NetFabric) readConn(c net.Conn) {
 			return
 		}
 	}
+}
+
+// readFrame reads the next frame off r: the header into hdr (caller
+// scratch, so nothing escapes per frame), then the payload into a
+// pooled buffer the returned message owns. The payload is always a
+// copy, never a view of r's buffer. wait is called at most once, before
+// the first read that needs more bytes than r holds buffered, so the
+// caller can bound the rest of the frame; a frame already whole in the
+// buffer never calls it. The error is io.EOF only when r ends before
+// the frame's first byte.
+func readFrame(r *bufio.Reader, hdr *[frameHeaderSize]byte, wait func()) (Message, error) {
+	waited := false
+	if r.Buffered() < frameHeaderSize {
+		wait()
+		waited = true
+	}
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err != io.EOF {
+			err = fmt.Errorf("transport: frame header: %w", err)
+		}
+		return Message{}, err
+	}
+	m, plen, err := decodeFrameHeader(hdr[:])
+	if err != nil {
+		return Message{}, err
+	}
+	if plen > 0 {
+		if !waited && r.Buffered() < plen {
+			wait()
+		}
+		payload := bufpool.Get(plen)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			bufpool.Put(payload)
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Message{}, fmt.Errorf("transport: frame payload: %w", err)
+		}
+		m.Payload = payload
+	}
+	return m, nil
 }
 
 // fail records the fabric's first error and aborts, unless the fabric

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,6 +20,12 @@ import (
 // and torn down with the test.
 func netFabrics(t testing.TB, ranks []int, nRanks int) []*NetFabric {
 	t.Helper()
+	return netFabricsOpts(t, ranks, nRanks, NetOptions{})
+}
+
+// netFabricsOpts is netFabrics with explicit NetOptions.
+func netFabricsOpts(t testing.TB, ranks []int, nRanks int, opts NetOptions) []*NetFabric {
+	t.Helper()
 	c := cluster.New(cluster.Myrinet, cluster.GCC, cluster.NodeSpec{Type: cluster.TypeB, Count: 4})
 	p, err := c.Place(nRanks - 2)
 	if err != nil {
@@ -26,7 +35,7 @@ func netFabrics(t testing.TB, ranks []int, nRanks int) []*NetFabric {
 	fabs := make([]*NetFabric, len(ranks))
 	addrs := make([]string, nRanks)
 	for i, r := range ranks {
-		f, err := ListenNet(r, nRanks, "127.0.0.1:0", cost, NetOptions{})
+		f, err := ListenNet(r, nRanks, "127.0.0.1:0", cost, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,4 +325,210 @@ func TestNetCloseIsIdempotentAndQuiet(t *testing.T) {
 	if err != nil {
 		t.Errorf("peer recorded error after clean close: %v", err)
 	}
+}
+
+// The reader-contract tests below inject raw bytes into rank 3 of a
+// 4-rank fabric whose frames time out after testIOTimeout, posing as
+// rank 2 on a connection of their own.
+const testIOTimeout = 200 * time.Millisecond
+
+// rawPeer returns a fabric listening as rank 3 and a raw connection
+// into it, both torn down with the test.
+func rawPeer(t *testing.T) (*NetFabric, net.Conn) {
+	t.Helper()
+	b := netFabricsOpts(t, []int{3}, 4, NetOptions{IOTimeout: testIOTimeout})[0]
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return b, conn
+}
+
+// rawFrame encodes one rank 2 → rank 3 frame.
+func rawFrame(tag Tag, payload []byte) []byte {
+	return encodeWholeFrame(&Message{From: 2, To: 3, Tag: tag, Payload: payload, Bytes: len(payload)})
+}
+
+func writeRaw(t *testing.T, conn net.Conn, b []byte) {
+	t.Helper()
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recvFailure runs a Recv that must fail within IOTimeout + 1 s and
+// returns the error it panicked with. A fabric that has not failed by
+// then is aborted, so the test fails instead of blocking forever.
+func recvFailure(t *testing.T, f *NetFabric) error {
+	t.Helper()
+	watchdog := time.AfterFunc(testIOTimeout+time.Second, f.Abort)
+	defer watchdog.Stop()
+	p := func() (p any) {
+		defer func() { p = recover() }()
+		m := f.Recv(2, TagParticles)
+		m.Release()
+		return nil
+	}()
+	err, ok := p.(error)
+	if !ok {
+		t.Fatalf("Recv returned or panicked with %v, want an error panic", p)
+	}
+	if errors.Is(err, ErrAborted) {
+		t.Fatalf("Recv ended with %v: the fabric did not fail on its own", err)
+	}
+	return err
+}
+
+// recvPayload receives the next rank-2 TagParticles message, checks its
+// payload and releases it.
+func recvPayload(t *testing.T, f *NetFabric, want []byte) {
+	t.Helper()
+	m := f.Recv(2, TagParticles)
+	if !bytes.Equal(m.Payload, want) {
+		t.Fatalf("payload %q, want %q", m.Payload, want)
+	}
+	m.Release()
+}
+
+// A frame that stops arriving part-way through its header or its
+// payload fails the fabric with a deadline error within IOTimeout.
+func TestNetStalledFrameFailsWithinIOTimeout(t *testing.T) {
+	frame := rawFrame(TagParticles, bytes.Repeat([]byte("s"), 64))
+	for _, tc := range []struct {
+		name string
+		cut  int
+	}{
+		{"mid-header", frameHeaderSize / 2},
+		{"mid-payload", frameHeaderSize + 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, conn := rawPeer(t)
+			start := time.Now()
+			writeRaw(t, conn, frame[:tc.cut])
+			err := recvFailure(t, b)
+			if took := time.Since(start); took > testIOTimeout+time.Second {
+				t.Errorf("stall failed the fabric after %v, IOTimeout %v", took, testIOTimeout)
+			}
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Errorf("stall error %v, want a deadline error", err)
+			}
+		})
+	}
+}
+
+// Idle time between whole frames is unbounded: a gap of twice
+// IOTimeout fails nothing.
+func TestNetIdleGapBetweenFramesIsUnbounded(t *testing.T) {
+	b, conn := rawPeer(t)
+	writeRaw(t, conn, rawFrame(TagParticles, []byte("one")))
+	recvPayload(t, b, []byte("one"))
+	time.Sleep(2 * testIOTimeout)
+	writeRaw(t, conn, rawFrame(TagParticles, []byte("two")))
+	recvPayload(t, b, []byte("two"))
+}
+
+// A deadline belongs to one frame. Frame 1 arrives split, its rest
+// together with the start of frame 2, and frame 2's rest comes
+// 1.4 × IOTimeout after frame 1 began: a deadline carried over from
+// frame 1 would fail frame 2.
+func TestNetDeadlineNotInherited(t *testing.T) {
+	b, conn := rawPeer(t)
+	f1 := rawFrame(TagParticles, []byte("first frame"))
+	f2 := rawFrame(TagParticles, []byte("second frame"))
+	gap := testIOTimeout * 7 / 10
+	writeRaw(t, conn, f1[:frameHeaderSize/2])
+	time.Sleep(gap)
+	writeRaw(t, conn, append(append([]byte(nil), f1[frameHeaderSize/2:]...), f2[:5]...))
+	time.Sleep(gap)
+	writeRaw(t, conn, f2[5:])
+	recvPayload(t, b, []byte("first frame"))
+	recvPayload(t, b, []byte("second frame"))
+}
+
+// However the stream is cut into writes — several frames in one, or
+// one byte per write — the frames arrive whole and in order.
+func TestNetFramesSurviveAnyWriteSplit(t *testing.T) {
+	payloads := [][]byte{[]byte("a"), nil, []byte("ccc")}
+	t.Run("three frames in one write", func(t *testing.T) {
+		b, conn := rawPeer(t)
+		var burst []byte
+		for _, p := range payloads {
+			burst = append(burst, rawFrame(TagParticles, p)...)
+		}
+		writeRaw(t, conn, burst)
+		for _, p := range payloads {
+			recvPayload(t, b, p)
+		}
+	})
+	t.Run("one byte per write", func(t *testing.T) {
+		b, conn := rawPeer(t)
+		want := []byte("dribbled one byte at a time")
+		for _, c := range rawFrame(TagParticles, want) {
+			writeRaw(t, conn, []byte{c})
+		}
+		recvPayload(t, b, want)
+	})
+}
+
+// A peer that closes inside a frame fails the fabric; one that closes
+// between frames ends its connection quietly.
+func TestNetEOFMidFrameFailsFabric(t *testing.T) {
+	frame := rawFrame(TagParticles, bytes.Repeat([]byte("e"), 64))
+	for _, cut := range []int{frameHeaderSize / 2, frameHeaderSize + 10} {
+		b, conn := rawPeer(t)
+		writeRaw(t, conn, frame[:cut])
+		conn.Close()
+		if err := recvFailure(t, b); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("EOF after %d bytes: error %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+}
+
+func TestNetEOFAtFrameBoundaryIsQuiet(t *testing.T) {
+	b, conn := rawPeer(t)
+	writeRaw(t, conn, rawFrame(TagParticles, []byte("last")))
+	conn.Close()
+	recvPayload(t, b, []byte("last"))
+	// A quiet end shows only as the absence of a failure: give the
+	// reader time to see the EOF, then check the fabric still works.
+	time.Sleep(2 * testIOTimeout)
+	conn2, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	writeRaw(t, conn2, rawFrame(TagParticles, []byte("after")))
+	recvPayload(t, b, []byte("after"))
+	b.mu.Lock()
+	err = b.firstErr
+	b.mu.Unlock()
+	if err != nil {
+		t.Errorf("EOF at a frame boundary recorded %v", err)
+	}
+}
+
+// A delivered payload is a copy, never a view of the connection's read
+// buffer: frame 0's bytes survive far more than one buffer's worth of
+// later frames passing through it.
+func TestNetPayloadDoesNotAliasReadBuffer(t *testing.T) {
+	b, conn := rawPeer(t)
+	first := bytes.Repeat([]byte{0xa5}, 100)
+	stream := rawFrame(TagParticles, first)
+	const later, size = 40, 1000 // 40 KB, past a 16 KiB read buffer
+	for i := 0; i < later; i++ {
+		stream = append(stream, rawFrame(TagParticles, bytes.Repeat([]byte{byte(i)}, size))...)
+	}
+	writeRaw(t, conn, stream)
+	m0 := b.Recv(2, TagParticles)
+	if !bytes.Equal(m0.Payload, first) {
+		t.Fatalf("frame 0 payload %x", m0.Payload)
+	}
+	for i := 0; i < later; i++ {
+		recvPayload(t, b, bytes.Repeat([]byte{byte(i)}, size))
+	}
+	if !bytes.Equal(m0.Payload, first) {
+		t.Errorf("frame 0 payload changed after later frames were read")
+	}
+	m0.Release()
 }

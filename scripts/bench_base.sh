@@ -28,6 +28,11 @@ metric() { # $1 = result line, $2 = metric name
     printf '%s\n' "$1" | sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p"
 }
 
+bound() { # $1 = end-to-end metric name; prints its BENCHMARK.json bound
+    awk -v m="\"$1\"," '$1 == "\"name\":" && $2 == m { on = 1 }
+        on && $1 == "\"bound\":" { print $2; exit }' BENCHMARK.json
+}
+
 correct() { # $1 = result line; true when it reports correct:true, failed:0
     case $1 in
     '{"correct":true,'*'"failed":0,'*) return 0 ;;

@@ -29,11 +29,6 @@ workloads=$(awk '/"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 }
     on && /"name"/ { gsub(/[",]/, ""); print $2 }' BENCHMARK.json)
 [ -n "$workloads" ] || { echo "FAIL: no workloads found in BENCHMARK.json"; exit 1; }
 
-bound() { # $1 = end-to-end metric name; prints its BENCHMARK.json bound
-    awk -v m="\"$1\"," '$1 == "\"name\":" && $2 == m { on = 1 }
-        on && $1 == "\"bound\":" { print $2; exit }' BENCHMARK.json
-}
-
 status=0
 flag() { echo "FAIL: $1"; status=1; }
 

@@ -12,9 +12,12 @@
 # better) it prints each side's median and quartiles, the pairs the
 # tree won (ties count for neither), and whether the claim rule holds:
 # the tree wins at least 9 pairs in 10 and the medians differ by more
-# than the base's interquartile range. W=all runs the workloads
-# BENCHMARK.json lists, one after the other, and ends with one summary
-# line per workload carrying both metrics.
+# than the base's interquartile range. For alloc_mb_per_frame and
+# peak_rss_mb (lower is better) it prints each side's median, the
+# relative change and the metric's BENCHMARK.json bound, with no claim
+# rule, so a trade of memory for time shows in the same command. W=all
+# runs the workloads BENCHMARK.json lists, one after the other, and ends
+# with one summary line per workload carrying all four metrics.
 #
 #   W=<workload>  required; a BENCHMARK.json workload name, or all
 #   PAIRS=10      pairs to run per workload
@@ -43,7 +46,8 @@ else
 fi
 
 # pairs_of $1 = workload: runs the pairs into $workdir/$1.base and
-# $workdir/$1.tree, one "pair frames_per_s cpu_ms_per_frame" line each.
+# $workdir/$1.tree, one "pair frames_per_s cpu_ms_per_frame
+# alloc_mb_per_frame peak_rss_mb" line each.
 pairs_of() {
     echo "$1: base $base_rev vs working tree, seed $seed, $pairs pairs of $secs s runs"
     i=1
@@ -58,7 +62,8 @@ pairs_of() {
                 cat "$workdir/stderr"
                 exit 1
             fi
-            printf '%s %s %s\n' "$i" "$(metric "$line" frames_per_s)" "$(metric "$line" cpu_ms_per_frame)" >>"$workdir/$1.$side"
+            printf '%s %s %s %s %s\n' "$i" "$(metric "$line" frames_per_s)" "$(metric "$line" cpu_ms_per_frame)" \
+                "$(metric "$line" alloc_mb_per_frame)" "$(metric "$line" peak_rss_mb)" >>"$workdir/$1.$side"
         done
         printf 'pair %2d (%s first): frames/s %s -> %s\n' "$i" "${order%% *}" \
             "$(tail -n 1 "$workdir/$1.base" | awk '{ printf "%.1f", $2 }')" \
@@ -67,19 +72,25 @@ pairs_of() {
     done
 }
 
+# quartiles $1 = workload, $2 = side, $3 = column: prints "q1 median q3"
+# of that column of the side's runs.
+quartiles() {
+    awk -v c="$3" '{ print $c }' "$workdir/$1.$2" | sort -g | awk '
+        { v[NR] = $1 }
+        function q(p,  h, l) { h = (NR - 1) * p + 1; l = int(h); return v[l] + (h - l) * (v[l + 1] - v[l]) }
+        END { v[NR + 1] = v[NR]; printf "%.6g %.6g %.6g\n", q(0.25), q(0.5), q(0.75) }'
+}
+
 # verdict $1 = workload, $2 = column (2 frames_per_s, 3 cpu_ms_per_frame),
 # $3 = 1 if higher is better: prints "base_q1 base_median base_q3
 # tree_q1 tree_median tree_q3 wins met|not-met".
 verdict() {
     for side in base tree; do
-        awk -v c="$2" '{ print $c }' "$workdir/$1.$side" | sort -g | awk -v side="$side" '
-            { v[NR] = $1 }
-            function q(p,  h, l) { h = (NR - 1) * p + 1; l = int(h); return v[l] + (h - l) * (v[l + 1] - v[l]) }
-            END { v[NR + 1] = v[NR]; printf "%s %.6g %.6g %.6g\n", side, q(0.25), q(0.5), q(0.75) }'
+        echo "$side $(quartiles "$1" "$side" "$2")"
     done >"$workdir/q"
     paste -d " " "$workdir/$1.base" "$workdir/$1.tree" | awk -v c="$2" -v hi="$3" -v n="$pairs" '
         FNR == NR { q1[$1] = $2; med[$1] = $3; q3[$1] = $4; next }
-        { b = $c; t = $(c + 3); if ((hi && t > b) || (!hi && t < b)) wins++ }
+        { b = $c; t = $(c + 5); if ((hi && t > b) || (!hi && t < b)) wins++ }
         END {
             d = med["tree"] - med["base"]; if (d < 0) d = -d
             better = hi ? med["tree"] > med["base"] : med["tree"] < med["base"]
@@ -89,13 +100,25 @@ verdict() {
         }' "$workdir/q" -
 }
 
+# drift $1 = workload, $2 = column (4 alloc_mb_per_frame, 5 peak_rss_mb),
+# $3 = metric name: prints "base_median tree_median change_pct bound_pct".
+drift() {
+    echo "$(quartiles "$1" base "$2") $(quartiles "$1" tree "$2")" | awk -v k="$(bound "$3")" '{
+        printf "%.6g %.6g %+.1f %g\n", $2, $5, ($2 > 0) ? 100 * ($5 - $2) / $2 : 0, 100 * k }'
+}
+
 # summary $1 = workload: one line per metric.
 summary() {
     for m in "2 frames_per_s 1" "3 cpu_ms_per_frame 0"; do
         set -- "$1" $m
         verdict "$1" "$2" "$4" | awk -v name="$3" -v n="$pairs" '{
-            printf "%-17s base median %-10.6g [%.6g, %.6g]   tree median %-10.6g [%.6g, %.6g]   tree wins %d/%d   claim rule %s\n",
+            printf "%-18s base median %-10.6g [%.6g, %.6g]   tree median %-10.6g [%.6g, %.6g]   tree wins %d/%d   claim rule %s\n",
                 name, $2, $1, $3, $5, $4, $6, $7, n, ($8 == "met") ? "met" : "not met" }'
+    done
+    for m in "4 alloc_mb_per_frame" "5 peak_rss_mb"; do
+        set -- "$1" $m
+        drift "$1" "$2" "$3" | awk -v name="$3" '{
+            printf "%-18s base median %-10.6g tree median %-10.6g change %+.1f %% (bound +%g %%)\n", name, $1, $2, $3, $4 }'
     done
 }
 
@@ -106,13 +129,17 @@ done
 
 if [ "$W" = all ]; then
     echo
-    echo "summary, seed $seed, $pairs pairs each: median [q1, q3] base -> tree, tree wins, claim rule"
+    echo "summary, seed $seed, $pairs pairs each: median [q1, q3] base -> tree, tree wins, claim rule;"
+    echo "MB/frame and peak RSS: median base -> tree, change (BENCHMARK.json bound)"
     for w in $workloads; do
         fps=$(verdict "$w" 2 1)
         cpu=$(verdict "$w" 3 0)
-        printf '%s %s\n' "$fps" "$cpu" | awk -v w="$w" -v n="$pairs" '{
-            printf "%-18s frames/s %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] %d/%d %s   cpu_ms/frame %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] %d/%d %s\n",
-                w, $2, $1, $3, $5, $4, $6, $7, n, v($8), $10, $9, $11, $13, $12, $14, $15, n, v($16) }
+        mb=$(drift "$w" 4 alloc_mb_per_frame)
+        rss=$(drift "$w" 5 peak_rss_mb)
+        printf '%s %s %s %s\n' "$fps" "$cpu" "$mb" "$rss" | awk -v w="$w" -v n="$pairs" '{
+            printf "%-18s frames/s %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] %d/%d %s   cpu_ms/frame %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] %d/%d %s   MB/frame %.4g -> %.4g %+.1f %% (+%g %%)   peak_rss_mb %.4g -> %.4g %+.1f %% (+%g %%)\n",
+                w, $2, $1, $3, $5, $4, $6, $7, n, v($8), $10, $9, $11, $13, $12, $14, $15, n, v($16),
+                $17, $18, $19, $20, $21, $22, $23, $24 }
             function v(s) { return s == "met" ? "met" : "not met" }'
     done
 fi
