@@ -62,10 +62,12 @@ bench-check:
 # medians further apart than the base's IQR) holds; for
 # alloc_mb_per_frame and peak_rss_mb, each side's median, the relative
 # change and the BENCHMARK.json bound (no claim rule). Fails on any run
-# that is not correct:true, failed:0. Each run lasts BENCHMARK.json's
-# run_seconds; SEED overrides the seed. ~6 min at the defaults. W=all
-# does every BENCHMARK.json workload in turn (~35 min) and ends with
-# one summary line per workload.
+# that is not correct:true, failed:0. Each run is psperf at --seconds
+# <BENCHMARK.json's run_seconds>, which sets its timed repetitions
+# (round(seconds / 5), 3 at 15), not its wall time; SEED overrides the
+# seed. ~6 min at the defaults. W=all does every BENCHMARK.json
+# workload in turn (~35 min) and ends with one summary line per
+# workload.
 bench-pairs:
 	sh scripts/bench_pairs.sh
 
@@ -92,7 +94,7 @@ decomp-smoke:
 # compile. Target names are discovered with `go test -list`, so new
 # fuzzers join automatically.
 fuzz-smoke:
-	@set -e; for pkg in ./internal/scenario ./internal/particle ./internal/core ./internal/domain ./internal/transport ./internal/render; do \
+	@set -e; for pkg in ./internal/scenario ./internal/particle ./internal/actions ./internal/core ./internal/domain ./internal/transport ./internal/render; do \
 	  for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 	    echo "fuzz $$pkg $$f"; \
 	    $(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$pkg; \

@@ -1,6 +1,7 @@
 package actions
 
 import (
+	"math"
 	"testing"
 
 	"pscluster/internal/geom"
@@ -87,4 +88,41 @@ func BenchmarkCollideWithGhosts(b *testing.B) {
 	var ghosts particle.Batch
 	ghosts.AppendSlice(benchStore(1000, 50).All())
 	benchCollide(b, &CollideParticles{Radius: 1, Elasticity: 0.8}, benchStore(10000, 50), &ghosts)
+}
+
+// jetsStore is one calculator's half of two head-on jets: a stream
+// along +x with a ±2 cross-section, ending in the disc the jets spread
+// into at x ≈ 0, and, as ghosts, the band of the other half within a
+// radius of the boundary. Unlike the uniform clouds above, the occupied
+// cells cluster: a thin column and a wide, thin sheet.
+func jetsStore() (*particle.ColumnStore, *particle.Batch) {
+	r := geom.NewRNG(3)
+	s := particle.NewColumnStore(geom.AxisX, -45, 0, 8)
+	var ghosts particle.Batch
+	disc := func(x0, x1 float64) particle.Particle {
+		a, rho := r.Range(0, 2*math.Pi), 24*math.Sqrt(r.Float64())
+		out := geom.V(0, math.Cos(a), math.Sin(a))
+		return particle.Particle{
+			Pos:  geom.V(r.Range(x0, x1), 0, 0).Add(out.Scale(rho)),
+			Vel:  out.Scale(r.Range(2, 20)).Add(geom.V(r.Range(-1, 1), 0, 0)),
+			Rand: r.Uint64(),
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		s.Add(particle.Particle{
+			Pos:  geom.V(r.Range(-38, -1), r.Range(-2, 2), r.Range(-2, 2)),
+			Vel:  geom.V(r.Range(18, 24), r.Range(-1, 1), r.Range(-1, 1)),
+			Rand: r.Uint64(),
+		})
+		s.Add(disc(-1.5, 0))
+	}
+	for i := 0; i < 400; i++ {
+		ghosts.Append(disc(0, 1))
+	}
+	return s, &ghosts
+}
+
+func BenchmarkCollideJets(b *testing.B) {
+	s, ghosts := jetsStore()
+	benchCollide(b, &CollideParticles{Radius: 1, Elasticity: 0.9}, s, ghosts)
 }

@@ -18,30 +18,46 @@ func gridIndex(p geom.Vec3, cell float64) [3]int {
 
 // cellList is the linked-cell neighbor structure of MD codes in CSR
 // form: the occupied cells of a position column, each holding its
-// members' indices. Cell ids are handed out in first-seen order; an
-// open-addressed table maps a cell key to its id, and a stable counting
-// sort files the indices so that members(id) lists a cell's particles in
-// ascending index. Membership is fixed at build time: a particle pushed
-// out of its cell mid-sweep stays filed where it was. Every slice is
-// scratch reused across builds, so a build over an unchanged population
-// allocates nothing.
+// members' indices. Cell ids are handed out from 1 in first-seen order;
+// an open-addressed table maps a cell key to its id, and a stable
+// counting sort files the indices so that members(id) lists a cell's
+// particles in ascending index. Membership is fixed at build time: a
+// particle pushed out of its cell mid-sweep stays filed where it was.
+// Every slice is scratch reused across builds, so a build over an
+// unchanged population allocates nothing.
+//
+// The table is a dense grid over the keys' bounding box folded into a
+// power of two: a key's home slot is x*sx + y*sy + z, wrapped. The
+// strides give the box, grown by one cell on every side, a slot per
+// cell, so when the box fits the table no two cells share a home, and
+// the three z-neighbors of a cell sit in adjacent slots. Probing steps
+// by probeStep, an odd constant that cycles the table and leaves the
+// run of a column's z-consecutive keys in one step.
 type cellList struct {
-	keys   [][3]int // cell id -> key
-	table  []int32  // slot -> cell id + 1; 0 marks an empty slot
+	keys   [][3]int // cell id -> key; keys[0] is a placeholder, so keys[table[s]] needs no branch
+	table  []int32  // slot -> cell id; 0 marks an empty slot
 	cellOf []int32  // index -> cell id
 	start  []int32  // cell id -> offset of its members in order; one past the last cell closes it
 	order  []int32
+	sx, sy uint   // strides of the home slot
+	lo, hi [3]int // the keys' bounding box
+}
+
+// probeStep is the distance between the slots of a probe sequence.
+const probeStep = 61
+
+// home returns the slot a probe for key k starts at.
+func (g *cellList) home(k [3]int) uint {
+	return (uint(k[0])*g.sx + uint(k[1])*g.sy + uint(k[2])) & uint(len(g.table)-1)
 }
 
 // find returns the slot holding key k, or the empty slot that ends its
-// probe sequence — where k goes if it is to be inserted. The hash is the
-// multiply-xor of the spatial-hashing literature; linear probing from
-// it is short at the load factor build keeps.
+// probe sequence — where k goes if it is to be inserted.
 func (g *cellList) find(k [3]int) uint {
 	mask := uint(len(g.table) - 1)
-	s := (uint(k[0])*73856093 ^ uint(k[1])*19349663 ^ uint(k[2])*83492791) & mask
-	for g.table[s] != 0 && g.keys[g.table[s]-1] != k {
-		s = (s + 1) & mask
+	s := g.home(k)
+	for g.table[s] != 0 && g.keys[g.table[s]] != k {
+		s = (s + probeStep) & mask
 	}
 	return s
 }
@@ -65,20 +81,35 @@ func (g *cellList) build(pos []geom.Vec3, cell float64) {
 		// There are at most as many cells as positions, so none of the
 		// appends below grows a slice.
 		g.cellOf, g.order = make([]int32, len(pos)), make([]int32, len(pos))
-		g.keys, g.start = make([][3]int, 0, len(pos)), make([]int32, 0, len(pos)+1)
+		g.keys, g.start = make([][3]int, 0, len(pos)+1), make([]int32, 0, len(pos)+2)
 	}
 	g.cellOf, g.order = g.cellOf[:len(pos)], g.order[:len(pos)]
-	g.keys = g.keys[:0]
-	g.start = append(g.start[:0], 0)
+	g.keys = append(g.keys[:0], [3]int{})
+	g.start = append(g.start[:0], 0, 0)
+	g.lo, g.hi = [3]int{}, [3]int{}
+	if len(pos) > 0 {
+		g.lo = gridIndex(pos[0], cell)
+		g.hi = g.lo
+	}
+	for i := range pos {
+		k := gridIndex(pos[i], cell)
+		for a := range k {
+			g.lo[a], g.hi[a] = min(g.lo[a], k[a]), max(g.hi[a], k[a])
+		}
+	}
+	// The extents wrap like the keys: a box wider than an int folds
+	// badly and costs probe steps, never a wrong cell.
+	g.sy = (uint(g.hi[2]-g.lo[2]) + 3) | 1
+	g.sx = (g.sy * (uint(g.hi[1]-g.lo[1]) + 3)) | 1
 	for i := range pos {
 		k := gridIndex(pos[i], cell)
 		s := g.find(k)
 		if g.table[s] == 0 {
+			g.table[s] = int32(len(g.keys))
 			g.keys = append(g.keys, k)
 			g.start = append(g.start, 0)
-			g.table[s] = int32(len(g.keys))
 		}
-		id := g.table[s] - 1
+		id := g.table[s]
 		g.cellOf[i] = id
 		g.start[id+1]++
 	}
@@ -104,14 +135,32 @@ func (g *cellList) members(id int32) []int32 {
 // into ids, in dx, dy, dz order, and returns how many there are. The
 // key arithmetic wraps like the keys themselves, so a coordinate too
 // large for an int still finds the cells it was filed next to.
+//
+// A slot is tested with one branch: the slot's id, placeholder or not,
+// indexes keys, and the key compare is masked by the slot's occupancy,
+// so an empty slot and a slot holding the cell both end the probe and
+// only the occupancy counts. Only a home slot holding some other key
+// goes on probing.
 func (g *cellList) around(k [3]int, ids *[27]int32) int {
+	table, keys := g.table, g.keys
+	mask, sx, sy := uint(len(table)-1), g.sx, g.sy
 	n := 0
 	for dx := -1; dx <= 1; dx++ {
+		x := uint(k[0] + dx)
 		for dy := -1; dy <= 1; dy++ {
+			y := uint(k[1] + dy)
+			row := x*sx + y*sy
 			for dz := -1; dz <= 1; dz++ {
-				if id := g.table[g.find([3]int{k[0] + dx, k[1] + dy, k[2] + dz})]; id != 0 {
-					ids[n] = id - 1
-					n++
+				z := uint(k[2] + dz)
+				for s := (row + z) & mask; ; s = (s + probeStep) & mask {
+					id := table[s]
+					q := &keys[id]
+					occ := uint(-int64(id)) >> 63
+					if ((uint(q[0])^x)|(uint(q[1])^y)|(uint(q[2])^z))&-occ == 0 {
+						ids[n] = id
+						n += int(occ)
+						break
+					}
 				}
 			}
 		}
@@ -124,14 +173,9 @@ func (g *cellList) around(k [3]int, ids *[27]int32) int {
 // when there is no cell, or when growing the box overflows — a key at
 // the edge of int has neighbors on the far side, which no box holds.
 func (g *cellList) reach() (lo, hi [3]int, ok bool) {
-	if len(g.keys) == 0 {
+	lo, hi = g.lo, g.hi
+	if len(g.keys) == 1 {
 		return lo, hi, false
-	}
-	lo, hi = g.keys[0], g.keys[0]
-	for _, k := range g.keys[1:] {
-		for a := range k {
-			lo[a], hi[a] = min(lo[a], k[a]), max(hi[a], k[a])
-		}
 	}
 	for a := range lo {
 		if lo[a] == math.MinInt || hi[a] == math.MaxInt {
@@ -246,12 +290,12 @@ func (a *CollideParticles) sweepOwn(g *cellList, pos, vel []geom.Vec3) float64 {
 					continue
 				}
 				work += 0.25 // pair test
-				if !pairOrdered(pos[i], vel[i], pos[j], vel[j]) {
-					continue
-				}
 				d := pos[j].Sub(pos[i])
 				dist2 := d.Len2()
 				if dist2 >= r2 || dist2 == 0 {
+					continue
+				}
+				if !pairOrdered(pos[i], vel[i], pos[j], vel[j]) {
 					continue
 				}
 				n := d.Norm()

@@ -2,6 +2,7 @@ package actions
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"pscluster/internal/geom"
@@ -169,6 +170,98 @@ func TestCollideDeterministic(t *testing.T) {
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("second run diverged at particle %d", i)
+		}
+	}
+}
+
+// The cell list against a map of the same keys, in member indices: for
+// every query key in and around the filed keys, the indices that around
+// and members yield — the 27 neighbor cells in dx, dy, dz order, each
+// cell's members ascending — are the map's. One list is rebuilt for
+// every shape, so each build also runs on the scratch of the last.
+func TestCellListMatchesMap(t *testing.T) {
+	r := geom.NewRNG(43)
+	scatter := func(n int, hx, hy, hz float64) []geom.Vec3 {
+		pos := make([]geom.Vec3, n)
+		for i := range pos {
+			pos[i] = geom.V(r.Range(-hx, hx), r.Range(-hy, hy), r.Range(-hz, hz))
+		}
+		return pos
+	}
+	// Positions whose keys sit at the ends of int, or where a float has
+	// no int: the neighbors of a key at one end are at the other.
+	edge := []geom.Vec3{
+		geom.V(-0x1p63, 0, 0), geom.V(0x1p63-1024, 0, 0), geom.V(0x1p63-1024, -0x1p63, 0.5),
+		geom.V(-0x1p63, -0x1p63, -0x1p63), geom.V(math.NaN(), 0, 0), geom.V(math.Inf(1), 1, 1),
+		geom.V(math.Inf(-1), 0, 0), geom.V(1e300, -1e300, 0), geom.V(0.5, 0.5, 0.5), geom.V(0.5, 0.5, 0.5),
+	}
+	// One x-row of keys a power of two apart: the strides of a flat box
+	// put every key on one home slot.
+	var row []geom.Vec3
+	for x := 0; x < 8; x++ {
+		row = append(row, geom.V(128*float64(x)+0.5, 0.5, 0.5), geom.V(128*float64(x)+0.25, 0.5, 0.5))
+	}
+	compact := scatter(300, 3, 2.5, 2)
+	shapes := []struct {
+		name    string
+		pos     []geom.Vec3
+		offHome func(int) bool // holds for the count of keys filed off their home slot
+	}{
+		{"compact", compact, func(n int) bool { return n == 0 }},
+		{"folded", scatter(400, 900, 600, 300), nil},
+		{"int-edges", edge, nil},
+		{"empty", nil, nil},
+		{"shared-home", row, func(n int) bool { return n == 7 }},
+		{"compact-again", compact, func(n int) bool { return n == 0 }},
+	}
+	var g cellList
+	for _, sh := range shapes {
+		want := map[[3]int][]int32{}
+		for i, p := range sh.pos {
+			k := gridIndex(p, 1)
+			want[k] = append(want[k], int32(i))
+		}
+		g.build(sh.pos, 1)
+		var queries [][3]int
+		for k := range want {
+			for dx := -2; dx <= 2; dx++ {
+				for dy := -2; dy <= 2; dy++ {
+					for dz := -2; dz <= 2; dz++ {
+						queries = append(queries, [3]int{k[0] + dx, k[1] + dy, k[2] + dz})
+					}
+				}
+			}
+		}
+		queries = append(queries, [3]int{}, [3]int{math.MaxInt, math.MaxInt, math.MaxInt},
+			[3]int{math.MinInt, math.MinInt, math.MinInt}, [3]int{math.MaxInt, 0, 0})
+		var ids [27]int32
+		for _, q := range queries {
+			var got, exp []int32
+			for _, id := range ids[:g.around(q, &ids)] {
+				got = append(got, g.members(id)...)
+			}
+			for dx := -1; dx <= 1; dx++ {
+				for dy := -1; dy <= 1; dy++ {
+					for dz := -1; dz <= 1; dz++ {
+						exp = append(exp, want[[3]int{q[0] + dx, q[1] + dy, q[2] + dz}]...)
+					}
+				}
+			}
+			if !slices.Equal(got, exp) {
+				t.Fatalf("%s: around %v yields members %v, want %v", sh.name, q, got, exp)
+			}
+		}
+		if sh.offHome == nil {
+			continue
+		}
+		off := 0
+		for k := range want {
+			if g.find(k) != g.home(k) {
+				off++
+			}
+		}
+		if !sh.offHome(off) {
+			t.Errorf("%s: %d keys filed off their home slot", sh.name, off)
 		}
 	}
 }

@@ -3,8 +3,11 @@
 # base commit — the measurement rule a timing claim rests on (ROADMAP
 # "Measurement rules", bench/README.md): PAIRS pairs of runs, base and
 # working tree alternated, with the side that goes first swapped every
-# pair so a drifting box favours neither. Each run lasts BENCHMARK.json's
-# run_seconds, as the benchmark's own runs do. Every run must report
+# pair so a drifting box favours neither. Each run is psperf's contract
+# command at --seconds <BENCHMARK.json's run_seconds>, as the
+# benchmark's own runs are. That flag sets the number of timed
+# repetitions, round(seconds / 5) — 3 at the contract's 15 — not a wall
+# time: a fountain_tcp run takes about 7 s. Every run must report
 # correct:true, failed:0: the first that does not stops the script,
 # before any summary.
 #
@@ -49,7 +52,7 @@ fi
 # $workdir/$1.tree, one "pair frames_per_s cpu_ms_per_frame
 # alloc_mb_per_frame peak_rss_mb" line each.
 pairs_of() {
-    echo "$1: base $base_rev vs working tree, seed $seed, $pairs pairs of $secs s runs"
+    echo "$1: base $base_rev vs working tree, seed $seed, $pairs pairs of --seconds $secs runs"
     i=1
     while [ "$i" -le "$pairs" ]; do
         if [ $((i % 2)) -eq 1 ]; then order="base tree"; else order="tree base"; fi
