@@ -94,7 +94,7 @@ decomp-smoke:
 # compile. Target names are discovered with `go test -list`, so new
 # fuzzers join automatically.
 fuzz-smoke:
-	@set -e; for pkg in ./internal/scenario ./internal/particle ./internal/actions ./internal/core ./internal/domain ./internal/transport ./internal/render; do \
+	@set -e; for pkg in ./internal/scenario ./internal/particle ./internal/actions ./internal/core ./internal/domain ./internal/transport ./internal/render ./internal/geom; do \
 	  for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 	    echo "fuzz $$pkg $$f"; \
 	    $(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$pkg; \

@@ -1,6 +1,9 @@
 package actions
 
-import "pscluster/internal/particle"
+import (
+	"pscluster/internal/geom"
+	"pscluster/internal/particle"
+)
 
 // BatchAction is a ParticleAction with a columnar kernel: ApplyBatch
 // runs the action over a whole particle.Batch, streaming the columns it
@@ -52,11 +55,30 @@ func (a *Gravity) ApplyBatch(ctx *Context, b *particle.Batch) {
 	}
 }
 
-// ApplyBatch implements BatchAction. The context's scratch stream is
-// re-seeded from each particle's saved stream — the draws and float
-// operations are Apply's, without its per-particle NewRNG, and with
-// nothing allocated.
+// randomAccelChunk is how many particles a sphere-domain RandomAccel
+// draws per geom.SphereDomain.GenerateStates call: small enough that
+// the chunk's points stay in L1 between its passes, and a fixed-size
+// array on the stack, so the kernel allocates nothing.
+const randomAccelChunk = 128
+
+// ApplyBatch implements BatchAction. A sphere domain — snow's and the
+// fountain's — draws a chunk of particles at a time through
+// GenerateStates, the same draws and float operations as Generate.
+// Any other domain re-seeds the context's scratch stream from each
+// particle's saved stream: Apply's draws and float operations, without
+// its per-particle NewRNG, and with nothing allocated.
 func (a *RandomAccel) ApplyBatch(ctx *Context, b *particle.Batch) {
+	if d, ok := a.Domain.(geom.SphereDomain); ok {
+		var pts [randomAccelChunk]geom.Vec3
+		for lo := 0; lo < len(b.Vel); lo += randomAccelChunk {
+			vel := b.Vel[lo:min(lo+randomAccelChunk, len(b.Vel))]
+			d.GenerateStates(b.Rand[lo:lo+len(vel)], pts[:])
+			for i := range vel {
+				vel[i] = vel[i].Add(pts[i].Scale(ctx.DT))
+			}
+		}
+		return
+	}
 	r := &ctx.scratch
 	for i := range b.Vel {
 		r.Seed(b.Rand[i])

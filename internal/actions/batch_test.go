@@ -1,6 +1,7 @@
 package actions
 
 import (
+	"math"
 	"testing"
 
 	"pscluster/internal/geom"
@@ -94,6 +95,43 @@ func TestKernelsMatchApply(t *testing.T) {
 				t.Fatal("a per-particle action drew from the system stream")
 			}
 		})
+	}
+}
+
+// A sphere-domain RandomAccel draws in chunks of randomAccelChunk
+// particles, three passes per chunk. Its Vel and Rand columns must
+// still come out of ApplyBatch bit for bit as from Apply per particle:
+// at every chunk edge (0, 1, one short of a chunk, one chunk, one over,
+// several chunks and a tail), for full spheres and shells, centred on
+// the origin or not, and at both of the engines' time steps.
+func TestRandomAccelSphereBatchMatchesApply(t *testing.T) {
+	bits := func(v geom.Vec3) [3]uint64 {
+		return [3]uint64{math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z)}
+	}
+	for _, d := range []geom.SphereDomain{
+		{OuterR: 1.2},
+		{InnerR: 0.5, OuterR: 2},
+		{Center: geom.V(0.3, -2, 1), InnerR: 0.5, OuterR: 0.8},
+	} {
+		act := &RandomAccel{Domain: d}
+		for _, dt := range []float64{0.1, 1.0 / 30} {
+			for _, n := range []int{0, 1, randomAccelChunk - 1, randomAccelChunk, randomAccelChunk + 1, 1000} {
+				want, got := randBatch(n, uint64(n)+21), randBatch(n, uint64(n)+21)
+				c := &Context{RNG: geom.NewRNG(1), DT: dt}
+				for i := 0; i < n; i++ {
+					p := want.At(i)
+					act.Apply(c, &p)
+					want.Set(i, p)
+				}
+				act.ApplyBatch(c, got)
+				for i := 0; i < n; i++ {
+					if bits(got.Vel[i]) != bits(want.Vel[i]) || got.Rand[i] != want.Rand[i] {
+						t.Fatalf("%+v, DT %v, %d particles: particle %d has Vel %v, Rand %#x; Apply gives %v, %#x",
+							d, dt, n, i, got.Vel[i], got.Rand[i], want.Vel[i], want.Rand[i])
+					}
+				}
+			}
+		}
 	}
 }
 

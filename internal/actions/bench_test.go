@@ -63,15 +63,34 @@ func BenchmarkSourceGenerate(b *testing.B) {
 	}
 }
 
-// benchCollide times the engines' entry: one retained scratch, the
-// same store collided again every iteration.
+// benchCollide times the engines' entry on one retained scratch. Every
+// iteration collides the store as it was built: the store is restored
+// from a saved copy with the timer stopped, so ns/op does not drift
+// with -benchtime as pushes separate the pairs, and one untimed call
+// warms the scratch, so its growth is not billed to the first
+// iterations.
 func benchCollide(b *testing.B, a *CollideParticles, s *particle.ColumnStore, ghosts *particle.Batch) {
 	b.Helper()
+	saved := make([]particle.Batch, s.NumBins())
+	for bi := range saved {
+		saved[bi].AppendBatch(s.Bin(bi))
+	}
+	restore := func() {
+		for bi := range saved {
+			bin := s.Bin(bi)
+			bin.Clear()
+			bin.AppendBatch(&saved[bi])
+		}
+	}
 	c := ctx()
 	var sc StoreScratch
+	a.ApplyWithGhosts(c, &sc, s, ghosts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		restore()
+		b.StartTimer()
 		a.ApplyWithGhosts(c, &sc, s, ghosts)
 	}
 }

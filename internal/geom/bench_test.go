@@ -1,6 +1,9 @@
 package geom
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(1)
@@ -48,3 +51,33 @@ func BenchmarkVecOps(b *testing.B) {
 	}
 	_ = acc
 }
+
+// BenchmarkSincos times math.Sincos and the engine's port over the same
+// 8 192 fixed random angles in [0, 2π), the range every engine angle is
+// drawn from: random octants, so math.Sincos's octant branches
+// mispredict as they do in the draws.
+func BenchmarkSincos(b *testing.B) {
+	r := NewRNG(1)
+	xs := make([]float64, 8192)
+	for i := range xs {
+		xs[i] = r.Range(0, 2*math.Pi)
+	}
+	b.Run("math", func(b *testing.B) {
+		var acc float64
+		for i := 0; i < b.N; i++ {
+			s, c := math.Sincos(xs[i&(len(xs)-1)])
+			acc += s + c
+		}
+		sinkFloat = acc
+	})
+	b.Run("port", func(b *testing.B) {
+		var acc float64
+		for i := 0; i < b.N; i++ {
+			s, c := sincos(xs[i&(len(xs)-1)])
+			acc += s + c
+		}
+		sinkFloat = acc
+	})
+}
+
+var sinkFloat float64

@@ -74,10 +74,49 @@ type SphereDomain struct {
 
 // Generate draws a uniform point in the shell.
 func (d SphereDomain) Generate(r *RNG) Vec3 {
-	// Radius distributed so volume is uniform: r^3 uniform between the cubes.
+	cube, z, t := d.draw(r)
+	return d.place(math.Cbrt(cube), z, t)
+}
+
+// GenerateStates draws one point per saved stream: pts[i] is the point
+// Generate draws from NewRNG(states[i]), and states[i] is left where
+// that stream ends. pts must be at least as long as states.
+//
+// It runs in three passes over the chunk — the draws, the cube roots,
+// the placement — so that the independent cube roots overlap in the
+// pipeline instead of each waiting for its own chain of divisions. pts
+// holds the draws between passes; keep a chunk small enough to stay in
+// L1.
+func (d SphereDomain) GenerateStates(states []uint64, pts []Vec3) {
+	pts = pts[:len(states)]
+	var r RNG
+	for i := range states {
+		r.Seed(states[i])
+		cube, z, t := d.draw(&r)
+		pts[i] = Vec3{cube, z, t}
+		states[i] = r.Save()
+	}
+	for i := range pts {
+		pts[i].X = math.Cbrt(pts[i].X)
+	}
+	for i := range pts {
+		pts[i] = d.place(pts[i].X, pts[i].Y, pts[i].Z)
+	}
+}
+
+// draw makes a point's three draws in order: the radius cubed, uniform
+// between the shell's cubes so that the volume is uniform, then the
+// direction's height and angle (as UnitVec draws them).
+func (d SphereDomain) draw(r *RNG) (cube, z, t float64) {
 	lo, hi := d.InnerR*d.InnerR*d.InnerR, d.OuterR*d.OuterR*d.OuterR
-	rad := math.Cbrt(r.Range(lo, hi))
-	return d.Center.Add(r.UnitVec().Scale(rad))
+	cube = r.Range(lo, hi)
+	z, t = r.direction()
+	return cube, z, t
+}
+
+// place returns the point at radius rad in the direction (z, t).
+func (d SphereDomain) place(rad, z, t float64) Vec3 {
+	return d.Center.Add(unitVec(z, t).Scale(rad))
 }
 
 // Within reports whether p lies inside the shell.
@@ -112,12 +151,12 @@ func (d DiscDomain) basis() (Vec3, Vec3) {
 }
 
 // Generate draws a uniform point on the annulus, taking the angle's
-// sine and cosine from one math.Sincos as RNG.UnitVec does.
+// sine and cosine from one sincos as RNG.UnitVec does.
 func (d DiscDomain) Generate(r *RNG) Vec3 {
 	u, v := d.basis()
 	rad := math.Sqrt(r.Range(d.InnerR*d.InnerR, d.OuterR*d.OuterR))
 	t := r.Range(0, 2*math.Pi)
-	sin, cos := math.Sincos(t)
+	sin, cos := sincos(t)
 	return d.Center.Add(u.Scale(rad * cos)).Add(v.Scale(rad * sin))
 }
 

@@ -64,6 +64,34 @@ func TestSphereDomainShell(t *testing.T) {
 	}
 }
 
+// GenerateStates must draw, for every seed, the point Generate draws
+// from NewRNG(seed), bit for bit, and leave the seed where that stream
+// ends.
+func TestSphereGenerateStatesMatchesGenerate(t *testing.T) {
+	for _, d := range []SphereDomain{
+		{OuterR: 2.5},
+		{Center: V(3, -1, 0.25), InnerR: 0.5, OuterR: 4},
+	} {
+		for _, n := range []int{0, 1, 127, 128, 129, 1000} {
+			seeds := NewRNG(uint64(n) + 5)
+			states := make([]uint64, n)
+			for i := range states {
+				states[i] = seeds.Uint64()
+			}
+			want := append([]uint64(nil), states...)
+			pts := make([]Vec3, n)
+			d.GenerateStates(states, pts)
+			for i, seed := range want {
+				r := NewRNG(seed)
+				if p := d.Generate(r); !sameVecBits(pts[i], p) || states[i] != r.Save() {
+					t.Fatalf("%+v, %d states: state %d gives %v and stream %#x, Generate %v and %#x",
+						d, n, i, pts[i], states[i], p, r.Save())
+				}
+			}
+		}
+	}
+}
+
 func TestDiscDomain(t *testing.T) {
 	d := DiscDomain{Center: V(0, 3, 0), Normal: V(0, 1, 0), InnerR: 1, OuterR: 4}
 	checkDomain(t, "disc", d, true)

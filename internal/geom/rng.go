@@ -64,15 +64,19 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
 }
 
-// UnitVec returns a uniformly distributed unit vector. The angle's sine
-// and cosine come from one math.Sincos: one range reduction instead of
-// two, and on amd64 the same bits as math.Sin and math.Cos for every
-// angle Range can return (DESIGN §2).
-func (r *RNG) UnitVec() Vec3 {
-	z := r.Range(-1, 1)
-	t := r.Range(0, 2*math.Pi)
+// UnitVec returns a uniformly distributed unit vector.
+func (r *RNG) UnitVec() Vec3 { return unitVec(r.direction()) }
+
+// direction draws a unit vector's height z and angle t, in that order.
+func (r *RNG) direction() (z, t float64) { return r.Range(-1, 1), r.Range(0, 2*math.Pi) }
+
+// unitVec is the unit vector at height z and angle t around the z axis.
+// The angle's sine and cosine come from one sincos: one range reduction
+// instead of two, and on amd64 the same bits as math.Sin and math.Cos
+// for every angle (DESIGN §2).
+func unitVec(z, t float64) Vec3 {
 	s := math.Sqrt(1 - z*z)
-	sin, cos := math.Sincos(t)
+	sin, cos := sincos(t)
 	return Vec3{s * cos, s * sin, z}
 }
 

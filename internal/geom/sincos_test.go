@@ -91,3 +91,61 @@ func TestDiscGenerateMatchesSinCos(t *testing.T) {
 		}
 	}
 }
+
+// sincosSpecialValues are the inputs where the port and math.Sincos
+// could part ways: the cold path's edges (±0, ±Inf, NaN, 2^29 ± 1 ulp
+// and beyond), the octant boundaries kπ/4 ± 1 ulp, where the reduction
+// picks one octant or the next, and subnormals.
+func sincosSpecialValues() []float64 {
+	const threshold = 1 << 29
+	xs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Nextafter(threshold, 0), threshold, math.Nextafter(threshold, math.Inf(1)), 1 << 40,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff),
+		math.Float64frombits(0x0000000100000000), math.Nextafter(2*math.Pi, 0), 2 * math.Pi}
+	for k := 0; k <= 16; k++ {
+		x := float64(k) * math.Pi / 4
+		xs = append(xs, x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)))
+	}
+	for _, x := range xs[:len(xs):len(xs)] {
+		xs = append(xs, -x)
+	}
+	return xs
+}
+
+// requireSincosMatchesMath fails unless sincos(x) and math.Sincos(x)
+// return the same bits, NaN payloads included.
+func requireSincosMatchesMath(t *testing.T, x float64) {
+	t.Helper()
+	sin, cos := sincos(x)
+	wantSin, wantCos := math.Sincos(x)
+	if !sameBits(sin, wantSin) || !sameBits(cos, wantCos) {
+		t.Fatalf("sincos(%v [%#x]) = (%b, %b), math.Sincos = (%b, %b)",
+			x, math.Float64bits(x), sin, cos, wantSin, wantCos)
+	}
+}
+
+// TestSincosMatchesMath holds the engine's sincos to math.Sincos bit
+// for bit: over the special values, and over 10^6 inputs each from the
+// engine's angles [0, 2π), ±1e3 (every octant many times over) and
+// arbitrary bit patterns (mostly huge or tiny magnitudes, and the cold
+// path).
+func TestSincosMatchesMath(t *testing.T) {
+	for _, x := range sincosSpecialValues() {
+		requireSincosMatchesMath(t, x)
+	}
+	r := NewRNG(17)
+	for i := 0; i < sincosDraws; i++ {
+		requireSincosMatchesMath(t, r.Range(0, 2*math.Pi))
+		requireSincosMatchesMath(t, r.Range(-1e3, 1e3))
+		requireSincosMatchesMath(t, math.Float64frombits(r.Uint64()))
+	}
+}
+
+// FuzzSincosMatchesMath holds sincos to math.Sincos over arbitrary
+// inputs.
+func FuzzSincosMatchesMath(f *testing.F) {
+	for _, x := range sincosSpecialValues() {
+		f.Add(x)
+	}
+	f.Fuzz(requireSincosMatchesMath)
+}
