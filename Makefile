@@ -60,8 +60,9 @@ bench-check:
 # side's median and quartiles of frames_per_s and cpu_ms_per_frame, the
 # pairs the tree won, and whether ROADMAP's claim rule (≥ 9 wins in 10,
 # medians further apart than the base's IQR) holds; for
-# alloc_mb_per_frame and peak_rss_mb, each side's median, the relative
-# change and the BENCHMARK.json bound (no claim rule). Fails on any run
+# allocs_per_frame, alloc_mb_per_frame and peak_rss_mb, each side's
+# median, the relative change and the BENCHMARK.json bound (no claim
+# rule). Fails on any run
 # that is not correct:true, failed:0. Each run is psperf at --seconds
 # <BENCHMARK.json's run_seconds>, which sets its timed repetitions
 # (round(seconds / 5), 3 at 15), not its wall time; SEED overrides the

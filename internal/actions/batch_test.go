@@ -162,8 +162,7 @@ func TestApplyToBatchAdapterFallback(t *testing.T) {
 
 // The allocation budget per ApplyToBatch call — per bin pass, whatever
 // the particle count: the adapter's one hoisted record (it escapes
-// through the interface call), and nothing for a columnar kernel. The
-// fused kernels get the same zero budget, one per fused signature.
+// through the interface call), and nothing for a columnar kernel.
 func TestApplyToBatchAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		act ParticleAction
@@ -187,25 +186,5 @@ func TestApplyToBatchAllocBudget(t *testing.T) {
 			t.Errorf("%s: %v allocations per 1000-particle ApplyToBatch, want at most %v",
 				tc.act.Name(), got, tc.max)
 		}
-	}
-	for _, chain := range fusableChains() {
-		k := FusePlan(chain, true)[0].Fused
-		b := randBatch(1000, 9)
-		c := ctx()
-		if got := testing.AllocsPerRun(20, func() { k(c, b) }); got != 0 {
-			t.Errorf("fused %s: %v allocations per 1000-particle pass, want 0", chainName(chain), got)
-		}
-	}
-}
-
-// hotPipeline is a representative frame program over the hot actions.
-func hotPipeline() []ParticleAction {
-	return []ParticleAction{
-		&Gravity{G: geom.V(0, -9.8, 0)},
-		&Damping{Coeff: 0.1},
-		&Bounce{Plane: geom.NewPlane(geom.V(0, -5, 0), geom.V(0, 1, 0)), Elasticity: 0.5},
-		&KillOld{MaxAge: 1e9},
-		&Fade{Rate: 1e-9},
-		&Move{},
 	}
 }

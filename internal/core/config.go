@@ -296,8 +296,8 @@ func (s *Scenario) Validate() error {
 	if s.Frames <= 0 {
 		return fmt.Errorf("core: scenario %q has %d frames", s.Name, s.Frames)
 	}
-	if s.DT <= 0 {
-		return fmt.Errorf("core: scenario %q has non-positive DT", s.Name)
+	if !(s.DT > 0) || math.IsInf(s.DT, 1) {
+		return fmt.Errorf("core: scenario %q has DT %g, want finite and > 0", s.Name, s.DT)
 	}
 	if s.Mode == FiniteSpace && s.Space.Extent(s.Axis) <= 0 {
 		return fmt.Errorf("core: scenario %q has empty finite space along %v", s.Name, s.Axis)
@@ -305,11 +305,14 @@ func (s *Scenario) Validate() error {
 	if s.Bins == 0 {
 		s.Bins = 16
 	}
+	if s.Bins < 0 {
+		return fmt.Errorf("core: scenario %q has %d bins", s.Name, s.Bins)
+	}
 	if s.Ratio == 0 {
 		s.Ratio = 1
 	}
-	if s.Ratio < 1 {
-		return fmt.Errorf("core: scenario %q has ratio %g < 1", s.Name, s.Ratio)
+	if !(s.Ratio >= 1) || math.IsInf(s.Ratio, 1) {
+		return fmt.Errorf("core: scenario %q has ratio %g, want finite and >= 1", s.Name, s.Ratio)
 	}
 	if s.LBThreshold == 0 {
 		s.LBThreshold = 0.15
@@ -322,6 +325,9 @@ func (s *Scenario) Validate() error {
 	}
 	if s.Render.Height == 0 {
 		s.Render.Height = 64
+	}
+	if s.Render.Width < 0 || s.Render.Height < 0 {
+		return fmt.Errorf("core: scenario %q has a %dx%d frame", s.Name, s.Render.Width, s.Render.Height)
 	}
 	if s.Render.CostPerParticle == 0 {
 		s.Render.CostPerParticle = 0.5

@@ -335,6 +335,43 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// Inputs that used to pass Validate and then panic out of the engine
+// (a negative bin count, a negative framebuffer) or run on NaN/+Inf
+// clocks. Each must now fail Validate, and RunSequential must return
+// that error instead of panicking.
+func TestValidateRejectsEngineBreakingInputs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Scenario)
+	}{
+		{"bins-negative", func(s *Scenario) { s.Bins = -1 }},
+		{"raster-width-negative", func(s *Scenario) { s.Render.Rasterize, s.Render.Width = true, -8 }},
+		{"raster-height-negative", func(s *Scenario) { s.Render.Rasterize, s.Render.Height = true, -8 }},
+		{"dt-nan", func(s *Scenario) { s.DT = math.NaN() }},
+		{"dt-inf", func(s *Scenario) { s.DT = math.Inf(1) }},
+		{"ratio-nan", func(s *Scenario) { s.Ratio = math.NaN() }},
+		{"ratio-inf", func(s *Scenario) { s.Ratio = math.Inf(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scn := miniSnow(StaticLB, FiniteSpace)
+			scn.Frames = 2
+			tc.edit(&scn)
+			v := scn
+			if err := v.Validate(); err == nil {
+				t.Error("Validate accepted the scenario")
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("RunSequential panicked: %v", r)
+				}
+			}()
+			if _, err := RunSequential(scn, cluster.TypeB, cluster.GCC); err == nil {
+				t.Error("RunSequential returned no error")
+			}
+		})
+	}
+}
+
 func TestRunParallelArgErrors(t *testing.T) {
 	scn := miniSnow(StaticLB, FiniteSpace)
 	if _, err := RunParallel(scn, testCluster(2), 0); err == nil {

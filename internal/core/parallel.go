@@ -575,8 +575,9 @@ type calcProc struct {
 	ctxs   []*actions.Context
 	others []int // every calculator rank except this one, ascending
 
-	// plans is the compiled, fused run program per system; binPasses and
-	// particlePasses count what its per-particle passes touched.
+	// plans is the compiled run program per system, one run per action;
+	// binPasses and particlePasses count what its per-particle passes
+	// touched.
 	plans          [][]actions.Run
 	binPasses      int
 	particlePasses int

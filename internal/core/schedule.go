@@ -404,11 +404,10 @@ func (c *calcProc) chargeExchangeScan(si int) {
 	c.fs.work[si] += scanWork
 }
 
-// applyRun executes one compiled run of system si — a store action, a
-// fused kernel, or a single per-particle action — advancing the clock
-// and accumulating the frame's work for the load report. The clock is
-// charged per source action, after the kernel, in action-list order:
-// fusion does not perturb the sequential charge sequence.
+// applyRun executes one compiled run of system si — a store action or
+// one per-particle action pass — advancing the clock and accumulating
+// the frame's work for the load report. The clock is charged after the
+// pass, in action-list order, as the sequential baseline charges it.
 func (c *calcProc) applyRun(si int, r *actions.Run) error {
 	scn := c.scn
 	st := c.stores[si]
@@ -421,13 +420,6 @@ func (c *calcProc) applyRun(si int, r *actions.Run) error {
 		w *= scn.Ratio
 		c.ep.Clock().AdvanceWork(w, c.rate)
 		c.fs.work[si] += w
-	case r.Fused != nil:
-		c.notePasses(applyKernelToSet(st, c.ctxs[si], r.Fused))
-		for _, a := range r.Acts {
-			w := a.Cost() * float64(st.Len()) * scn.Ratio
-			c.ep.Clock().AdvanceWork(w, c.rate)
-			c.fs.work[si] += w
-		}
 	case len(r.Acts) == 1:
 		c.notePasses(applyToSet(st, c.ctxs[si], r.Acts[0]))
 		w := r.Acts[0].Cost() * float64(st.Len()) * scn.Ratio
@@ -465,12 +457,12 @@ func (c *calcProc) runScripted(si int) {
 }
 
 // compilePlans compiles every system's action list into its run program
-// — shapes resolved, adjacent per-particle actions fused. Compiled once
-// per run and reused every frame.
+// — shapes resolved, one run per action. Compiled once per run and
+// reused every frame.
 func compilePlans(scn *Scenario) [][]actions.Run {
 	plans := make([][]actions.Run, len(scn.Systems))
 	for si := range scn.Systems {
-		plans[si] = actions.FusePlan(scn.Systems[si].Actions, true)
+		plans[si] = actions.FusePlan(scn.Systems[si].Actions, false)
 	}
 	return plans
 }
@@ -628,18 +620,6 @@ func (g *imageGenProc) chargeBlob(blob []byte) {
 func applyToSet(st *particle.ColumnStore, ctx *actions.Context, act actions.ParticleAction) (bins, particles int) {
 	st.EachBatch(func(b *particle.Batch) {
 		actions.ApplyToBatch(ctx, act, b)
-		bins++
-		particles += b.Len()
-	})
-	return bins, particles
-}
-
-// applyKernelToSet is applyToSet for a fused kernel: one single-pass
-// kernel standing for a chain of adjacent per-particle actions. The
-// caller (applyRun) charges each fused action's cost after the pass.
-func applyKernelToSet(st *particle.ColumnStore, ctx *actions.Context, k actions.Kernel) (bins, particles int) {
-	st.EachBatch(func(b *particle.Batch) {
-		k(ctx, b)
 		bins++
 		particles += b.Len()
 	})

@@ -48,9 +48,8 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 		}
 	}
 
-	// The sequential engine runs the parallel engine's compiled, fused
-	// run programs. Fusion is bit-neutral, so the baseline's virtual
-	// time is unchanged.
+	// The sequential engine runs the parallel engine's compiled run
+	// programs: one pass per action, charged after the pass.
 	plans := compilePlans(&scn)
 
 	res := &Result{Frames: scn.Frames}
@@ -84,11 +83,6 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 					emit(frame, si, "create")
 				case r.Store != nil:
 					clock.AdvanceWork(r.Store.ApplyStore(ctx, &storeScratch, st)*scn.Ratio, rate)
-				case r.Fused != nil:
-					applyKernelToSet(st, ctx, r.Fused)
-					for _, a := range r.Acts {
-						clock.AdvanceWork(a.Cost()*float64(st.Len())*scn.Ratio, rate)
-					}
 				case len(r.Acts) == 1:
 					applyToSet(st, ctx, r.Acts[0])
 					clock.AdvanceWork(r.Acts[0].Cost()*float64(st.Len())*scn.Ratio, rate)

@@ -173,24 +173,3 @@ func decodeTestBlob(dst *particle.Batch, blob []byte) error {
 	return nil
 }
 
-// The parallel tone-map writes byte-identical PPMs at every worker
-// count, including counts that do not divide the row count.
-func TestWritePPMWidthIdentity(t *testing.T) {
-	fb := NewFramebuffer(48, 41)
-	cam := OrthoCamera{Region: geom.Box(geom.V(-10, -10, -10), geom.V(10, 10, 10)), W: 48, H: 41}
-	fb.SplatColumns(cam, edgeBatch())
-
-	var want bytes.Buffer
-	if err := fb.writePPM(&want, 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8, 41, 200} {
-		var got bytes.Buffer
-		if err := fb.writePPM(&got, workers); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Errorf("workers=%d: PPM bytes differ from serial", workers)
-		}
-	}
-}

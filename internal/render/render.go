@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
-	"sync"
 
 	"pscluster/internal/bufpool"
 	"pscluster/internal/geom"
@@ -309,39 +307,15 @@ func (f *Framebuffer) Checksum() uint64 {
 }
 
 // WritePPM writes the frame as a binary PPM (P6), tone-mapping the
-// accumulated energy with a simple x/(1+x) curve. The tone-map fans out
-// across host goroutines; each worker maps a disjoint block of rows
-// into a pooled scratch buffer, so the bytes written are independent of
-// the worker count.
+// accumulated energy with a simple x/(1+x) curve into a pooled scratch
+// buffer.
 func (f *Framebuffer) WritePPM(w io.Writer) error {
-	return f.writePPM(w, runtime.GOMAXPROCS(0))
-}
-
-// writePPM is WritePPM at an explicit tone-map width (tests drive the
-// width directly to prove byte identity).
-func (f *Framebuffer) writePPM(w io.Writer, workers int) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "P6\n%d %d\n255\n", f.W, f.H); err != nil {
 		return err
 	}
 	buf := bufpool.Get(3 * f.W * f.H)
-	if workers > f.H {
-		workers = f.H
-	}
-	if workers <= 1 {
-		f.toneRows(buf, 0, f.H)
-	} else {
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			y0, y1 := k*f.H/workers, (k+1)*f.H/workers
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				f.toneRows(buf, y0, y1)
-			}()
-		}
-		wg.Wait()
-	}
+	f.toneMap(buf)
 	_, err := bw.Write(buf)
 	bufpool.Put(buf)
 	if err != nil {
@@ -358,11 +332,11 @@ func tone(v float64) byte {
 	return byte(255 * v / (1 + v))
 }
 
-// toneRows tone-maps rows [y0, y1) into their slots of buf. Only the
-// dirty span of a row is mapped; the rest is tone(0) == 0, written
-// explicitly because the pooled buf arrives with old contents.
-func (f *Framebuffer) toneRows(buf []byte, y0, y1 int) {
-	for y := y0; y < y1; y++ {
+// toneMap tone-maps every row into its slot of buf. Only the dirty
+// span of a row is mapped; the rest is tone(0) == 0, written explicitly
+// because the pooled buf arrives with old contents.
+func (f *Framebuffer) toneMap(buf []byte) {
+	for y := range f.dirty {
 		row := y * f.W
 		lo, hi := row+int(f.dirty[y].lo), row+int(f.dirty[y].hi)
 		clear(buf[3*row : 3*lo])

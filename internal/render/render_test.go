@@ -448,7 +448,7 @@ func TestChecksumClearZeroAlloc(t *testing.T) {
 		f.SplatColumns(cam, b)
 		f.SplatColumnsOwned(cam, b, 1, 2)
 		benchSink += f.Checksum()
-		f.toneRows(buf, 0, f.H)
+		f.toneMap(buf)
 		f.Clear()
 	}); n != 0 {
 		t.Errorf("splat + Checksum + tone-map + Clear allocate %v objects per frame, want 0", n)
@@ -470,19 +470,17 @@ func TestWritePPMSparseMatchesFullScan(t *testing.T) {
 		f := NewFramebuffer(48, 41)
 		f.SplatColumns(cam, b)
 		want := referencePPM(f)
-		for _, workers := range []int{1, 3} {
-			var got bytes.Buffer
-			if err := f.writePPM(&got, workers); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("%s workers=%d: PPM differs from the full-scan tone-map", name, workers)
-			}
+		var got bytes.Buffer
+		if err := f.WritePPM(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: PPM differs from the full-scan tone-map", name)
 		}
 		dirty := bytes.Repeat([]byte{0xAA}, 3*48*41)
-		f.toneRows(dirty, 0, 41)
+		f.toneMap(dirty)
 		if !bytes.Equal(dirty, want[len(want)-len(dirty):]) {
-			t.Errorf("%s: toneRows left scratch bytes outside the spans", name)
+			t.Errorf("%s: toneMap left scratch bytes outside the spans", name)
 		}
 	}
 }
