@@ -138,3 +138,25 @@ func TestFusePlanShapes(t *testing.T) {
 		})
 	}
 }
+
+// With fuse=false a representative frame program over the hot actions
+// compiles to one plain single-action run per action.
+func TestFusePlanUnfused(t *testing.T) {
+	acts := []Action{
+		&Gravity{G: geom.V(0, -9.8, 0)},
+		&Damping{Coeff: 0.1},
+		&Bounce{Plane: geom.NewPlane(geom.V(0, -5, 0), geom.V(0, 1, 0)), Elasticity: 0.5},
+		&KillOld{MaxAge: 1e9},
+		&Fade{Rate: 1e-9},
+		&Move{},
+	}
+	runs := FusePlan(acts, false)
+	if len(runs) != len(acts) {
+		t.Fatalf("got %d runs, want %d", len(runs), len(acts))
+	}
+	for i, r := range runs {
+		if r.Fused != nil || len(r.Acts) != 1 {
+			t.Errorf("run %d: fused=%v acts=%d, want plain single action", i, r.Fused != nil, len(r.Acts))
+		}
+	}
+}
