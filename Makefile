@@ -92,10 +92,14 @@ decomp-smoke:
 
 # Ten seconds of actual fuzzing per fuzz target, so the corpora in
 # testdata/fuzz keep growing and the fuzzers do more in CI than
-# compile. Target names are discovered with `go test -list`, so new
-# fuzzers join automatically.
+# compile. The packages are the directories whose _test.go files
+# declare a `func Fuzz` (bench/ is its own module; testdata/ holds
+# fixtures), and target names are discovered with `go test -list`, so
+# new fuzzers join automatically.
+FUZZ_PKGS = $(shell grep -rl --include='*_test.go' --exclude-dir=bench --exclude-dir=testdata '^func Fuzz' . | xargs -n1 dirname | sort -u)
+
 fuzz-smoke:
-	@set -e; for pkg in ./internal/scenario ./internal/particle ./internal/actions ./internal/core ./internal/domain ./internal/transport ./internal/render ./internal/geom; do \
+	@set -e; for pkg in $(FUZZ_PKGS); do \
 	  for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 	    echo "fuzz $$pkg $$f"; \
 	    $(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$pkg; \

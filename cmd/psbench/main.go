@@ -11,11 +11,13 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"pscluster/internal/cluster"
@@ -195,30 +197,33 @@ func printFigure1(w io.Writer) error {
 	return nil
 }
 
+// nonFigure2Phases are the profile's spans that are not phases of the
+// paper's Figure 2: the synchronous-frame wait, the image generator's
+// gather and the manager-free balancing round (DESIGN.md §8).
+var nonFigure2Phases = map[string]bool{
+	"frame-barrier": true, "render-collect": true, "decentralized-lb": true,
+}
+
 // printFigure2 reproduces the paper's Figure 2: the phase sequence of
-// one frame of one system, traced from a live parallel run. In JSON
-// format the document embeds the run's full metrics snapshot, so the
-// machine-readable output carries the observability data alongside the
-// phase events.
+// one frame of one system, traced from a live parallel run. The events
+// are the run profile's spans in each rank's program order, less the
+// phases that are not Figure 2's (nonFigure2Phases), each stamped with
+// its completion time. In JSON format the document embeds the run's
+// full metrics snapshot, so the machine-readable output carries the
+// observability data alongside the phase events.
 func printFigure2(w io.Writer, cfg experiments.Config, format string) error {
 	scn := experiments.Snow(cfg, core.FiniteSpace, core.DynamicLB)
 	scn.Frames = 1
-	scn.Trace = true
 	cl := cluster.New(cluster.Myrinet, cluster.GCC, cluster.NodeSpec{Type: cluster.TypeB, Count: 4})
-	res, prof, err := core.RunParallelProfiled(scn, cl, 4)
+	_, prof, err := core.RunParallelProfiled(scn, cl, 4)
 	if err != nil {
 		return err
 	}
-	role := func(p int) string {
-		switch p {
-		case 0:
-			return "manager"
-		case 1:
-			return "image generator"
-		default:
-			return fmt.Sprintf("calculator %d", p-2)
-		}
-	}
+	// Spans arrive sorted by start time; a stable sort by rank restores
+	// each rank's program order (a zero-length span keeps its place).
+	spans := slices.Clone(prof.Spans)
+	slices.SortStableFunc(spans, func(a, b obs.Span) int { return cmp.Compare(a.Rank, b.Rank) })
+	spans = slices.DeleteFunc(spans, func(s obs.Span) bool { return nonFigure2Phases[s.Phase] })
 	if format == "json" {
 		type jsonEvent struct {
 			Frame  int     `json:"frame"`
@@ -238,10 +243,10 @@ func printFigure2(w io.Writer, cfg experiments.Config, format string) error {
 			Title:   "Figure 2: simulation phases of one frame (traced from a live run)",
 			Metrics: prof.Registry.Snapshot(),
 		}
-		for _, ev := range res.Events {
+		for _, s := range spans {
 			doc.Events = append(doc.Events, jsonEvent{
-				Frame: ev.Frame, System: ev.System, Proc: ev.Proc,
-				Role: role(ev.Proc), Phase: ev.Phase, T: ev.T,
+				Frame: s.Frame, System: s.System, Proc: s.Rank,
+				Role: prof.Timeline(s.Rank).Role, Phase: s.Phase, T: s.End,
 			})
 		}
 		enc := json.NewEncoder(w)
@@ -249,11 +254,11 @@ func printFigure2(w io.Writer, cfg experiments.Config, format string) error {
 		return enc.Encode(doc)
 	}
 	fmt.Fprintln(w, "F2 — Figure 2: simulation phases of one frame (traced from a live run)")
-	for _, ev := range res.Events {
-		if ev.System > 0 { // one system is enough to show the structure
+	for _, s := range spans {
+		if s.System > 0 { // one system is enough to show the structure
 			continue
 		}
-		fmt.Fprintf(w, "  t=%9.6fs  %-16s %s\n", ev.T, role(ev.Proc), ev.Phase)
+		fmt.Fprintf(w, "  t=%9.6fs  %-16s %s\n", s.End, prof.Timeline(s.Rank).Role, s.Phase)
 	}
 	fmt.Fprintln(w)
 	return nil

@@ -284,8 +284,6 @@ type Scenario struct {
 	// CollectParticles asks the engines to return the final particle
 	// multiset (tests compare sequential vs parallel).
 	CollectParticles bool
-	// Trace asks the engines to record phase events (Figure 2 tests).
-	Trace bool
 }
 
 // Validate checks the scenario and fills defaults in place.
@@ -340,6 +338,20 @@ func (s *Scenario) Validate() error {
 	}
 	if s.ExchangeScanWork == 0 {
 		s.ExchangeScanWork = 4.0
+	}
+	// Work charged to a virtual clock: NaN or +Inf poisons the run's
+	// times, a negative amount panics the clock.
+	for _, w := range []struct {
+		name string
+		v    float64
+	}{
+		{"exchange scan work", s.ExchangeScanWork},
+		{"render cost per particle", s.Render.CostPerParticle},
+		{"render frame overhead", s.Render.FrameOverhead},
+	} {
+		if !(w.v >= 0) || math.IsInf(w.v, 1) {
+			return fmt.Errorf("core: scenario %q has %s %g, want finite and >= 0", s.Name, w.name, w.v)
+		}
 	}
 	if s.Schedule == BatchedSchedule && s.LB == DecentralizedLB {
 		return fmt.Errorf("core: scenario %q: the batched schedule does not support decentralized balancing", s.Name)

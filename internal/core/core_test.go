@@ -1,13 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"pscluster/internal/actions"
 	"pscluster/internal/cluster"
 	"pscluster/internal/geom"
+	"pscluster/internal/obs"
 	"pscluster/internal/particle"
 )
 
@@ -249,49 +252,94 @@ func TestMoreCalculatorsHelpUnderFiniteSpace(t *testing.T) {
 	}
 }
 
-func TestFigure2PhaseOrder(t *testing.T) {
-	scn := miniSnow(DynamicLB, FiniteSpace)
-	scn.Trace = true
-	scn.Frames = 2
-	res, err := RunParallel(scn, testCluster(3), 3)
-	if err != nil {
-		t.Fatal(err)
+// figure2CalcOrder ranks a calculator's phases in Figure 2's order;
+// every calculator span but the frame barrier must be one of them.
+var figure2CalcOrder = map[string]int{
+	"addition": 0, "calculus": 1, "exchange": 2, "load-information": 3,
+	"render-send": 4, "new-dims": 5, "load-balance": 6, "decentralized-lb": 7,
+}
+
+// checkFigure2Order checks a run's profile against the Figure-2 phase
+// structure: per (frame, system tag, calculator) the calculator's phases
+// run in figure2CalcOrder and include every phase the LB mode always
+// runs, every calculator records them, and per rank the span ends, in
+// program order, never go backwards.
+func checkFigure2Order(t *testing.T, prof *obs.Profile, lb LBMode, nCalc int) {
+	t.Helper()
+	mandatory := []string{"calculus", "exchange", "render-send"}
+	switch lb {
+	case DynamicLB:
+		mandatory = append(mandatory, "load-information", "new-dims")
+	case DecentralizedLB:
+		mandatory = append(mandatory, "decentralized-lb")
 	}
-	// For every calculator, within each (frame, system), the phases must
-	// follow Figure 2's ordering.
-	order := map[string]int{
-		"addition": 0, "calculus": 1, "exchange": 2, "load-information": 3,
-		"render-send": 4, "new-dims": 5, "load-balance": 6,
-	}
-	type key struct{ frame, sys, proc int }
+	// Spans arrive sorted by start time; a stable sort by rank restores
+	// each rank's program order.
+	spans := slices.Clone(prof.Spans)
+	slices.SortStableFunc(spans, func(a, b obs.Span) int { return cmp.Compare(a.Rank, b.Rank) })
+	type key struct{ frame, sys, rank int }
 	last := map[key]int{}
 	seen := map[key]map[string]bool{}
-	for _, ev := range res.Events {
-		rank, ok := order[ev.Phase]
+	lastEnd := map[int]float64{}
+	for _, s := range spans {
+		if s.End < lastEnd[s.Rank] {
+			t.Fatalf("rank %d: %q ends at %v, before the previous span's %v", s.Rank, s.Phase, s.End, lastEnd[s.Rank])
+		}
+		lastEnd[s.Rank] = s.End
+		if s.Rank < rankCalc0 || s.Phase == "frame-barrier" {
+			continue
+		}
+		order, ok := figure2CalcOrder[s.Phase]
 		if !ok {
-			continue // manager/image-generator phases
+			t.Fatalf("rank %d: calculator phase %q is not in Figure 2", s.Rank, s.Phase)
 		}
-		k := key{ev.Frame, ev.System, ev.Proc}
-		if prev, exists := last[k]; exists && rank < prev {
-			t.Fatalf("calc %d frame %d sys %d: phase %q after rank %d",
-				ev.Proc, ev.Frame, ev.System, ev.Phase, prev)
+		k := key{s.Frame, s.System, s.Rank}
+		if prev, exists := last[k]; exists && order < prev {
+			t.Fatalf("rank %d frame %d sys %d: %q after a later phase", s.Rank, s.Frame, s.System, s.Phase)
 		}
-		last[k] = rank
+		last[k] = order
 		if seen[k] == nil {
 			seen[k] = map[string]bool{}
 		}
-		seen[k][ev.Phase] = true
+		seen[k][s.Phase] = true
 	}
-	// Every calculator must have hit the mandatory phases each frame.
+	calcs := map[int]bool{}
 	for k, phases := range seen {
-		for _, mandatory := range []string{"addition", "calculus", "exchange", "render-send", "new-dims"} {
-			if !phases[mandatory] {
-				t.Errorf("calc %d frame %d sys %d missing phase %q", k.proc, k.frame, k.sys, mandatory)
+		calcs[k.rank] = true
+		for _, phase := range mandatory {
+			if !phases[phase] {
+				t.Errorf("rank %d frame %d sys %d missing phase %q", k.rank, k.frame, k.sys, phase)
 			}
 		}
 	}
-	if len(seen) == 0 {
-		t.Fatal("no calculator events traced")
+	if len(calcs) != nCalc {
+		t.Errorf("spans from %d calculators, want %d", len(calcs), nCalc)
+	}
+}
+
+// Every compiled program — schedule × LB policy × decomposition, at
+// several calculator counts — must record its calculator phases in
+// Figure 2's order.
+func TestFigure2PhaseOrder(t *testing.T) {
+	for _, sched := range []Schedule{PerSystemSchedule, BatchedSchedule} {
+		for _, lb := range []LBMode{StaticLB, DynamicLB, DecentralizedLB} {
+			for _, decomp := range []DecompMode{DecompSlab, DecompGrid, DecompVoronoi} {
+				scn := miniSnow(lb, FiniteSpace)
+				scn.Schedule, scn.Decomp, scn.Frames = sched, decomp, 3
+				if probe := scn; probe.Validate() != nil {
+					continue
+				}
+				for _, nCalc := range []int{2, 3, 5} {
+					t.Run(fmt.Sprintf("%v/%v/%v/%dcalc", sched, lb, decomp, nCalc), func(t *testing.T) {
+						_, prof, err := RunParallelProfiled(scn, testCluster(5), nCalc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkFigure2Order(t, prof, lb, nCalc)
+					})
+				}
+			}
+		}
 	}
 }
 
@@ -351,6 +399,15 @@ func TestValidateRejectsEngineBreakingInputs(t *testing.T) {
 		{"dt-inf", func(s *Scenario) { s.DT = math.Inf(1) }},
 		{"ratio-nan", func(s *Scenario) { s.Ratio = math.NaN() }},
 		{"ratio-inf", func(s *Scenario) { s.Ratio = math.Inf(1) }},
+		{"exchange-scan-nan", func(s *Scenario) { s.ExchangeScanWork = math.NaN() }},
+		{"exchange-scan-inf", func(s *Scenario) { s.ExchangeScanWork = math.Inf(1) }},
+		{"exchange-scan-negative", func(s *Scenario) { s.ExchangeScanWork = -4 }},
+		{"render-cost-nan", func(s *Scenario) { s.Render.CostPerParticle = math.NaN() }},
+		{"render-cost-inf", func(s *Scenario) { s.Render.CostPerParticle = math.Inf(1) }},
+		{"render-cost-negative", func(s *Scenario) { s.Render.CostPerParticle = -1 }},
+		{"frame-overhead-nan", func(s *Scenario) { s.Render.FrameOverhead = math.NaN() }},
+		{"frame-overhead-inf", func(s *Scenario) { s.Render.FrameOverhead = math.Inf(1) }},
+		{"frame-overhead-negative", func(s *Scenario) { s.Render.FrameOverhead = -1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scn := miniSnow(StaticLB, FiniteSpace)

@@ -18,7 +18,7 @@ import (
 // spells the default out (Decomp=slab, a non-default step bound —
 // which slab never reads) must reproduce the zero-value scenario
 // exactly across every schedule × balancing mode: frames, particles,
-// virtual clocks, traffic, trace events, and the profiled F2 output
+// virtual clocks, traffic, phase spans, and the profiled F2 output
 // byte for byte.
 func TestDecompSlabBitNeutral(t *testing.T) {
 	for _, sched := range []Schedule{PerSystemSchedule, BatchedSchedule} {
@@ -29,7 +29,6 @@ func TestDecompSlabBitNeutral(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%v", sched, lb), func(t *testing.T) {
 				base := miniSnow(lb, InfiniteSpace)
 				base.Schedule = sched
-				base.Trace = true
 
 				r1, p1, err := RunParallelProfiled(base, testCluster(4), 3)
 				if err != nil {
@@ -38,7 +37,6 @@ func TestDecompSlabBitNeutral(t *testing.T) {
 
 				explicit := miniSnow(lb, InfiniteSpace)
 				explicit.Schedule = sched
-				explicit.Trace = true
 				explicit.Decomp = DecompSlab
 				explicit.DecompStep = 0.3 // non-default; must be inert for slab
 
@@ -59,13 +57,13 @@ func TestDecompSlabBitNeutral(t *testing.T) {
 					t.Errorf("wire traffic diverges: %d/%d bytes vs %d/%d",
 						r1.BytesSent, r1.BytesRecv, r2.BytesSent, r2.BytesRecv)
 				}
-				if !reflect.DeepEqual(r1.Events, r2.Events) {
-					t.Errorf("trace events diverge (%d vs %d)", len(r1.Events), len(r2.Events))
+				if !reflect.DeepEqual(p1.Spans, p2.Spans) {
+					t.Errorf("phase spans diverge (%d vs %d)", len(p1.Spans), len(p2.Spans))
 				}
 				if !reflect.DeepEqual(r1.FrameImbalance, r2.FrameImbalance) {
 					t.Error("frame imbalance series diverges")
 				}
-				if !bytes.Equal(marshalF2(t, r1, p1), marshalF2(t, r2, p2)) {
+				if !bytes.Equal(marshalF2(t, p1), marshalF2(t, p2)) {
 					t.Error("profiled F2 output diverges from the zero-value scenario")
 				}
 			})
@@ -73,15 +71,15 @@ func TestDecompSlabBitNeutral(t *testing.T) {
 	}
 }
 
-// marshalF2 renders a run the way cmd/psbench's F2 JSON embeds it:
-// trace events plus the full metrics snapshot. Byte equality here means
+// marshalF2 renders a run the way cmd/psbench's F2 JSON builds it: the
+// phase spans plus the full metrics snapshot. Byte equality here means
 // the benchmark artifacts cannot tell the two runs apart.
-func marshalF2(t *testing.T, res *Result, prof *obs.Profile) []byte {
+func marshalF2(t *testing.T, prof *obs.Profile) []byte {
 	t.Helper()
 	data, err := json.Marshal(struct {
-		Events  []Event      `json:"events"`
+		Spans   []obs.Span   `json:"spans"`
 		Metrics obs.Snapshot `json:"metrics"`
-	}{res.Events, prof.Registry.Snapshot()})
+	}{prof.Spans, prof.Registry.Snapshot()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,8 @@ type frozenCell struct {
 }
 
 // frozenCells is {schedule} × {decomposition} × {LB, where Validate
-// allows} × {PipelineFrames} × {nCalc 2, 3} on the mini snow scenario
-// with tracing on, plus one rasterized cell per schedule.
+// allows} × {PipelineFrames} × {nCalc 2, 3} on the mini snow scenario,
+// plus one rasterized cell per schedule.
 func frozenCells() []frozenCell {
 	var cells []frozenCell
 	for _, sched := range []Schedule{PerSystemSchedule, BatchedSchedule} {
@@ -36,7 +36,7 @@ func frozenCells() []frozenCell {
 				for _, pipe := range []bool{false, true} {
 					for _, nCalc := range []int{2, 3} {
 						scn := miniSnow(lb, FiniteSpace)
-						scn.Schedule, scn.Decomp, scn.PipelineFrames, scn.Trace = sched, decomp, pipe, true
+						scn.Schedule, scn.Decomp, scn.PipelineFrames = sched, decomp, pipe
 						probe := scn
 						if probe.Validate() != nil {
 							continue
@@ -50,7 +50,7 @@ func frozenCells() []frozenCell {
 			}
 		}
 		scn := miniSnow(DynamicLB, FiniteSpace)
-		scn.Schedule, scn.Trace = sched, true
+		scn.Schedule = sched
 		scn.Render.Rasterize, scn.Render.Width, scn.Render.Height = true, 64, 48
 		cells = append(cells, frozenCell{name: fmt.Sprintf("%v/raster64x48/2calc", sched), scn: scn, nCalc: 2})
 	}
@@ -68,8 +68,8 @@ func frozenDigest(t *testing.T, v interface{}) string {
 
 // TestFrozenPrograms pins every compiled frame program against a file
 // generated at an earlier commit: per cell, one digest over everything
-// a run reports (the Result with its trace events, every message event,
-// the metrics snapshot) and one over the span and rank timelines. The
+// a run reports (the Result, every message event, the metrics snapshot)
+// and one over the span and rank timelines. The
 // cross-product tests elsewhere compare a commit with itself; this one
 // compares it with its parent, so an engine refactor that claims
 // bit-neutrality has a file to prove it against. Regenerate (only for a

@@ -292,15 +292,14 @@ func donationSide(idx, peer int) (particle.Side, int) {
 type decentralLB struct{ noSteps }
 
 func (decentralLB) calcBalanceSteps(c *calcProc, g sysGroup) []step {
-	// Not a Figure-2 phase, so never traced (g.step would trace it).
-	return []step{{phase: "decentralized-lb", sys: g.tag(), run: always(func() error {
+	return []step{g.step("decentralized-lb", always(func() error {
 		for si := g.lo; si < g.hi; si++ {
 			if err := c.executeDecentralized(c.fs.frame, si, c.frameReport(si)); err != nil {
 				return err
 			}
 		}
 		return nil
-	})}}
+	}))}
 }
 
 // executeDecentralized performs one round of the manager-free balancing

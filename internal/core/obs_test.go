@@ -323,42 +323,12 @@ func TestProfileTimelineFractionsSum(t *testing.T) {
 // every frame.
 func TestFigure2PhaseOrderManyCalculators(t *testing.T) {
 	scn := miniSnow(DynamicLB, InfiniteSpace)
-	scn.Trace = true
 	scn.Frames = 3
-	res, err := RunParallel(scn, testCluster(5), 5)
+	_, prof, err := RunParallelProfiled(scn, testCluster(5), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := map[string]int{
-		"addition": 0, "calculus": 1, "exchange": 2, "load-information": 3,
-		"render-send": 4, "new-dims": 5, "load-balance": 6,
-	}
-	type key struct{ frame, sys, proc int }
-	last := map[key]int{}
-	calcs := map[int]bool{}
-	for _, ev := range res.Events {
-		rank, ok := order[ev.Phase]
-		if !ok {
-			continue
-		}
-		calcs[ev.Proc] = true
-		k := key{ev.Frame, ev.System, ev.Proc}
-		if prev, exists := last[k]; exists && rank < prev {
-			t.Fatalf("calc %d frame %d sys %d: %q out of order", ev.Proc, ev.Frame, ev.System, ev.Phase)
-		}
-		last[k] = rank
-	}
-	if len(calcs) != 5 {
-		t.Errorf("events from %d calculators, want 5", len(calcs))
-	}
-	// Per process, event times must never go backwards.
-	lastT := map[int]float64{}
-	for _, ev := range res.Events {
-		if ev.T < lastT[ev.Proc] {
-			t.Fatalf("proc %d time went backwards at %q: %v < %v", ev.Proc, ev.Phase, ev.T, lastT[ev.Proc])
-		}
-		lastT[ev.Proc] = ev.T
-	}
+	checkFigure2Order(t, prof, DynamicLB, 5)
 }
 
 // Profiled batched runs must record the batched phase names; the
@@ -465,13 +435,12 @@ func TestProfileCoversAllRanks(t *testing.T) {
 // TestServedRunProfileBitNeutral is the live telemetry plane's
 // acceptance gate: attaching a live sink (the real plane, watchdogs and
 // all) must not change the run by a single bit. The Figure-2 facts —
-// frame checksums, per-rank virtual clocks, trace events — and the
+// frame checksums, per-rank virtual clocks, phase spans — and the
 // profile's metrics exposition must be byte-identical, JSON to JSON,
 // between a served run and an unserved one.
 func TestServedRunProfileBitNeutral(t *testing.T) {
 	for name, scn := range profiledVariants() {
 		t.Run(name, func(t *testing.T) {
-			scn.Trace = true
 			plain, plainProf, err := RunParallelProfiled(scn, testCluster(4), 4)
 			if err != nil {
 				t.Fatal(err)
@@ -489,18 +458,18 @@ func TestServedRunProfileBitNeutral(t *testing.T) {
 			if plane.LastDump() == nil {
 				t.Fatal("watchdog never tripped under a 1ns budget")
 			}
-			f2 := func(r *Result) []byte {
+			f2 := func(r *Result, p *obs.Profile) []byte {
 				doc, err := json.Marshal(struct {
-					Checksums []uint64  `json:"checksums"`
-					Clocks    []float64 `json:"clocks"`
-					Events    []Event   `json:"events"`
-				}{r.FrameChecksums, r.PerProcTime, r.Events})
+					Checksums []uint64   `json:"checksums"`
+					Clocks    []float64  `json:"clocks"`
+					Spans     []obs.Span `json:"spans"`
+				}{r.FrameChecksums, r.PerProcTime, p.Spans})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return doc
 			}
-			if !bytes.Equal(f2(plain), f2(served)) {
+			if !bytes.Equal(f2(plain, plainProf), f2(served, servedProf)) {
 				t.Fatal("served run's F2 JSON differs from unserved run")
 			}
 			var a, b bytes.Buffer

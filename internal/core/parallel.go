@@ -288,13 +288,6 @@ func assembleResult(scn *Scenario, ranks []rankProc) *Result {
 			res.FinalParticles[si] = all
 		}
 	}
-	if scn.Trace {
-		res.Events = append(res.Events, mgr.events...)
-		res.Events = append(res.Events, img.events...)
-		for _, c := range calcs {
-			res.Events = append(res.Events, c.events...)
-		}
-	}
 	return res
 }
 
@@ -446,8 +439,7 @@ type managerProc struct {
 	balancers     []*loadbalance.Balancer
 	lbRounds      int
 	lbMovedStored int
-	imbalance     []float64 // per-frame max/mean load ratio, from LB reports
-	events        []Event
+	imbalance     []float64     // per-frame max/mean load ratio, from LB reports
 	rec           *obs.Recorder // nil unless the run is profiled
 
 	// Step scratch, sized once in run() and reused every frame (steps
@@ -518,7 +510,6 @@ func (m *managerProc) scenario() *Scenario        { return m.scn }
 func (m *managerProc) endpoint() transport.Fabric { return m.ep }
 func (m *managerProc) recorder() *obs.Recorder    { return m.rec }
 func (m *managerProc) rank() int                  { return rankManager }
-func (m *managerProc) pushEvent(ev Event)         { m.events = append(m.events, ev) }
 
 func (m *managerProc) beginFrame(frame int) {
 	m.fs = managerFrame{frame: frame, orders: m.fs.orders}
@@ -584,7 +575,6 @@ type calcProc struct {
 
 	exchangedStored int
 	lbMovedStored   int
-	events          []Event
 	rec             *obs.Recorder // nil unless the run is profiled
 
 	// wire is the reusable decode scratch for inbound particle batches:
@@ -634,8 +624,6 @@ func (c *calcProc) beginFrame(frame int) {
 	clear(c.fs.oldLoad)
 	c.fs.frame = frame
 }
-
-func (c *calcProc) pushEvent(ev Event) { c.events = append(c.events, ev) }
 
 // slab returns system si's decomposition as the paper's slab Table;
 // see managerProc.slab.
@@ -708,7 +696,6 @@ type imageGenProc struct {
 
 	checksums  []uint64
 	frameTimes []float64
-	events     []Event
 	rec        *obs.Recorder // nil unless the run is profiled
 
 	fs imageFrame
@@ -726,7 +713,6 @@ func (g *imageGenProc) endpoint() transport.Fabric { return g.ep }
 func (g *imageGenProc) recorder() *obs.Recorder    { return g.rec }
 func (g *imageGenProc) rank() int                  { return rankImageGen }
 func (g *imageGenProc) beginFrame(frame int)       { g.fs = imageFrame{frame: frame} }
-func (g *imageGenProc) pushEvent(ev Event)         { g.events = append(g.events, ev) }
 
 func (g *imageGenProc) annotateLive(fr *obs.FrameRecord) {
 	fr.FramesDone = len(g.checksums)

@@ -10,20 +10,18 @@ import (
 // once — a flat []step program compiled over the Schedule's system
 // groups, with the LBPolicy's steps per group — and the runner executes
 // that program every frame,
-// emitting the Figure-2 observability spans and trace events itself.
+// emitting the Figure-2 observability spans itself.
 // Step bodies only move particles, advance clocks and exchange
 // messages; where a phase begins and ends is the runner's concern.
 
 // step is one named phase of Figure 2 executed by one process. The
 // runner invokes run and, when it reports work done, closes the phase:
-// it records the obs span (named phase, tagged sys) and, for traced
-// steps under Scenario.Trace, appends a Result.Event. A step with an
+// it records the obs span (named phase, tagged sys). A step with an
 // empty phase is glue — it runs but never emits.
 type step struct {
-	phase  string // obs span name; "" for span-less glue steps
-	sys    int    // span system tag (-1 when the phase covers all systems)
-	traced bool   // also record a Result.Event under Scenario.Trace
-	run    func() (emit bool, err error)
+	phase string // obs span name; "" for span-less glue steps
+	sys   int    // span system tag (-1 when the phase covers all systems)
+	run   func() (emit bool, err error)
 }
 
 // always wraps a step body that emits unconditionally.
@@ -32,8 +30,8 @@ func always(fn func() error) func() (bool, error) {
 }
 
 // proc is the runner's view of a process role: the scenario it runs,
-// its endpoint (clock + transport), its recorder (nil when unprofiled)
-// and its trace sink.
+// its endpoint (clock + transport) and its recorder (nil when
+// unprofiled).
 type proc interface {
 	scenario() *Scenario
 	endpoint() transport.Fabric
@@ -41,7 +39,6 @@ type proc interface {
 	rank() int
 	// beginFrame resets the role's per-frame scratch state.
 	beginFrame(frame int)
-	pushEvent(Event)
 	// annotateLive fills the role-specific status fields of a live
 	// FrameRecord (manager: LB state; calculator: stored particles;
 	// image generator: frames delivered). Only called when a live
@@ -51,8 +48,8 @@ type proc interface {
 
 // runProgram drives one process for the whole run: per frame it opens
 // the recorder frame, resets the role's frame state, executes every
-// step of the compiled program and emits each step's span and trace
-// event at the step's completion clock. When a live telemetry sink is
+// step of the compiled program and emits each step's span at the
+// step's completion clock. When a live telemetry sink is
 // attached to the recorder, the closed frame is snapshotted and
 // published — after EndFrame, off the virtual clock, so a served run
 // stays bit-identical to an unserved one.
@@ -76,12 +73,7 @@ func runProgram(p proc, prog []step) error {
 			if !emit || s.phase == "" {
 				continue
 			}
-			now := ep.Clock().Now()
-			if s.traced && scn.Trace {
-				p.pushEvent(Event{Frame: frame, System: s.sys,
-					Proc: p.rank(), Phase: s.phase, T: now})
-			}
-			rec.Phase(s.sys, s.phase, now)
+			rec.Phase(s.sys, s.phase, ep.Clock().Now())
 		}
 		rec.EndFrame(ep.Clock().Now())
 		if rec.LiveEnabled() {

@@ -59,18 +59,6 @@ type Result struct {
 	// a well-formed run they equal the send-side totals.
 	MsgsRecv  int
 	BytesRecv int
-
-	// Events is the phase trace; nil unless Scenario.Trace.
-	Events []Event
-}
-
-// Event is one phase-trace entry (for the Figure 2 ordering tests).
-type Event struct {
-	Frame  int
-	System int
-	Proc   int // process rank (0 manager, 1 image generator, 2+ calculators)
-	Phase  string
-	T      float64 // virtual time at which the phase completed
 }
 
 // sortParticles orders a particle slice canonically so multisets can be

@@ -33,9 +33,9 @@ import (
 
 // sysGroup is the systems [lo, hi) of one pass through the phases.
 // An unframed group is a single system whose payloads travel bare — the
-// one slot is the message — and whose steps carry the system index and
-// are traced. A framed group's messages carry one slot per system
-// behind a count, and its steps cover all of them: tag -1, untraced.
+// one slot is the message — and whose steps carry the system index. A
+// framed group's messages carry one slot per system behind a count, and
+// its steps cover all of them: tag -1.
 type sysGroup struct {
 	lo, hi int
 	framed bool
@@ -66,7 +66,7 @@ func (g sysGroup) tag() int {
 
 // step builds one Figure-2 phase step of the group.
 func (g sysGroup) step(phase string, run func() (bool, error)) step {
-	return step{phase: phase, sys: g.tag(), traced: !g.framed, run: run}
+	return step{phase: phase, sys: g.tag(), run: run}
 }
 
 // createRef is one creating action of one system.
@@ -196,7 +196,7 @@ func compileCalc(c *calcProc, pol lbPolicy) []step {
 		prog = append(prog, g.step("exchange", always(func() error {
 			// Seam 2: an unframed group opens its exchange with the scan
 			// charge; a framed one paid it per system inside "calculus".
-			// Moving it either way moves a traced completion time or the
+			// Moving it either way moves a span's completion time or the
 			// float-addition order of the clock.
 			if !g.framed {
 				c.chargeExchangeScan(g.lo)
@@ -254,7 +254,7 @@ func compileImage(g *imageGenProc) []step {
 			}
 			return nil
 		})},
-		{phase: "image-generation", sys: -1, traced: true, run: always(func() error {
+		{phase: "image-generation", sys: -1, run: always(func() error {
 			g.ep.Clock().AdvanceWork(scn.Render.FrameOverhead, g.rate)
 			g.frameTimes = append(g.frameTimes, g.ep.Clock().Now())
 			return nil
@@ -533,8 +533,8 @@ func (c *calcProc) partitionOut(si int) *particle.Batch {
 
 // imbalanceStep closes the manager's per-frame imbalance record after
 // the frame's balancing steps. A glue step (no phase): it reads state
-// the LB steps already populated and never emits spans, events or
-// traffic, so traced programs are unchanged.
+// the LB steps already populated and never emits spans or traffic, so
+// the recorded programs are unchanged.
 func imbalanceStep(m *managerProc) step {
 	return step{run: always(func() error { m.recordImbalance(); return nil })}
 }

@@ -56,13 +56,6 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 	if scn.CollectParticles {
 		res.FinalParticles = make([][]particle.Particle, len(scn.Systems))
 	}
-	var events []Event
-	emit := func(frame, sys int, phase string) {
-		if scn.Trace {
-			events = append(events, Event{Frame: frame, System: sys, Proc: 0, Phase: phase, T: clock.Now()})
-		}
-	}
-
 	for frame := 0; frame < scn.Frames; frame++ {
 		var frameSum uint64
 		if fb != nil {
@@ -80,7 +73,6 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 					r.Create.GenerateInto(ctx, &created)
 					clock.AdvanceWork(r.Create.Cost()*float64(created.Len())*scn.Ratio, rate)
 					st.AddBatch(&created)
-					emit(frame, si, "create")
 				case r.Store != nil:
 					clock.AdvanceWork(r.Store.ApplyStore(ctx, &storeScratch, st)*scn.Ratio, rate)
 				case len(r.Acts) == 1:
@@ -99,7 +91,6 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 				clock.AdvanceWork(pa.Cost()*float64(st.Len())*scn.Ratio, rate)
 			}
 			st.RemoveDead()
-			emit(frame, si, "calculus")
 
 			// Render this system's particles. The batch buffer is pooled —
 			// this engine is its own receiver, so it releases it.
@@ -115,7 +106,6 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 				fb.SplatColumns(cam, &wire)
 			}
 			bufpool.Put(batch)
-			emit(frame, si, "render")
 		}
 		clock.AdvanceWork(scn.Render.FrameOverhead, rate)
 		if fb != nil {
@@ -137,7 +127,6 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 	}
 	res.Time = clock.Now()
 	res.PerProcTime = []float64{clock.Now()}
-	res.Events = events
 	return res, nil
 }
 

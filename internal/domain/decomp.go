@@ -73,9 +73,6 @@ type Decomposition interface {
 	// NeighborBand returns the portion of rank's domain within radius of
 	// its boundary toward neighbor — the ghost band shipped to neighbor.
 	NeighborBand(rank, neighbor int, radius float64) Region
-	// BoundaryBand returns the union of rank's neighbor bands: everything
-	// within radius of any inter-domain boundary of rank.
-	BoundaryBand(rank int, radius float64) Region
 	// Rebalance moves the partition geometry toward the per-rank loads
 	// (one non-negative weight per calculator) by a bounded step, and
 	// reports whether anything moved.
@@ -124,18 +121,6 @@ func (b cutBand) Contains(p geom.Vec3) bool {
 		}
 	}
 	return true
-}
-
-// anyRegion is the union of regions. An empty union contains nothing.
-type anyRegion []Region
-
-func (u anyRegion) Contains(p geom.Vec3) bool {
-	for _, r := range u {
-		if r.Contains(p) {
-			return true
-		}
-	}
-	return false
 }
 
 // bisectorBand selects points of self's Voronoi cell within radius of
@@ -193,16 +178,6 @@ func (t *Table) NeighborBand(rank, neighbor int, radius float64) Region {
 	default:
 		return noSpace{}
 	}
-}
-
-// BoundaryBand returns the union of rank's two edge bands.
-func (t *Table) BoundaryBand(rank int, radius float64) Region {
-	ns := t.NeighborsOf(rank)
-	u := make(anyRegion, len(ns))
-	for i, n := range ns {
-		u[i] = t.NeighborBand(rank, n, radius)
-	}
-	return u
 }
 
 // Rebalance shifts the interior edges toward the heavier side by at

@@ -281,31 +281,6 @@ func TestNeighborBands(t *testing.T) {
 	}
 }
 
-// BoundaryBand must be exactly the union of the neighbor bands.
-func TestBoundaryBandIsUnion(t *testing.T) {
-	for name, d := range map[string]Decomposition{
-		"slab": mustSlab(t, 4), "grid": mustGrid(t, 6), "voronoi": mustVoronoi(t, 4),
-	} {
-		rank := 1
-		bb := d.BoundaryBand(rank, 1.0)
-		for x := -12.0; x <= 12; x += 1.7 {
-			for y := -22.0; y <= 22; y += 2.3 {
-				p := geom.V(x, y, 0)
-				inAny := false
-				for _, n := range d.NeighborsOf(rank) {
-					if d.NeighborBand(rank, n, 1.0).Contains(p) {
-						inAny = true
-						break
-					}
-				}
-				if bb.Contains(p) != inAny {
-					t.Fatalf("%s: boundary band disagrees with union at %v", name, p)
-				}
-			}
-		}
-	}
-}
-
 // Rebalance must move geometry toward load, deterministically and
 // bounded.
 func TestGridRebalanceShiftsCuts(t *testing.T) {

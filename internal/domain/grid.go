@@ -145,16 +145,6 @@ func (g *Grid) NeighborBand(rank, neighbor int, radius float64) Region {
 	return band
 }
 
-// BoundaryBand returns the union of rank's neighbor bands.
-func (g *Grid) BoundaryBand(rank int, radius float64) Region {
-	ns := g.NeighborsOf(rank)
-	u := make(anyRegion, len(ns))
-	for i, n := range ns {
-		u[i] = g.NeighborBand(rank, n, radius)
-	}
-	return u
-}
-
 // Rebalance shifts the column cuts toward the heavier columns and the
 // row cuts toward the heavier rows, independently, each by at most its
 // step bound. The marginal loads are plain sums over the 2-D load

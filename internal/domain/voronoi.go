@@ -104,16 +104,6 @@ func (v *Voronoi) NeighborBand(rank, neighbor int, radius float64) Region {
 	return bisectorBand{self: v.sites[rank], other: v.sites[neighbor], radius: radius}
 }
 
-// BoundaryBand returns the union of rank's bisector bands.
-func (v *Voronoi) BoundaryBand(rank int, radius float64) Region {
-	ns := v.NeighborsOf(rank)
-	u := make(anyRegion, len(ns))
-	for i, n := range ns {
-		u[i] = v.NeighborBand(rank, n, radius)
-	}
-	return u
-}
-
 // Rebalance drifts under-loaded sites toward the load centroid (see
 // loadbalance.DriftSites).
 func (v *Voronoi) Rebalance(loads []float64) bool {

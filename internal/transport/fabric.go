@@ -147,14 +147,7 @@ type pendKey struct {
 }
 
 func newEndpointCore(rank int, cost CostModel) endpointCore {
-	return endpointCore{
-		rank: rank,
-		cost: cost,
-		stats: Stats{
-			ByTag: map[Tag]int{}, ByTagRecv: map[Tag]int{},
-			MsgsByTag: map[Tag]int{}, MsgsByTagRecv: map[Tag]int{},
-		},
-	}
+	return endpointCore{rank: rank, cost: cost}
 }
 
 // Rank returns this endpoint's process rank.
@@ -195,8 +188,6 @@ func (e *endpointCore) chargeSend(to int, tag Tag, payloadLen, bytes int) (CorrI
 	e.seq++
 	e.stats.MsgsSent++
 	e.stats.BytesSent += bytes
-	e.stats.ByTag[tag] += bytes
-	e.stats.MsgsByTag[tag]++
 	if e.obs != nil {
 		e.obs.MsgSent(to, tag.String(), bytes, corr, pack, e.clock.Now())
 	}
@@ -217,8 +208,6 @@ func (e *endpointCore) ingest(m Message) {
 	e.clock.Advance(ser)
 	e.stats.MsgsRecv++
 	e.stats.BytesRecv += m.Bytes
-	e.stats.ByTagRecv[m.Tag] += m.Bytes
-	e.stats.MsgsByTagRecv[m.Tag]++
 	if e.obs != nil {
 		e.obs.MsgRecv(m.From, m.Tag.String(), m.Bytes, m.Corr, wait, ser, e.clock.Now())
 	}

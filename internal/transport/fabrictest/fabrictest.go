@@ -206,8 +206,23 @@ func testClockCharging(t *testing.T, f Factory) {
 	}
 }
 
+// tagBytes is an Observer that totals billed bytes per tag, the way the
+// observability layer's per-tag counters do.
+type tagBytes map[string]int
+
+func (o tagBytes) MsgSent(_ int, tag string, bytes int, _ transport.CorrID, _, _ float64) {
+	o[tag] += bytes
+}
+
+func (o tagBytes) MsgRecv(_ int, tag string, bytes int, _ transport.CorrID, _, _, _ float64) {
+	o[tag] += bytes
+}
+
 func testStatsMirror(t *testing.T, f Factory) {
 	a, b := pair(t, f)
+	sent, recv := tagBytes{}, tagBytes{}
+	a.SetObserver(sent)
+	b.SetObserver(recv)
 	a.Send(b.Rank(), transport.TagParticles, make([]byte, 100))
 	a.SendSized(b.Rank(), transport.TagRenderBatch, make([]byte, 50), 200)
 	b.Recv(a.Rank(), transport.TagParticles)
@@ -219,8 +234,8 @@ func testStatsMirror(t *testing.T, f Factory) {
 	if as.BytesSent != bs.BytesRecv || as.BytesSent != 300 {
 		t.Errorf("billed bytes: sent %d, received %d, want 300", as.BytesSent, bs.BytesRecv)
 	}
-	if bs.ByTagRecv[transport.TagRenderBatch] != 200 {
-		t.Errorf("per-tag receive accounting: %v", bs.ByTagRecv)
+	if sent["render-batch"] != 200 || recv["render-batch"] != 200 || recv["particles"] != 100 {
+		t.Errorf("per-tag billing: sent %v, received %v", sent, recv)
 	}
 }
 

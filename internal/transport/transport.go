@@ -125,18 +125,14 @@ func (m *Message) Release() {
 
 // Stats counts an endpoint's traffic on both sides, in billed bytes.
 // Receive-side counters cover consumed messages only (a well-formed run
-// consumes everything it was sent, so run totals balance).
+// consumes everything it was sent, so run totals balance). Per-tag
+// traffic is an Observer's to count.
 type Stats struct {
 	MsgsSent  int
 	BytesSent int
-	ByTag     map[Tag]int // billed bytes sent, per tag
 
 	MsgsRecv  int
 	BytesRecv int
-	ByTagRecv map[Tag]int // billed bytes received, per tag
-
-	MsgsByTag     map[Tag]int // messages sent, per tag
-	MsgsByTagRecv map[Tag]int // messages received, per tag
 }
 
 // Observer receives per-message notifications from an endpoint — the

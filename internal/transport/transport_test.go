@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -159,13 +160,15 @@ func TestRecvFromEachOrdersBySender(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	_, a, b := twoProcRouter(t)
+	oa := &obsRecord{}
+	a.SetObserver(oa)
 	a.Send(3, TagParticles, make([]byte, 100))
 	a.Send(3, TagRenderBatch, make([]byte, 50))
 	if a.Stats().MsgsSent != 2 || a.Stats().BytesSent != 150 {
 		t.Errorf("stats = %+v", a.Stats())
 	}
-	if a.Stats().ByTag[TagParticles] != 100 || a.Stats().ByTag[TagRenderBatch] != 50 {
-		t.Errorf("by-tag = %v", a.Stats().ByTag)
+	if got := oa.sentPerTag(); !reflect.DeepEqual(got, map[string]int{"particles": 100, "render-batch": 50}) {
+		t.Errorf("observed bytes by tag = %v", got)
 	}
 	b.Recv(2, TagParticles)
 	b.Recv(2, TagRenderBatch)
@@ -173,6 +176,9 @@ func TestStats(t *testing.T) {
 
 func TestRecvStats(t *testing.T) {
 	_, a, b := twoProcRouter(t)
+	oa, ob := &obsRecord{}, &obsRecord{}
+	a.SetObserver(oa)
+	b.SetObserver(ob)
 	a.Send(3, TagParticles, make([]byte, 100))
 	a.SendSized(3, TagRenderBatch, make([]byte, 50), 200)
 	b.Recv(2, TagParticles)
@@ -184,14 +190,17 @@ func TestRecvStats(t *testing.T) {
 	if b.Stats().BytesRecv != a.Stats().BytesSent || b.Stats().BytesRecv != 300 {
 		t.Errorf("bytes: sent %d, received %d", a.Stats().BytesSent, b.Stats().BytesRecv)
 	}
-	if b.Stats().ByTagRecv[TagParticles] != 100 || b.Stats().ByTagRecv[TagRenderBatch] != 200 {
-		t.Errorf("by-tag recv = %v", b.Stats().ByTagRecv)
+	// Per tag, through the observers: one message each way, billed alike.
+	want := map[string]int{"particles": 100, "render-batch": 200}
+	if got := ob.recvPerTag(); !reflect.DeepEqual(got, want) {
+		t.Errorf("observed bytes received by tag = %v, want %v", got, want)
 	}
-	if b.Stats().MsgsByTagRecv[TagParticles] != 1 || b.Stats().MsgsByTagRecv[TagRenderBatch] != 1 {
-		t.Errorf("msgs-by-tag recv = %v", b.Stats().MsgsByTagRecv)
+	if got := oa.sentPerTag(); !reflect.DeepEqual(got, want) {
+		t.Errorf("observed bytes sent by tag = %v, want %v", got, want)
 	}
-	if a.Stats().MsgsByTag[TagParticles] != 1 || a.Stats().MsgsByTag[TagRenderBatch] != 1 {
-		t.Errorf("msgs-by-tag sent = %v", a.Stats().MsgsByTag)
+	if !reflect.DeepEqual(oa.sent, []string{"particles", "render-batch"}) ||
+		!reflect.DeepEqual(ob.recv, oa.sent) {
+		t.Errorf("observed messages: sent %v, received %v", oa.sent, ob.recv)
 	}
 }
 
@@ -211,16 +220,19 @@ func TestRecvStatsCountConsumedOnly(t *testing.T) {
 
 // obsRecord captures Observer callbacks for inspection.
 type obsRecord struct {
-	sent     []string
-	recv     []string
-	wait     []float64
-	ser      []float64
-	sentCorr []CorrID
-	recvCorr []CorrID
+	sent      []string
+	recv      []string
+	sentBytes []int
+	recvBytes []int
+	wait      []float64
+	ser       []float64
+	sentCorr  []CorrID
+	recvCorr  []CorrID
 }
 
 func (o *obsRecord) MsgSent(to int, tag string, bytes int, corr CorrID, pack, now float64) {
 	o.sent = append(o.sent, tag)
+	o.sentBytes = append(o.sentBytes, bytes)
 	o.sentCorr = append(o.sentCorr, corr)
 	if pack < 0 || now <= 0 {
 		panic("bad send observation")
@@ -229,9 +241,22 @@ func (o *obsRecord) MsgSent(to int, tag string, bytes int, corr CorrID, pack, no
 
 func (o *obsRecord) MsgRecv(from int, tag string, bytes int, corr CorrID, wait, ser, now float64) {
 	o.recv = append(o.recv, tag)
+	o.recvBytes = append(o.recvBytes, bytes)
 	o.recvCorr = append(o.recvCorr, corr)
 	o.wait = append(o.wait, wait)
 	o.ser = append(o.ser, ser)
+}
+
+// sentPerTag and recvPerTag total the observed billed bytes per tag.
+func (o *obsRecord) sentPerTag() map[string]int { return perTag(o.sent, o.sentBytes) }
+func (o *obsRecord) recvPerTag() map[string]int { return perTag(o.recv, o.recvBytes) }
+
+func perTag(tags []string, bytes []int) map[string]int {
+	m := map[string]int{}
+	for i, tag := range tags {
+		m[tag] += bytes[i]
+	}
+	return m
 }
 
 func TestObserverCallbacks(t *testing.T) {
