@@ -1,12 +1,14 @@
 package scenario
 
 import (
+	"bytes"
 	"testing"
 )
 
 // FuzzDecode drives the scenario decoder with arbitrary JSON: it must
-// never panic, and anything it accepts must re-encode and decode to an
-// equivalent scenario.
+// never panic, and anything it accepts must re-encode to a document
+// that decodes to an equivalent scenario — one that encodes to the
+// same bytes again.
 func FuzzDecode(f *testing.F) {
 	if data, err := Encode(fullScenario()); err == nil {
 		f.Add(data)
@@ -25,8 +27,12 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted scenario failed to re-encode: %v", err)
 		}
-		if _, err := Decode(re); err != nil {
+		again, err := Decode(re)
+		if err != nil {
 			t.Fatalf("re-encoded scenario failed to decode: %v", err)
+		}
+		if re2, err := Encode(again); err != nil || !bytes.Equal(re2, re) {
+			t.Fatalf("re-encoding is not a fixed point (err %v):\n%s\n%s", err, re, re2)
 		}
 	})
 }

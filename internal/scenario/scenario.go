@@ -6,7 +6,10 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 
+	"pscluster/internal/actions"
 	"pscluster/internal/geom"
 )
 
@@ -44,125 +47,167 @@ type jsonDomain struct {
 	Radius float64  `json:"radius,omitempty"`
 }
 
+// domainKind is one row of domainKinds: a domain's JSON type, its Go
+// type, and the parameters of the domain ptr (a pointer to that type)
+// points to.
+type domainKind struct {
+	name   string
+	typ    reflect.Type
+	params func(ptr any) []param
+}
+
+// param shortens the rows of domainKinds.
+type param = actions.Param
+
+func domain[T geom.EmitDomain](name string, params func(*T) []param) domainKind {
+	return domainKind{name, reflect.TypeFor[T](), func(p any) []param { return params(p.(*T)) }}
+}
+
+// domainKinds is the table of emission domain kinds, in the form of
+// actions.Kinds: the codec encodes and decodes a domain through its row.
+var domainKinds = []domainKind{
+	domain("point", func(d *geom.PointDomain) []param { return []param{{Key: "point", Ptr: &d.P, Required: true}} }),
+	domain("line", func(d *geom.LineDomain) []param {
+		return []param{{Key: "a", Ptr: &d.A, Required: true}, {Key: "b", Ptr: &d.B, Required: true}}
+	}),
+	domain("box", func(d *geom.BoxDomain) []param { return []param{{Key: "box", Ptr: &d.B, Required: true}} }),
+	domain("sphere", func(d *geom.SphereDomain) []param {
+		return []param{{Key: "center", Ptr: &d.Center}, {Key: "inner_r", Ptr: &d.InnerR}, {Key: "outer_r", Ptr: &d.OuterR}}
+	}),
+	domain("disc", func(d *geom.DiscDomain) []param {
+		return []param{{Key: "center", Ptr: &d.Center}, {Key: "normal", Ptr: &d.Normal, Required: true},
+			{Key: "inner_r", Ptr: &d.InnerR}, {Key: "outer_r", Ptr: &d.OuterR}}
+	}),
+	domain("cylinder", func(d *geom.CylinderDomain) []param {
+		return []param{{Key: "a", Ptr: &d.A, Required: true}, {Key: "b", Ptr: &d.B, Required: true},
+			{Key: "radius", Ptr: &d.Radius}}
+	}),
+	domain("cone", func(d *geom.ConeDomain) []param {
+		return []param{{Key: "apex", Ptr: &d.Apex, Required: true}, {Key: "base", Ptr: &d.Base, Required: true},
+			{Key: "radius", Ptr: &d.Radius}}
+	}),
+	domain("triangle", func(d *geom.TriangleDomain) []param {
+		return []param{{Key: "a", Ptr: &d.A, Required: true}, {Key: "b", Ptr: &d.B, Required: true},
+			{Key: "c", Ptr: &d.C, Required: true}}
+	}),
+}
+
 func encodeDomain(d geom.EmitDomain) (*jsonDomain, error) {
 	if d == nil {
 		return nil, nil
 	}
-	switch v := d.(type) {
-	case geom.PointDomain:
-		p := fromVec(v.P)
-		return &jsonDomain{Type: "point", Point: &p}, nil
-	case geom.LineDomain:
-		a, b := fromVec(v.A), fromVec(v.B)
-		return &jsonDomain{Type: "line", A: &a, B: &b}, nil
-	case geom.BoxDomain:
-		b := fromBox(v.B)
-		return &jsonDomain{Type: "box", Box: &b}, nil
-	case geom.SphereDomain:
-		c := fromVec(v.Center)
-		return &jsonDomain{Type: "sphere", Center: &c, InnerR: v.InnerR, OuterR: v.OuterR}, nil
-	case geom.DiscDomain:
-		c, n := fromVec(v.Center), fromVec(v.Normal)
-		return &jsonDomain{Type: "disc", Center: &c, Normal: &n, InnerR: v.InnerR, OuterR: v.OuterR}, nil
-	case geom.CylinderDomain:
-		a, b := fromVec(v.A), fromVec(v.B)
-		return &jsonDomain{Type: "cylinder", A: &a, B: &b, Radius: v.Radius}, nil
-	case geom.ConeDomain:
-		a, b := fromVec(v.Apex), fromVec(v.Base)
-		return &jsonDomain{Type: "cone", Apex: &a, Base: &b, Radius: v.Radius}, nil
-	case geom.TriangleDomain:
-		a, b, c := fromVec(v.A), fromVec(v.B), fromVec(v.C)
-		return &jsonDomain{Type: "triangle", A: &a, B: &b, C: &c}, nil
-	default:
-		return nil, fmt.Errorf("scenario: cannot encode emission domain %T", d)
+	for _, k := range domainKinds {
+		if reflect.TypeOf(d) == k.typ {
+			p := reflect.New(k.typ)
+			p.Elem().Set(reflect.ValueOf(d))
+			j := &jsonDomain{Type: k.name}
+			return j, encodeParams(j, k.params(p.Interface()))
+		}
+	}
+	return nil, fmt.Errorf("scenario: cannot encode emission domain %T", d)
+}
+
+func decodeDomain(j *jsonDomain) (geom.EmitDomain, error) {
+	if j == nil {
+		return nil, nil
+	}
+	for _, k := range domainKinds {
+		if j.Type == k.name {
+			p := reflect.New(k.typ)
+			if err := decodeParams(j, k.params(p.Interface()), "domain ", j.Type); err != nil {
+				return nil, err
+			}
+			return p.Elem().Interface().(geom.EmitDomain), nil
+		}
+	}
+	return nil, fmt.Errorf("scenario: unknown emission domain type %q", j.Type)
+}
+
+// slotKeys maps each JSON key of the structs the parameter codec fills
+// to its field index.
+var slotKeys = map[reflect.Type]map[string]int{}
+
+func init() {
+	for _, t := range []reflect.Type{reflect.TypeFor[jsonAction](), reflect.TypeFor[jsonDomain]()} {
+		slotKeys[t] = map[string]int{}
+		for i := range t.NumField() {
+			k, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+			slotKeys[t][k] = i
+		}
 	}
 }
 
-func decodeDomain(d *jsonDomain) (geom.EmitDomain, error) {
-	if d == nil {
-		return nil, nil
+// slot returns the field of the JSON struct *st (a jsonAction or a
+// jsonDomain) whose key is key. The tables and the JSON structs agree
+// on every key and its type — TestKindsRoundTripEveryField and
+// TestDomainRoundTrips pin that — so a mismatch is a bug of this
+// package, and panics like one.
+func slot(st any, key string) reflect.Value {
+	v := reflect.ValueOf(st).Elem()
+	i, ok := slotKeys[v.Type()][key]
+	if !ok {
+		panic(fmt.Sprintf("scenario: %T has no key %q", st, key))
 	}
-	need := func(v *vec, field string) (geom.Vec3, error) {
-		if v == nil {
-			return geom.Vec3{}, fmt.Errorf("scenario: domain %q missing %q", d.Type, field)
+	return v.Field(i)
+}
+
+// encodeParams writes each parameter's value into the slot of the JSON
+// struct *st its key names; a number or a bool is stored as it is.
+func encodeParams(st any, ps []param) (err error) {
+	for _, p := range ps {
+		var v any
+		switch x := p.Ptr.(type) {
+		case *geom.Vec3:
+			j := fromVec(*x)
+			v = &j
+		case *geom.AABB:
+			j := fromBox(*x)
+			v = &j
+		case *geom.Axis:
+			v = enumName(axisNames, *x)
+		case *geom.EmitDomain:
+			if v, err = encodeDomain(*x); err != nil {
+				return err
+			}
+		default:
+			v = reflect.ValueOf(p.Ptr).Elem().Interface()
 		}
-		return v.toVec3(), nil
+		slot(st, p.Key).Set(reflect.ValueOf(v))
 	}
-	switch d.Type {
-	case "point":
-		p, err := need(d.Point, "point")
+	return nil
+}
+
+// decodeParams sets each parameter from the slot of the JSON struct *st
+// its key names. An absent slot — zero, since every field is omitempty
+// — leaves the parameter zero and is an error for a required one,
+// which names the action or domain as what and name ("domain ", "line").
+func decodeParams(st any, ps []param, what, name string) error {
+	for _, p := range ps {
+		s := slot(st, p.Key)
+		if s.IsZero() {
+			if p.Required {
+				return fmt.Errorf("scenario: %s%q needs %q", what, name, p.Key)
+			}
+			continue
+		}
+		var err error
+		switch x := p.Ptr.(type) {
+		case *geom.Vec3:
+			*x = s.Interface().(*vec).toVec3()
+		case *geom.AABB:
+			*x = s.Interface().(*jsonBox).toAABB()
+		case *geom.Axis:
+			err = parseEnum(x, "axis", axisNames, s.String())
+		case *geom.EmitDomain:
+			*x, err = decodeDomain(s.Interface().(*jsonDomain))
+		default:
+			reflect.ValueOf(p.Ptr).Elem().Set(s)
+		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return geom.PointDomain{P: p}, nil
-	case "line":
-		a, err := need(d.A, "a")
-		if err != nil {
-			return nil, err
-		}
-		b, err := need(d.B, "b")
-		if err != nil {
-			return nil, err
-		}
-		return geom.LineDomain{A: a, B: b}, nil
-	case "box":
-		if d.Box == nil {
-			return nil, fmt.Errorf("scenario: box domain missing box")
-		}
-		return geom.BoxDomain{B: d.Box.toAABB()}, nil
-	case "sphere":
-		c, err := need(d.Center, "center")
-		if err != nil {
-			c = geom.Vec3{}
-		}
-		return geom.SphereDomain{Center: c, InnerR: d.InnerR, OuterR: d.OuterR}, nil
-	case "disc":
-		c, err := need(d.Center, "center")
-		if err != nil {
-			c = geom.Vec3{}
-		}
-		n, err := need(d.Normal, "normal")
-		if err != nil {
-			return nil, err
-		}
-		return geom.DiscDomain{Center: c, Normal: n, InnerR: d.InnerR, OuterR: d.OuterR}, nil
-	case "cylinder":
-		a, err := need(d.A, "a")
-		if err != nil {
-			return nil, err
-		}
-		b, err := need(d.B, "b")
-		if err != nil {
-			return nil, err
-		}
-		return geom.CylinderDomain{A: a, B: b, Radius: d.Radius}, nil
-	case "cone":
-		a, err := need(d.Apex, "apex")
-		if err != nil {
-			return nil, err
-		}
-		b, err := need(d.Base, "base")
-		if err != nil {
-			return nil, err
-		}
-		return geom.ConeDomain{Apex: a, Base: b, Radius: d.Radius}, nil
-	case "triangle":
-		a, err := need(d.A, "a")
-		if err != nil {
-			return nil, err
-		}
-		b, err := need(d.B, "b")
-		if err != nil {
-			return nil, err
-		}
-		c, err := need(d.C, "c")
-		if err != nil {
-			return nil, err
-		}
-		return geom.TriangleDomain{A: a, B: b, C: c}, nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown emission domain type %q", d.Type)
 	}
+	return nil
 }
 
 // jsonAction is the tagged JSON form of an action. Fields are a union
@@ -209,20 +254,4 @@ type jsonAction struct {
 	TriA       *vec        `json:"tri_a,omitempty"`
 	TriB       *vec        `json:"tri_b,omitempty"`
 	TriC       *vec        `json:"tri_c,omitempty"`
-}
-
-func axisName(a geom.Axis) string {
-	return map[geom.Axis]string{geom.AxisX: "x", geom.AxisY: "y", geom.AxisZ: "z"}[a]
-}
-
-func parseAxis(s string) (geom.Axis, error) {
-	switch s {
-	case "x", "":
-		return geom.AxisX, nil
-	case "y":
-		return geom.AxisY, nil
-	case "z":
-		return geom.AxisZ, nil
-	}
-	return 0, fmt.Errorf("scenario: unknown axis %q", s)
 }

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -277,3 +279,73 @@ func TestNilDomainRoundTrips(t *testing.T) {
 
 func testNode() cluster.NodeType     { return cluster.TypeB }
 func testCompiler() cluster.Compiler { return cluster.GCC }
+
+// Every exported field of every action kind, filled with a value
+// distinct from the others, survives Encode and Decode: a field its
+// actions.Kinds row forgets decodes to zero and fails here by name.
+func TestKindsRoundTripEveryField(t *testing.T) {
+	names := make([]string, 0, len(actions.Kinds))
+	for name := range actions.Kinds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	n := 0.0
+	for _, name := range names {
+		want, _ := actions.Kinds[name](nil)
+		fillFields(t, reflect.ValueOf(want).Elem(), &n)
+		if b, ok := want.(*actions.Bounce); ok {
+			b.Plane.Normal = geom.V(0, 0, 1) // decode keeps a bounce normal unit length
+		}
+		j, err := encodeAction(want)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		data, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back jsonAction
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeAction(&back)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, data)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s did not round-trip:\nwant %#v\ngot  %#v\n%s", name, want, got, data)
+		}
+	}
+}
+
+// fillFields sets every exported field under v to a value distinct from
+// the others, counting up from *n.
+func fillFields(t *testing.T, v reflect.Value, n *float64) {
+	switch v.Type() {
+	case reflect.TypeFor[geom.Axis]():
+		v.Set(reflect.ValueOf(geom.AxisZ))
+		return
+	case reflect.TypeFor[geom.EmitDomain]():
+		*n++
+		v.Set(reflect.ValueOf(geom.PointDomain{P: geom.V(*n, *n+0.25, *n+0.5)}))
+		return
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if v.Type().Field(i).IsExported() {
+				fillFields(t, v.Field(i), n)
+			}
+		}
+	case reflect.Float64:
+		*n++
+		v.SetFloat(*n)
+	case reflect.Int:
+		*n++
+		v.SetInt(int64(*n))
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		t.Fatalf("cannot fill a field of type %s", v.Type())
+	}
+}
