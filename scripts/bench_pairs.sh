@@ -16,13 +16,13 @@
 # tree won (ties count for neither), and whether the claim rule holds:
 # the tree wins at least 9 pairs in 10 and the medians differ by more
 # than the base's interquartile range. For allocs_per_frame,
-# alloc_mb_per_frame and peak_rss_mb (lower is better) it prints each
-# side's median, the relative change and the metric's BENCHMARK.json
-# bound, with no claim rule, so a trade of memory for time shows in the
-# same command. The object count spreads by about 0.1 % between runs of
+# alloc_mb_per_frame, peak_rss_mb and setup_s (lower is better) it
+# prints each side's median, the relative change and the metric's
+# BENCHMARK.json bound, with no claim rule, so a trade of memory for
+# time, or of set-up for frame time, shows in the same command. The object count spreads by about 0.1 % between runs of
 # one binary, so compare it by these medians, not by a single run.
 # W=all runs the workloads BENCHMARK.json lists, one after the other,
-# and ends with one summary line per workload carrying all five metrics.
+# and ends with one summary line per workload carrying all six metrics.
 #
 #   W=<workload>  required; a BENCHMARK.json workload name, or all
 #   PAIRS=10      pairs to run per workload
@@ -52,7 +52,7 @@ fi
 
 # pairs_of $1 = workload: runs the pairs into $workdir/$1.base and
 # $workdir/$1.tree, one "pair frames_per_s cpu_ms_per_frame
-# alloc_mb_per_frame peak_rss_mb allocs_per_frame" line each.
+# alloc_mb_per_frame peak_rss_mb allocs_per_frame setup_s" line each.
 pairs_of() {
     echo "$1: base $base_rev vs working tree, seed $seed, $pairs pairs of --seconds $secs runs"
     i=1
@@ -67,9 +67,9 @@ pairs_of() {
                 cat "$workdir/stderr"
                 exit 1
             fi
-            printf '%s %s %s %s %s %s\n' "$i" "$(metric "$line" frames_per_s)" "$(metric "$line" cpu_ms_per_frame)" \
+            printf '%s %s %s %s %s %s %s\n' "$i" "$(metric "$line" frames_per_s)" "$(metric "$line" cpu_ms_per_frame)" \
                 "$(metric "$line" alloc_mb_per_frame)" "$(metric "$line" peak_rss_mb)" \
-                "$(metric "$line" allocs_per_frame)" >>"$workdir/$1.$side"
+                "$(metric "$line" allocs_per_frame)" "$(metric "$line" setup_s)" >>"$workdir/$1.$side"
         done
         printf 'pair %2d (%s first): frames/s %s -> %s\n' "$i" "${order%% *}" \
             "$(tail -n 1 "$workdir/$1.base" | awk '{ printf "%.1f", $2 }')" \
@@ -96,7 +96,7 @@ verdict() {
     done >"$workdir/q"
     paste -d " " "$workdir/$1.base" "$workdir/$1.tree" | awk -v c="$2" -v hi="$3" -v n="$pairs" '
         FNR == NR { q1[$1] = $2; med[$1] = $3; q3[$1] = $4; next }
-        { b = $c; t = $(c + 6); if ((hi && t > b) || (!hi && t < b)) wins++ }
+        { b = $c; t = $(c + 7); if ((hi && t > b) || (!hi && t < b)) wins++ }
         END {
             d = med["tree"] - med["base"]; if (d < 0) d = -d
             better = hi ? med["tree"] > med["base"] : med["tree"] < med["base"]
@@ -107,7 +107,7 @@ verdict() {
 }
 
 # drift $1 = workload, $2 = column (4 alloc_mb_per_frame, 5 peak_rss_mb,
-# 6 allocs_per_frame),
+# 6 allocs_per_frame, 7 setup_s),
 # $3 = metric name: prints "base_median tree_median change_pct bound_pct".
 drift() {
     echo "$(quartiles "$1" base "$2") $(quartiles "$1" tree "$2")" | awk -v k="$(bound "$3")" '{
@@ -122,7 +122,7 @@ summary() {
             printf "%-18s base median %-10.6g [%.6g, %.6g]   tree median %-10.6g [%.6g, %.6g]   tree wins %d/%d   claim rule %s\n",
                 name, $2, $1, $3, $5, $4, $6, $7, n, ($8 == "met") ? "met" : "not met" }'
     done
-    for m in "6 allocs_per_frame" "4 alloc_mb_per_frame" "5 peak_rss_mb"; do
+    for m in "6 allocs_per_frame" "4 alloc_mb_per_frame" "5 peak_rss_mb" "7 setup_s"; do
         set -- "$1" $m
         drift "$1" "$2" "$3" | awk -v name="$3" '{
             printf "%-18s base median %-10.6g tree median %-10.6g change %+.1f %% (bound +%g %%)\n", name, $1, $2, $3, $4 }'
@@ -137,17 +137,18 @@ done
 if [ "$W" = all ]; then
     echo
     echo "summary, seed $seed, $pairs pairs each: median [q1, q3] base -> tree, tree wins, claim rule;"
-    echo "allocs/frame, MB/frame and peak RSS: median base -> tree, change (BENCHMARK.json bound)"
+    echo "allocs/frame, MB/frame, peak RSS and setup_s: median base -> tree, change (BENCHMARK.json bound)"
     for w in $workloads; do
         fps=$(verdict "$w" 2 1)
         cpu=$(verdict "$w" 3 0)
         objs=$(drift "$w" 6 allocs_per_frame)
         mb=$(drift "$w" 4 alloc_mb_per_frame)
         rss=$(drift "$w" 5 peak_rss_mb)
-        printf '%s %s %s %s %s\n' "$fps" "$cpu" "$objs" "$mb" "$rss" | awk -v w="$w" -v n="$pairs" '{
-            printf "%-18s frames/s %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] %d/%d %s   cpu_ms/frame %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] %d/%d %s   allocs/frame %.6g -> %.6g %+.1f %% (+%g %%)   MB/frame %.4g -> %.4g %+.1f %% (+%g %%)   peak_rss_mb %.4g -> %.4g %+.1f %% (+%g %%)\n",
+        setup=$(drift "$w" 7 setup_s)
+        printf '%s %s %s %s %s %s\n' "$fps" "$cpu" "$objs" "$mb" "$rss" "$setup" | awk -v w="$w" -v n="$pairs" '{
+            printf "%-18s frames/s %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] %d/%d %s   cpu_ms/frame %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] %d/%d %s   allocs/frame %.6g -> %.6g %+.1f %% (+%g %%)   MB/frame %.4g -> %.4g %+.1f %% (+%g %%)   peak_rss_mb %.4g -> %.4g %+.1f %% (+%g %%)   setup_s %.4g -> %.4g %+.1f %% (+%g %%)\n",
                 w, $2, $1, $3, $5, $4, $6, $7, n, v($8), $10, $9, $11, $13, $12, $14, $15, n, v($16),
-                $17, $18, $19, $20, $21, $22, $23, $24, $25, $26, $27, $28 }
+                $17, $18, $19, $20, $21, $22, $23, $24, $25, $26, $27, $28, $29, $30, $31, $32 }
             function v(s) { return s == "met" ? "met" : "not met" }'
     done
 fi
