@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 # Coverage floor (percent of statements) for the engine package.
 CORE_COVER_FLOOR ?= 85
@@ -10,8 +11,12 @@ all: ci
 build:
 	$(GO) build ./...
 
+# vet also fails on any Go file gofmt would rewrite, outside bench/
+# (its own module, whose files the benchmark pins).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l . | grep -v -e '^bench/' -e '^\.bench_build/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Static invariants: build the pslint multichecker and run its three
 # analyzers (determinism, bufownership, resourcelifetime — DESIGN.md

@@ -11,7 +11,6 @@
 package main
 
 import (
-	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -219,11 +218,7 @@ func printFigure2(w io.Writer, cfg experiments.Config, format string) error {
 	if err != nil {
 		return err
 	}
-	// Spans arrive sorted by start time; a stable sort by rank restores
-	// each rank's program order (a zero-length span keeps its place).
-	spans := slices.Clone(prof.Spans)
-	slices.SortStableFunc(spans, func(a, b obs.Span) int { return cmp.Compare(a.Rank, b.Rank) })
-	spans = slices.DeleteFunc(spans, func(s obs.Span) bool { return nonFigure2Phases[s.Phase] })
+	spans := slices.DeleteFunc(prof.SpansByRank(), func(s obs.Span) bool { return nonFigure2Phases[s.Phase] })
 	if format == "json" {
 		type jsonEvent struct {
 			Frame  int     `json:"frame"`

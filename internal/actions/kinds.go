@@ -3,26 +3,30 @@ package actions
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"pscluster/internal/geom"
 )
 
-// Param is one parameter of an action kind in Kinds: its key in the
-// scenario format, a pointer to the action field it reads and sets, and
-// the rule its value obeys. The scenario decoder refuses a document
-// without a Required key; Check holds the rest of the rule.
+// Param is one parameter of an action kind in Kinds — or one numeric
+// field of a scenario, whose table core keeps in the same form: its key
+// in the scenario format (a field's name, worded for an error), a
+// pointer to the field it reads and sets, and the rule its value
+// obeys. The scenario decoder refuses a document without a Required
+// key; Check holds the rest of the rule.
 type Param struct {
 	Key string
 	// Ptr is the field: *int, *float64, *bool, *geom.Vec3, *geom.AABB,
 	// *geom.Axis or *geom.EmitDomain.
 	Ptr      any
 	Required bool
-	bound    string // "> 0" or ">= 0": a number must be finite and satisfy it
+	Bound    string // "> 0", ">= 0" or ">= 1": a number must be finite and satisfy it
 }
 
 // Check reports a value the parameter's rule refuses, worded to follow
-// the action's name: a required domain that is nil, or a bounded number
-// that is not finite or out of its bound.
+// the name of what holds it: a required domain that is nil, a domain
+// that is a nil pointer, or a bounded number that is not finite or out
+// of its bound.
 func (p Param) Check() error {
 	var v float64
 	switch x := p.Ptr.(type) {
@@ -30,14 +34,17 @@ func (p Param) Check() error {
 		if p.Required && *x == nil {
 			return fmt.Errorf("has %s nil, want a domain", p.Key)
 		}
+		if d := reflect.ValueOf(*x); d.Kind() == reflect.Pointer && d.IsNil() {
+			return fmt.Errorf("has %s a nil %T, want a domain", p.Key, *x)
+		}
 	case *float64:
 		v = *x
 	case *int:
 		v = float64(*x)
 	}
-	inBound := v > 0 || v == 0 && p.bound == ">= 0"
-	if p.bound != "" && !(inBound && v <= math.MaxFloat64) {
-		return fmt.Errorf("has %s %v, want finite and %s", p.Key, v, p.bound)
+	in := map[string]bool{"> 0": v > 0, ">= 0": v >= 0, ">= 1": v >= 1}[p.Bound]
+	if p.Bound != "" && !(in && v <= math.MaxFloat64) {
+		return fmt.Errorf("has %s %v, want finite and %s", p.Key, v, p.Bound)
 	}
 	return nil
 }
@@ -49,13 +56,14 @@ func (p Param) Check() error {
 type row = func(Action) (Action, []Param)
 
 // Kinds is the table of the library's action kinds, keyed by Name(),
-// which is also the action's type in the scenario format. The scenario
-// codec encodes and decodes an action through its row, and
+// which is also the action's type in the scenario format. A row's keys,
+// in row order, are the only other keys of the action's JSON object:
+// the scenario codec writes and reads them through the row, and
 // core.Scenario.Validate checks every action's parameters with Check.
 var Kinds = kinds(
 	// A negative rate or a nil position domain would panic the generator.
 	kind(func(a *Source) []Param {
-		return []Param{{Key: "rate", Ptr: &a.Rate, bound: ">= 0"}, {Key: "pos", Ptr: &a.Pos, Required: true},
+		return []Param{{Key: "rate", Ptr: &a.Rate, Bound: ">= 0"}, {Key: "pos", Ptr: &a.Pos, Required: true},
 			{Key: "vel", Ptr: &a.Vel}, {Key: "color", Ptr: &a.Color}, {Key: "up", Ptr: &a.UpVec},
 			{Key: "size", Ptr: &a.Size}, {Key: "alpha", Ptr: &a.Alpha}, {Key: "age_jitter", Ptr: &a.AgeJitter}}
 	}),
@@ -67,21 +75,21 @@ var Kinds = kinds(
 			{Key: "elasticity", Ptr: &a.Elasticity}, {Key: "friction", Ptr: &a.Friction}}
 	}),
 	kind(func(a *BounceSphere) []Param {
-		return []Param{{Key: "center", Ptr: &a.Center}, {Key: "radius", Ptr: &a.Radius},
-			{Key: "elasticity", Ptr: &a.Elasticity}, {Key: "friction", Ptr: &a.Friction}}
+		return []Param{{Key: "center", Ptr: &a.Center}, {Key: "elasticity", Ptr: &a.Elasticity},
+			{Key: "friction", Ptr: &a.Friction}, {Key: "radius", Ptr: &a.Radius}}
 	}),
 	kind(func(a *BounceDisc) []Param {
-		return []Param{{Key: "center", Ptr: &a.Disc.Center}, {Key: "normal", Ptr: &a.Disc.Normal},
-			{Key: "inner_r", Ptr: &a.Disc.InnerR}, {Key: "outer_r", Ptr: &a.Disc.OuterR},
-			{Key: "elasticity", Ptr: &a.Elasticity}, {Key: "friction", Ptr: &a.Friction}}
+		return []Param{{Key: "normal", Ptr: &a.Disc.Normal}, {Key: "center", Ptr: &a.Disc.Center},
+			{Key: "elasticity", Ptr: &a.Elasticity}, {Key: "friction", Ptr: &a.Friction},
+			{Key: "inner_r", Ptr: &a.Disc.InnerR}, {Key: "outer_r", Ptr: &a.Disc.OuterR}}
 	}),
 	kind(func(a *BounceTriangle) []Param {
-		return []Param{{Key: "tri_a", Ptr: &a.Tri.A}, {Key: "tri_b", Ptr: &a.Tri.B}, {Key: "tri_c", Ptr: &a.Tri.C},
-			{Key: "elasticity", Ptr: &a.Elasticity}, {Key: "friction", Ptr: &a.Friction}}
+		return []Param{{Key: "elasticity", Ptr: &a.Elasticity}, {Key: "friction", Ptr: &a.Friction},
+			{Key: "tri_a", Ptr: &a.Tri.A}, {Key: "tri_b", Ptr: &a.Tri.B}, {Key: "tri_c", Ptr: &a.Tri.C}}
 	}),
 	kind(func(a *Avoid) []Param {
 		return []Param{{Key: "center", Ptr: &a.Center}, {Key: "radius", Ptr: &a.Radius},
-			{Key: "look_ahead", Ptr: &a.LookAhead}, {Key: "strength", Ptr: &a.Strength}}
+			{Key: "strength", Ptr: &a.Strength}, {Key: "look_ahead", Ptr: &a.LookAhead}}
 	}),
 	kind(func(a *Sink) []Param {
 		return []Param{{Key: "domain", Ptr: &a.Domain, Required: true}, {Key: "kill_inside", Ptr: &a.KillInside}}
@@ -114,10 +122,10 @@ var Kinds = kinds(
 	// The neighbor grid's cell size: zero divides by zero in the cell
 	// index, NaN and +Inf file every particle in one cell.
 	kind(func(a *CollideParticles) []Param {
-		return []Param{{Key: "radius", Ptr: &a.Radius, bound: "> 0"}, {Key: "elasticity", Ptr: &a.Elasticity}}
+		return []Param{{Key: "elasticity", Ptr: &a.Elasticity}, {Key: "radius", Ptr: &a.Radius, Bound: "> 0"}}
 	}),
 	kind(func(a *MatchVelocity) []Param {
-		return []Param{{Key: "radius", Ptr: &a.Radius, bound: "> 0"}, {Key: "strength", Ptr: &a.Strength}}
+		return []Param{{Key: "radius", Ptr: &a.Radius, Bound: "> 0"}, {Key: "strength", Ptr: &a.Strength}}
 	}),
 )
 

@@ -58,9 +58,10 @@ func TestKindsHaveEveryAction(t *testing.T) {
 	}
 }
 
-// Check holds the value half of each rule: a nil required domain, and a
-// bounded number that is negative, zero under a positive bound, NaN or
-// +Inf; decode holds the other half, a required key's presence.
+// Check holds the value half of each rule: a nil required domain, a
+// domain that is a nil pointer, and a bounded number that is negative,
+// zero under a positive bound, NaN or +Inf; decode holds the other
+// half, a required key's presence.
 func TestParamCheck(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -75,6 +76,9 @@ func TestParamCheck(t *testing.T) {
 		{"random-accel-no-domain", &RandomAccel{}, false},
 		{"sink-no-domain", &Sink{}, false},
 		{"jet-no-domain", &Jet{}, false},
+		{"random-accel-domain-pointer", &RandomAccel{Domain: &geom.SphereDomain{OuterR: 1}}, true},
+		{"random-accel-nil-domain-pointer", &RandomAccel{Domain: (*geom.SphereDomain)(nil)}, false},
+		{"source-nil-vel-pointer", &Source{Pos: geom.PointDomain{}, Vel: (*geom.BoxDomain)(nil)}, false},
 		{"restrict-to-zero-box", &RestrictToBox{}, true},
 		{"collide", &CollideParticles{Radius: 0.5}, true},
 		{"collide-zero", &CollideParticles{}, false},

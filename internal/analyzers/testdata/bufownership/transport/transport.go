@@ -20,7 +20,7 @@ func (m *Message) Release() { m.Payload = nil }
 // name and arity.
 type Fabric struct{}
 
-func (f *Fabric) Send(to int, tag Tag, payload []byte)                   {}
-func (f *Fabric) SendScaled(to int, tag Tag, payload []byte, r float64)  {}
-func (f *Fabric) SendSized(to int, tag Tag, payload []byte, billed int)  {}
-func (f *Fabric) Recv(from int, tag Tag) Message                         { return Message{} }
+func (f *Fabric) Send(to int, tag Tag, payload []byte)                  {}
+func (f *Fabric) SendScaled(to int, tag Tag, payload []byte, r float64) {}
+func (f *Fabric) SendSized(to int, tag Tag, payload []byte, billed int) {}
+func (f *Fabric) Recv(from int, tag Tag) Message                        { return Message{} }

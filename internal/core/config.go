@@ -8,7 +8,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"pscluster/internal/actions"
 	"pscluster/internal/domain"
@@ -287,121 +286,107 @@ type Scenario struct {
 	CollectParticles bool
 }
 
-// Validate checks the scenario and fills defaults in place.
+// field is one numeric field of a Scenario in its fields table: the
+// field and its domain, and the default a zero value is filled with (0
+// for none).
+type field struct {
+	actions.Param
+	def float64
+}
+
+// fields is the table of s's numeric fields, each with its default and
+// its domain. A field of a number charged to a virtual clock is finite
+// and >= 0: NaN or +Inf poisons the run's times, a negative amount
+// panics the clock or winds it back.
+func (s *Scenario) fields() []field {
+	r := &s.Render
+	return []field{
+		{actions.Param{Key: "frames", Ptr: &s.Frames, Bound: "> 0"}, 0},
+		{actions.Param{Key: "DT", Ptr: &s.DT, Bound: "> 0"}, 0},
+		// A negative bin count panics the store.
+		{actions.Param{Key: "bins", Ptr: &s.Bins, Bound: "> 0"}, 16},
+		{actions.Param{Key: "ratio", Ptr: &s.Ratio, Bound: ">= 1"}, 1},
+		// The dynamic balancer panics on a threshold that is not positive.
+		{actions.Param{Key: "LB threshold", Ptr: &s.LBThreshold, Bound: "> 0"}, 0.15},
+		{actions.Param{Key: "LB min batch", Ptr: &s.LBMinBatch, Bound: ">= 0"}, 16},
+		{actions.Param{Key: "decomposition step", Ptr: &s.DecompStep, Bound: "> 0"}, 0.05},
+		{actions.Param{Key: "exchange scan work", Ptr: &s.ExchangeScanWork, Bound: ">= 0"}, 4.0},
+		// A negative frame panics the framebuffer.
+		{actions.Param{Key: "render width", Ptr: &r.Width, Bound: "> 0"}, 64},
+		{actions.Param{Key: "render height", Ptr: &r.Height, Bound: "> 0"}, 64},
+		{actions.Param{Key: "render cost per particle", Ptr: &r.CostPerParticle, Bound: ">= 0"}, 0.5},
+		{actions.Param{Key: "render frame overhead", Ptr: &r.FrameOverhead, Bound: ">= 0"}, 1000},
+		{actions.Param{Key: "render bytes per particle", Ptr: &r.BytesPerParticle, Bound: ">= 0"}, 32},
+	}
+}
+
+// Validate fills the defaults of the scenario's zero numeric fields in
+// place, then checks the scenario and returns every rule it breaks.
 func (s *Scenario) Validate() error {
+	fields := s.fields()
+	for _, f := range fields {
+		switch x := f.Ptr.(type) {
+		case *int:
+			if *x == 0 {
+				*x = int(f.def)
+			}
+		case *float64:
+			if *x == 0 {
+				*x = f.def
+			}
+		}
+	}
+	var errs []error
+	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf("core: "+format, args...)) }
 	if len(s.Systems) == 0 {
-		return fmt.Errorf("core: scenario %q has no systems", s.Name)
+		fail("scenario %q has no systems", s.Name)
 	}
-	if s.Frames <= 0 {
-		return fmt.Errorf("core: scenario %q has %d frames", s.Name, s.Frames)
-	}
-	if !(s.DT > 0) || math.IsInf(s.DT, 1) {
-		return fmt.Errorf("core: scenario %q has DT %g, want finite and > 0", s.Name, s.DT)
+	for _, f := range fields {
+		if err := f.Check(); err != nil {
+			fail("scenario %q %w", s.Name, err)
+		}
 	}
 	if s.Mode == FiniteSpace && s.Space.Extent(s.Axis) <= 0 {
-		return fmt.Errorf("core: scenario %q has empty finite space along %v", s.Name, s.Axis)
-	}
-	if s.Bins == 0 {
-		s.Bins = 16
-	}
-	if s.Bins < 0 {
-		return fmt.Errorf("core: scenario %q has %d bins", s.Name, s.Bins)
-	}
-	if s.Ratio == 0 {
-		s.Ratio = 1
-	}
-	if !(s.Ratio >= 1) || math.IsInf(s.Ratio, 1) {
-		return fmt.Errorf("core: scenario %q has ratio %g, want finite and >= 1", s.Name, s.Ratio)
-	}
-	if s.LBThreshold == 0 {
-		s.LBThreshold = 0.15
-	}
-	// The dynamic balancer panics on a threshold that is not positive.
-	if s.LBThreshold < 0 {
-		return fmt.Errorf("core: scenario %q has LB threshold %g, want > 0", s.Name, s.LBThreshold)
-	}
-	if s.LBMinBatch == 0 {
-		s.LBMinBatch = 16
-	}
-	if s.Render.Width == 0 {
-		s.Render.Width = 64
-	}
-	if s.Render.Height == 0 {
-		s.Render.Height = 64
-	}
-	if s.Render.Width < 0 || s.Render.Height < 0 {
-		return fmt.Errorf("core: scenario %q has a %dx%d frame", s.Name, s.Render.Width, s.Render.Height)
-	}
-	if s.Render.CostPerParticle == 0 {
-		s.Render.CostPerParticle = 0.5
-	}
-	if s.Render.FrameOverhead == 0 {
-		s.Render.FrameOverhead = 1000
-	}
-	if s.Render.BytesPerParticle == 0 {
-		s.Render.BytesPerParticle = 32
-	}
-	if s.ExchangeScanWork == 0 {
-		s.ExchangeScanWork = 4.0
-	}
-	// Work charged to a virtual clock: NaN or +Inf poisons the run's
-	// times, a negative amount panics the clock.
-	for _, w := range []struct {
-		name string
-		v    float64
-	}{
-		{"exchange scan work", s.ExchangeScanWork},
-		{"render cost per particle", s.Render.CostPerParticle},
-		{"render frame overhead", s.Render.FrameOverhead},
-	} {
-		if !(w.v >= 0) || math.IsInf(w.v, 1) {
-			return fmt.Errorf("core: scenario %q has %s %g, want finite and >= 0", s.Name, w.name, w.v)
-		}
+		fail("scenario %q has empty finite space along %v", s.Name, s.Axis)
 	}
 	if s.Schedule == BatchedSchedule && s.LB == DecentralizedLB {
-		return fmt.Errorf("core: scenario %q: the batched schedule does not support decentralized balancing", s.Name)
-	}
-	if s.DecompStep == 0 {
-		s.DecompStep = 0.05
+		fail("scenario %q: the batched schedule does not support decentralized balancing", s.Name)
 	}
 	if s.Decomp != DecompSlab {
-		if !(s.DecompStep > 0) || s.DecompStep > 0.5 {
-			return fmt.Errorf("core: scenario %q: decomposition step %g outside (0, 0.5]", s.Name, s.DecompStep)
+		if s.DecompStep > 0.5 {
+			fail("scenario %q: decomposition step %g outside (0, 0.5]", s.Name, s.DecompStep)
 		}
 		if s.LB == DecentralizedLB {
-			return fmt.Errorf("core: scenario %q: decentralized balancing is defined on slab neighbor pairs; use slab or DLB", s.Name)
+			fail("scenario %q: decentralized balancing is defined on slab neighbor pairs; use slab or DLB", s.Name)
 		}
 		if s.Mode == FiniteSpace && s.Space.Extent(crossAxis(s.Axis)) <= 0 {
-			return fmt.Errorf("core: scenario %q: %s decomposition needs finite space along %v too",
-				s.Name, s.Decomp, crossAxis(s.Axis))
+			fail("scenario %q: %s decomposition needs finite space along %v too", s.Name, s.Decomp, crossAxis(s.Axis))
 		}
 	}
 	for i, e := range s.Script {
 		if e.Frame < 0 || e.Frame >= s.Frames {
-			return fmt.Errorf("core: script entry at frame %d outside [0, %d)", e.Frame, s.Frames)
+			fail("script entry at frame %d outside [0, %d)", e.Frame, s.Frames)
 		}
 		if e.System < 0 || e.System >= len(s.Systems) {
-			return fmt.Errorf("core: script entry for system %d outside [0, %d)", e.System, len(s.Systems))
+			fail("script entry for system %d outside [0, %d)", e.System, len(s.Systems))
 		}
 		if err := checkAction(e.Action); err != nil {
-			return fmt.Errorf("core: script entry %d %w", i, err)
-		}
-		if k := e.Action.Kind(); k != actions.KindProperty && k != actions.KindPosition {
-			return fmt.Errorf("core: script action %q has kind %v; only property and position actions can be scripted",
-				e.Action.Name(), k)
+			fail("script entry %d %w", i, err)
+		} else if k := e.Action.Kind(); k != actions.KindProperty && k != actions.KindPosition {
+			fail("script action %q has kind %v; only property and position actions can be scripted", e.Action.Name(), k)
 		}
 	}
 	for i, sys := range s.Systems {
 		if len(sys.Actions) == 0 {
-			return fmt.Errorf("core: system %d (%s) has no actions", i, sys.Name)
+			fail("system %d (%s) has no actions", i, sys.Name)
 		}
 		for _, a := range sys.Actions {
 			if err := checkAction(a); err != nil {
-				return fmt.Errorf("core: system %d %w", i, err)
+				fail("system %d %w", i, err)
 			}
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // checkAction checks an action against the rules of its row in

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
+	"reflect"
+	"strings"
 	"testing"
 
 	"pscluster/internal/actions"
@@ -273,15 +273,11 @@ func checkFigure2Order(t *testing.T, prof *obs.Profile, lb LBMode, nCalc int) {
 	case DecentralizedLB:
 		mandatory = append(mandatory, "decentralized-lb")
 	}
-	// Spans arrive sorted by start time; a stable sort by rank restores
-	// each rank's program order.
-	spans := slices.Clone(prof.Spans)
-	slices.SortStableFunc(spans, func(a, b obs.Span) int { return cmp.Compare(a.Rank, b.Rank) })
 	type key struct{ frame, sys, rank int }
 	last := map[key]int{}
 	seen := map[key]map[string]bool{}
 	lastEnd := map[int]float64{}
-	for _, s := range spans {
+	for _, s := range prof.SpansByRank() {
 		if s.End < lastEnd[s.Rank] {
 			t.Fatalf("rank %d: %q ends at %v, before the previous span's %v", s.Rank, s.Phase, s.End, lastEnd[s.Rank])
 		}
@@ -409,9 +405,16 @@ func TestValidateRejectsEngineBreakingInputs(t *testing.T) {
 		{"frame-overhead-inf", func(s *Scenario) { s.Render.FrameOverhead = math.Inf(1) }},
 		{"frame-overhead-negative", func(s *Scenario) { s.Render.FrameOverhead = -1 }},
 		{"lb-threshold-negative", func(s *Scenario) { s.LBThreshold = -1 }},
+		{"lb-threshold-nan", func(s *Scenario) { s.LBThreshold = math.NaN() }},
+		{"lb-min-batch-negative", func(s *Scenario) { s.LBMinBatch = -5 }},
+		// Winds the render send's clock back: a silently wrong time.
+		{"render-bytes-negative", func(s *Scenario) { s.Render.BytesPerParticle = -5 }},
 		{"random-accel-no-domain", func(s *Scenario) { s.Systems[0].Actions[2] = &actions.RandomAccel{} }},
 		{"sink-no-domain", func(s *Scenario) { s.Systems[0].Actions[2] = &actions.Sink{} }},
 		{"jet-no-domain", func(s *Scenario) { s.Systems[0].Actions[2] = &actions.Jet{} }},
+		{"typed-nil-domain", func(s *Scenario) {
+			s.Systems[0].Actions[2] = &actions.RandomAccel{Domain: (*geom.SphereDomain)(nil)}
+		}},
 		{"nil-system-action", func(s *Scenario) { s.Systems[1].Actions[2] = nil }},
 		{"nil-pointer-system-action", func(s *Scenario) { s.Systems[1].Actions[2] = (*actions.Sink)(nil) }},
 		{"nil-script-action", func(s *Scenario) { s.Script = []ScriptEntry{{Frame: 1, System: 0}} }},
@@ -434,6 +437,50 @@ func TestValidateRejectsEngineBreakingInputs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Validate reports every rule a scenario breaks, not only the first.
+func TestValidateReportsEveryViolation(t *testing.T) {
+	scn := miniSnow(StaticLB, FiniteSpace)
+	scn.DT, scn.Bins, scn.Render.BytesPerParticle = math.NaN(), -1, -5
+	scn.Systems[1].Actions[2] = &actions.Sink{}
+	err := scn.Validate()
+	for _, want := range []string{"DT NaN", "bins -1", "render bytes per particle -5", `system 1 action "sink"`} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate = %v, want it to report %q", err, want)
+		}
+	}
+}
+
+// Every int or float64 field of Scenario and RenderConfig is in the
+// fields table, with its default and domain, or on the exempt list
+// below with the reason it is not.
+func TestFieldsCoverNumericFields(t *testing.T) {
+	exempt := map[string]string{
+		// Enums: the scenario codec's name rows hold their domains.
+		"Axis": "enum", "Mode": "enum", "LB": "enum", "Decomp": "enum", "Schedule": "enum",
+	}
+	var scn Scenario
+	inTable := map[any]bool{}
+	for _, f := range scn.fields() {
+		inTable[f.Ptr] = true
+	}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := range v.NumField() {
+			sf, fv := v.Type().Field(i), v.Field(i)
+			name := path + sf.Name
+			switch {
+			case sf.Type == reflect.TypeFor[RenderConfig]():
+				walk(fv, name+".")
+			case sf.Type.Kind() != reflect.Int && sf.Type.Kind() != reflect.Float64:
+			case exempt[name] != "":
+			case !inTable[fv.Addr().Interface()]:
+				t.Errorf("numeric field %s is neither in Scenario.fields nor exempt", name)
+			}
+		}
+	}
+	walk(reflect.ValueOf(&scn).Elem(), "")
 }
 
 func TestRunParallelArgErrors(t *testing.T) {

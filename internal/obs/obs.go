@@ -14,6 +14,8 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -360,6 +362,15 @@ func NewProfile(recs ...*Recorder) *Profile {
 	sort.Slice(p.Ranks, func(i, j int) bool { return p.Ranks[i].Rank < p.Ranks[j].Rank })
 	p.Registry = MergeRegistries(regs...)
 	return p
+}
+
+// SpansByRank returns a copy of the spans in rank order, each rank's in
+// program order: a stable sort by rank of Spans, which a rank records in
+// program order and NewProfile sorts by start time.
+func (p *Profile) SpansByRank() []Span {
+	spans := slices.Clone(p.Spans)
+	slices.SortStableFunc(spans, func(a, b Span) int { return cmp.Compare(a.Rank, b.Rank) })
+	return spans
 }
 
 // Timeline returns the rank's timeline, or nil if the rank was not

@@ -172,4 +172,3 @@ func decodeTestBlob(dst *particle.Batch, blob []byte) error {
 	}
 	return nil
 }
-

@@ -10,27 +10,30 @@ import (
 	"pscluster/internal/geom"
 )
 
-// encodeAction converts one library action to its JSON form, through
-// its row of actions.Kinds.
-func encodeAction(a actions.Action) (*jsonAction, error) {
+// encodeAction writes one library action as the object of its row of
+// actions.Kinds.
+func encodeAction(a actions.Action) (json.RawMessage, error) {
 	if a != nil && actions.Kinds[a.Name()] != nil {
 		if b, ps := actions.Kinds[a.Name()](a); b != nil {
-			j := &jsonAction{Type: a.Name()}
-			return j, encodeParams(j, ps)
+			return encodeObject(a.Name(), ps)
 		}
 	}
 	return nil, fmt.Errorf("scenario: cannot encode action %T", a)
 }
 
-// decodeAction converts one JSON action back to a library action,
-// through the row of actions.Kinds its type names.
-func decodeAction(j *jsonAction) (actions.Action, error) {
-	row := actions.Kinds[j.Type]
+// decodeAction reads one action's object through the row of
+// actions.Kinds its type names.
+func decodeAction(f fields) (actions.Action, error) {
+	typ, err := objectType(f)
+	if err != nil {
+		return nil, err
+	}
+	row := actions.Kinds[typ]
 	if row == nil {
-		return nil, fmt.Errorf("scenario: unknown action type %q", j.Type)
+		return nil, fmt.Errorf("scenario: unknown action type %q", typ)
 	}
 	a, ps := row(nil)
-	if err := decodeParams(j, ps, "", j.Type); err != nil {
+	if err := decodeParams(f, ps, "", typ); err != nil {
 		return nil, err
 	}
 	// The one behaviour the rows cannot express: a bounce plane's normal
@@ -76,46 +79,47 @@ func parseEnum[E ~int](v *E, what string, names []string, name string) error {
 	return nil
 }
 
-// jsonSystem is the JSON form of one particle system.
-type jsonSystem struct {
-	Name    string        `json:"name"`
-	Seed    uint64        `json:"seed"`
-	Actions []*jsonAction `json:"actions"`
+// jsonSystem is the JSON form of one particle system. Its actions are
+// an Object each: written as json.RawMessage, read as fields.
+type jsonSystem[Object any] struct {
+	Name    string   `json:"name"`
+	Seed    uint64   `json:"seed"`
+	Actions []Object `json:"actions"`
 }
 
 // jsonScript is the JSON form of a one-shot steering entry.
-type jsonScript struct {
-	Frame  int         `json:"frame"`
-	System int         `json:"system"`
-	Action *jsonAction `json:"action"`
+type jsonScript[Object any] struct {
+	Frame  int    `json:"frame"`
+	System int    `json:"system"`
+	Action Object `json:"action"`
 }
 
 // jsonScenario is the JSON form of a full scenario.
-type jsonScenario struct {
-	Name             string       `json:"name"`
-	Systems          []jsonSystem `json:"systems"`
-	Script           []jsonScript `json:"script,omitempty"`
-	Axis             string       `json:"axis"`
-	Space            *jsonBox     `json:"space,omitempty"`
-	Mode             string       `json:"mode"` // "finite" | "infinite"
-	Frames           int          `json:"frames"`
-	DT               float64      `json:"dt"`
-	Bins             int          `json:"bins,omitempty"`
-	Ratio            float64      `json:"ratio,omitempty"`
-	LB               string       `json:"lb"` // "static" | "dynamic" | "decentralized"
-	LBThreshold      float64      `json:"lb_threshold,omitempty"`
-	LBMinBatch       int          `json:"lb_min_batch,omitempty"`
-	Schedule         string       `json:"schedule,omitempty"` // "per-system" | "batched"
-	Decomp           string       `json:"decomp,omitempty"`   // "slab" (default) | "grid" | "voronoi"
-	DecompStep       float64      `json:"decomp_step,omitempty"`
-	GhostCollisions  bool         `json:"ghost_collisions,omitempty"`
-	PipelineFrames   bool         `json:"pipeline_frames,omitempty"`
-	ExchangeScanWork float64      `json:"exchange_scan_work,omitempty"`
+type jsonScenario[Object any] struct {
+	Name             string               `json:"name"`
+	Systems          []jsonSystem[Object] `json:"systems"`
+	Script           []jsonScript[Object] `json:"script,omitempty"`
+	Axis             string               `json:"axis"`
+	Space            *jsonBox             `json:"space,omitempty"`
+	Mode             string               `json:"mode"` // "finite" | "infinite"
+	Frames           int                  `json:"frames"`
+	DT               float64              `json:"dt"`
+	Bins             int                  `json:"bins,omitempty"`
+	Ratio            float64              `json:"ratio,omitempty"`
+	LB               string               `json:"lb"` // "static" | "dynamic" | "decentralized"
+	LBThreshold      float64              `json:"lb_threshold,omitempty"`
+	LBMinBatch       int                  `json:"lb_min_batch,omitempty"`
+	Schedule         string               `json:"schedule,omitempty"` // "per-system" | "batched"
+	Decomp           string               `json:"decomp,omitempty"`   // "slab" (default) | "grid" | "voronoi"
+	DecompStep       float64              `json:"decomp_step,omitempty"`
+	GhostCollisions  bool                 `json:"ghost_collisions,omitempty"`
+	PipelineFrames   bool                 `json:"pipeline_frames,omitempty"`
+	ExchangeScanWork float64              `json:"exchange_scan_work,omitempty"`
 }
 
 // Encode renders a scenario as indented JSON.
 func Encode(scn core.Scenario) ([]byte, error) {
-	js := jsonScenario{
+	js := jsonScenario[json.RawMessage]{
 		Name:             scn.Name,
 		Axis:             enumName(axisNames, scn.Axis),
 		Mode:             enumName(modeNames, scn.Mode),
@@ -144,7 +148,7 @@ func Encode(scn core.Scenario) ([]byte, error) {
 		js.Decomp = enumName(decompNames, scn.Decomp)
 	}
 	for _, sys := range scn.Systems {
-		jsys := jsonSystem{Name: sys.Name, Seed: sys.Seed}
+		jsys := jsonSystem[json.RawMessage]{Name: sys.Name, Seed: sys.Seed}
 		for _, a := range sys.Actions {
 			ja, err := encodeAction(a)
 			if err != nil {
@@ -159,14 +163,14 @@ func Encode(scn core.Scenario) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		js.Script = append(js.Script, jsonScript{Frame: e.Frame, System: e.System, Action: ja})
+		js.Script = append(js.Script, jsonScript[json.RawMessage]{Frame: e.Frame, System: e.System, Action: ja})
 	}
 	return json.MarshalIndent(js, "", "  ")
 }
 
 // Decode parses a scenario from JSON.
 func Decode(data []byte) (core.Scenario, error) {
-	var js jsonScenario
+	var js jsonScenario[fields]
 	if err := json.Unmarshal(data, &js); err != nil {
 		return core.Scenario{}, fmt.Errorf("scenario: %w", err)
 	}

@@ -5,9 +5,10 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
-	"strings"
+	"sort"
 
 	"pscluster/internal/actions"
 	"pscluster/internal/geom"
@@ -28,23 +29,6 @@ type jsonBox struct {
 func fromBox(b geom.AABB) jsonBox { return jsonBox{fromVec(b.Min), fromVec(b.Max)} }
 func (b jsonBox) toAABB() geom.AABB {
 	return geom.AABB{Min: b.Min.toVec3(), Max: b.Max.toVec3()}
-}
-
-// jsonDomain is the tagged JSON form of an emission domain.
-type jsonDomain struct {
-	Type   string   `json:"type"`
-	Point  *vec     `json:"point,omitempty"`
-	A      *vec     `json:"a,omitempty"`
-	B      *vec     `json:"b,omitempty"`
-	C      *vec     `json:"c,omitempty"`
-	Box    *jsonBox `json:"box,omitempty"`
-	Center *vec     `json:"center,omitempty"`
-	Normal *vec     `json:"normal,omitempty"`
-	Apex   *vec     `json:"apex,omitempty"`
-	Base   *vec     `json:"base,omitempty"`
-	InnerR float64  `json:"inner_r,omitempty"`
-	OuterR float64  `json:"outer_r,omitempty"`
-	Radius float64  `json:"radius,omitempty"`
 }
 
 // domainKind is one row of domainKinds: a domain's JSON type, its Go
@@ -92,99 +76,116 @@ var domainKinds = []domainKind{
 	}),
 }
 
-func encodeDomain(d geom.EmitDomain) (*jsonDomain, error) {
+// encodeDomain writes an emission domain as the object of its row; a
+// pointer to a domain is written as the domain it points to, and a nil
+// domain as nothing.
+func encodeDomain(d geom.EmitDomain) (json.RawMessage, error) {
 	if d == nil {
 		return nil, nil
 	}
+	v := reflect.ValueOf(d)
+	if v.Kind() == reflect.Pointer && !v.IsNil() {
+		v = v.Elem()
+	}
 	for _, k := range domainKinds {
-		if reflect.TypeOf(d) == k.typ {
+		if v.Type() == k.typ {
 			p := reflect.New(k.typ)
-			p.Elem().Set(reflect.ValueOf(d))
-			j := &jsonDomain{Type: k.name}
-			return j, encodeParams(j, k.params(p.Interface()))
+			p.Elem().Set(v)
+			return encodeObject(k.name, k.params(p.Interface()))
 		}
 	}
 	return nil, fmt.Errorf("scenario: cannot encode emission domain %T", d)
 }
 
-func decodeDomain(j *jsonDomain) (geom.EmitDomain, error) {
-	if j == nil {
-		return nil, nil
+// decodeDomain reads an emission domain's object through the row its
+// type names.
+func decodeDomain(raw json.RawMessage) (geom.EmitDomain, error) {
+	var f fields
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return nil, fmt.Errorf("scenario: domain: %w", err)
+	}
+	typ, err := objectType(f)
+	if err != nil {
+		return nil, err
 	}
 	for _, k := range domainKinds {
-		if j.Type == k.name {
+		if typ == k.name {
 			p := reflect.New(k.typ)
-			if err := decodeParams(j, k.params(p.Interface()), "domain ", j.Type); err != nil {
+			if err := decodeParams(f, k.params(p.Interface()), "domain ", typ); err != nil {
 				return nil, err
 			}
 			return p.Elem().Interface().(geom.EmitDomain), nil
 		}
 	}
-	return nil, fmt.Errorf("scenario: unknown emission domain type %q", j.Type)
+	return nil, fmt.Errorf("scenario: unknown emission domain type %q", typ)
 }
 
-// slotKeys maps each JSON key of the structs the parameter codec fills
-// to its field index.
-var slotKeys = map[reflect.Type]map[string]int{}
-
-func init() {
-	for _, t := range []reflect.Type{reflect.TypeFor[jsonAction](), reflect.TypeFor[jsonDomain]()} {
-		slotKeys[t] = map[string]int{}
-		for i := range t.NumField() {
-			k, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
-			slotKeys[t][k] = i
-		}
-	}
-}
-
-// slot returns the field of the JSON struct *st (a jsonAction or a
-// jsonDomain) whose key is key. The tables and the JSON structs agree
-// on every key and its type — TestKindsRoundTripEveryField and
-// TestDomainRoundTrips pin that — so a mismatch is a bug of this
-// package, and panics like one.
-func slot(st any, key string) reflect.Value {
-	v := reflect.ValueOf(st).Elem()
-	i, ok := slotKeys[v.Type()][key]
-	if !ok {
-		panic(fmt.Sprintf("scenario: %T has no key %q", st, key))
-	}
-	return v.Field(i)
-}
-
-// encodeParams writes each parameter's value into the slot of the JSON
-// struct *st its key names; a number or a bool is stored as it is.
-func encodeParams(st any, ps []param) (err error) {
+// encodeObject writes the tagged JSON object of an action or a domain:
+// "type" typ, then the keys of the parameters ps in row order. A zero
+// number, bool or string and a nil domain are left out; vectors and
+// boxes are always written.
+func encodeObject(typ string, ps []param) (json.RawMessage, error) {
+	// The type names and keys are plain ASCII, quoted alike in Go and JSON.
+	b := fmt.Appendf(nil, `{"type":%q`, typ)
 	for _, p := range ps {
 		var v any
 		switch x := p.Ptr.(type) {
 		case *geom.Vec3:
-			j := fromVec(*x)
-			v = &j
+			v = fromVec(*x)
 		case *geom.AABB:
-			j := fromBox(*x)
-			v = &j
+			v = fromBox(*x)
 		case *geom.Axis:
 			v = enumName(axisNames, *x)
 		case *geom.EmitDomain:
-			if v, err = encodeDomain(*x); err != nil {
-				return err
+			d, err := encodeDomain(*x)
+			if err != nil {
+				return nil, err
 			}
+			if d == nil {
+				continue
+			}
+			v = d
 		default:
 			v = reflect.ValueOf(p.Ptr).Elem().Interface()
 		}
-		slot(st, p.Key).Set(reflect.ValueOf(v))
+		switch v {
+		case 0, 0.0, false, "":
+			continue
+		}
+		j, err := json.Marshal(v)
+		if err != nil {
+			return nil, err
+		}
+		b = fmt.Appendf(b, ",%q:%s", p.Key, j)
 	}
-	return nil
+	return append(b, '}'), nil
 }
 
-// decodeParams sets each parameter from the slot of the JSON struct *st
-// its key names. An absent slot — zero, since every field is omitempty
-// — leaves the parameter zero and is an error for a required one,
-// which names the action or domain as what and name ("domain ", "line").
-func decodeParams(st any, ps []param, what, name string) error {
+// fields are the keys of a decoded action or domain object, each with
+// its value's JSON text.
+type fields = map[string]json.RawMessage
+
+// objectType removes the "type" key from f and returns its value, ""
+// if it has none.
+func objectType(f fields) (typ string, err error) {
+	if raw, ok := f["type"]; ok {
+		delete(f, "type")
+		if err = json.Unmarshal(raw, &typ); err != nil {
+			err = fmt.Errorf("scenario: type: %w", err)
+		}
+	}
+	return typ, err
+}
+
+// decodeParams sets each parameter from the key of fields it names and
+// refuses a key no parameter names; what and name name the action or
+// domain in the errors ("domain ", "line"). An absent or null key
+// leaves the parameter zero and is an error for a required one.
+func decodeParams(f fields, ps []param, what, name string) error {
 	for _, p := range ps {
-		s := slot(st, p.Key)
-		if s.IsZero() {
+		raw, ok := f[p.Key]
+		delete(f, p.Key)
+		if !ok || string(raw) == "null" {
 			if p.Required {
 				return fmt.Errorf("scenario: %s%q needs %q", what, name, p.Key)
 			}
@@ -193,65 +194,34 @@ func decodeParams(st any, ps []param, what, name string) error {
 		var err error
 		switch x := p.Ptr.(type) {
 		case *geom.Vec3:
-			*x = s.Interface().(*vec).toVec3()
+			var j vec
+			err = json.Unmarshal(raw, &j)
+			*x = j.toVec3()
 		case *geom.AABB:
-			*x = s.Interface().(*jsonBox).toAABB()
+			var j jsonBox
+			err = json.Unmarshal(raw, &j)
+			*x = j.toAABB()
 		case *geom.Axis:
-			err = parseEnum(x, "axis", axisNames, s.String())
+			var s string
+			if err = json.Unmarshal(raw, &s); err == nil {
+				err = parseEnum(x, "axis", axisNames, s)
+			}
 		case *geom.EmitDomain:
-			*x, err = decodeDomain(s.Interface().(*jsonDomain))
+			*x, err = decodeDomain(raw)
 		default:
-			reflect.ValueOf(p.Ptr).Elem().Set(s)
+			err = json.Unmarshal(raw, p.Ptr)
 		}
 		if err != nil {
-			return err
+			return fmt.Errorf("scenario: %s%q %q: %w", what, name, p.Key, err)
 		}
 	}
+	if len(f) > 0 {
+		keys := make([]string, 0, len(f))
+		for k := range f {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return fmt.Errorf("scenario: %s%q has no key %q", what, name, keys[0])
+	}
 	return nil
-}
-
-// jsonAction is the tagged JSON form of an action. Fields are a union
-// over the action library; only the ones the type uses are emitted.
-type jsonAction struct {
-	Type string `json:"type"`
-
-	// Source.
-	Rate      int         `json:"rate,omitempty"`
-	Pos       *jsonDomain `json:"pos,omitempty"`
-	Vel       *jsonDomain `json:"vel,omitempty"`
-	Color     *jsonDomain `json:"color,omitempty"`
-	UpVec     *vec        `json:"up,omitempty"`
-	Size      float64     `json:"size,omitempty"`
-	Alpha     float64     `json:"alpha,omitempty"`
-	AgeJitter float64     `json:"age_jitter,omitempty"`
-
-	// Forces and shapes.
-	G          *vec        `json:"g,omitempty"`
-	Domain     *jsonDomain `json:"domain,omitempty"`
-	Coeff      float64     `json:"coeff,omitempty"`
-	Point      *vec        `json:"point,omitempty"`
-	Normal     *vec        `json:"normal,omitempty"`
-	Center     *vec        `json:"center,omitempty"`
-	Axis       *vec        `json:"axis,omitempty"`
-	Elasticity float64     `json:"elasticity,omitempty"`
-	Friction   float64     `json:"friction,omitempty"`
-	Radius     float64     `json:"radius,omitempty"`
-	InnerR     float64     `json:"inner_r,omitempty"`
-	OuterR     float64     `json:"outer_r,omitempty"`
-	Strength   float64     `json:"strength,omitempty"`
-	Epsilon    float64     `json:"epsilon,omitempty"`
-	Speed      float64     `json:"speed,omitempty"`
-	Falloff    float64     `json:"falloff,omitempty"`
-	LookAhead  float64     `json:"look_ahead,omitempty"`
-	Accel      *vec        `json:"accel,omitempty"`
-	RGB        *vec        `json:"rgb,omitempty"`
-	RateF      float64     `json:"rate_per_sec,omitempty"`
-	MaxAge     float64     `json:"max_age,omitempty"`
-	KillInside bool        `json:"kill_inside,omitempty"`
-	AxisName   string      `json:"axis_name,omitempty"`
-	Threshold  float64     `json:"threshold,omitempty"`
-	Box        *jsonBox    `json:"aabb,omitempty"`
-	TriA       *vec        `json:"tri_a,omitempty"`
-	TriB       *vec        `json:"tri_b,omitempty"`
-	TriC       *vec        `json:"tri_c,omitempty"`
 }

@@ -216,11 +216,22 @@ func TestDecodeErrors(t *testing.T) {
 		"unknown action": `{"mode":"infinite","systems":[{"actions":[{"type":"teleport"}]}]}`,
 		"unknown domain": `{"mode":"infinite","systems":[{"actions":[{"type":"sink","domain":{"type":"blob"}}]}]}`,
 		"source no pos":  `{"mode":"infinite","systems":[{"actions":[{"type":"source","rate":5}]}]}`,
+		// An action or domain object has only the keys of its row, spelled
+		// exactly.
+		"misspelled key": `{"mode":"infinite","systems":[{"actions":[{"type":"vortex","center":[0,0,0],"strenght":3}]}]}`,
+		"foreign key":    `{"mode":"infinite","systems":[{"actions":[{"type":"gravity","coeff":5}]}]}`,
+		"domain key":     `{"mode":"infinite","systems":[{"actions":[{"type":"sink","domain":{"type":"point","point":[0,0,0],"radius":1}}]}]}`,
+		"key case":       `{"mode":"infinite","systems":[{"actions":[{"type":"gravity","G":[0,-9.8,0]}]}]}`,
+		"null action":    `{"mode":"infinite","systems":[{"actions":[null]}]}`,
 	}
 	for name, data := range cases {
 		if _, err := Decode([]byte(data)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+	// A key of the scenario itself that was retired still decodes.
+	if _, err := Decode([]byte(`{"mode":"infinite","work` + `ers":4,"systems":[{"actions":[{"type":"move"}]}]}`)); err != nil {
+		t.Errorf("legacy scenario key: %v", err)
 	}
 }
 
@@ -250,6 +261,8 @@ func TestDomainRoundTrips(t *testing.T) {
 		geom.CylinderDomain{A: geom.V(0, 0, 0), B: geom.V(0, 3, 0), Radius: 1},
 		geom.ConeDomain{Apex: geom.V(0, 0, 0), Base: geom.V(0, 2, 0), Radius: 1},
 		geom.TriangleDomain{A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0)},
+		// A pointer to a domain is written as the domain it points to.
+		&geom.PointDomain{P: geom.V(4, 5, 6)},
 	}
 	for _, d := range domains {
 		enc, err := encodeDomain(d)
@@ -260,21 +273,42 @@ func TestDomainRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(d, dec) {
-			t.Errorf("domain %T did not round-trip:\nwant %#v\ngot  %#v", d, d, dec)
+		want := reflect.Indirect(reflect.ValueOf(d)).Interface()
+		if !reflect.DeepEqual(want, dec) {
+			t.Errorf("domain %T did not round-trip:\nwant %#v\ngot  %#v", d, want, dec)
 		}
+	}
+	if _, err := encodeDomain((*geom.PointDomain)(nil)); err == nil {
+		t.Error("a nil *geom.PointDomain encoded")
 	}
 }
 
+// A nil domain is left out of its action's object, and an absent or
+// null key decodes to a nil domain.
 func TestNilDomainRoundTrips(t *testing.T) {
 	enc, err := encodeDomain(nil)
 	if err != nil || enc != nil {
 		t.Fatalf("nil encode: %v %v", enc, err)
 	}
-	dec, err := decodeDomain(nil)
-	if err != nil || dec != nil {
-		t.Fatalf("nil decode: %v %v", dec, err)
+	src := &actions.Source{Pos: geom.PointDomain{}}
+	data, err := encodeAction(src)
+	if err != nil || strings.Contains(string(data), `"vel"`) {
+		t.Fatalf("source without vel encoded as %s (%v)", data, err)
 	}
+	for _, doc := range []string{string(data), `{"type":"source","pos":{"type":"point","point":[0,0,0]},"vel":null}`} {
+		if a, err := decodeActionJSON([]byte(doc)); err != nil || !reflect.DeepEqual(a, src) {
+			t.Errorf("%s decoded to %#v (%v), want %#v", doc, a, err, src)
+		}
+	}
+}
+
+// decodeActionJSON decodes one action's JSON object.
+func decodeActionJSON(data []byte) (actions.Action, error) {
+	var f fields
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, err
+	}
+	return decodeAction(f)
 }
 
 func testNode() cluster.NodeType     { return cluster.TypeB }
@@ -296,19 +330,11 @@ func TestKindsRoundTripEveryField(t *testing.T) {
 		if b, ok := want.(*actions.Bounce); ok {
 			b.Plane.Normal = geom.V(0, 0, 1) // decode keeps a bounce normal unit length
 		}
-		j, err := encodeAction(want)
+		data, err := encodeAction(want)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		data, err := json.Marshal(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back jsonAction
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatal(err)
-		}
-		got, err := decodeAction(&back)
+		got, err := decodeActionJSON(data)
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", name, err, data)
 		}
